@@ -18,27 +18,7 @@ import sys
 import time
 
 from ramseycert import build_g_plus, build_g_times, structural_audit, verify_spectrum
-from ramseycert.fields import factorize
-
-PLUS_Q = (4, 8, 9, 16, 25, 27, 32, 64, 81, 128)
-TIMES_Q = (5, 7, 9, 11, 13, 25, 49, 81, 121)
-
-
-def fleet(q_max: int):
-    for q in PLUS_Q:
-        if q > q_max:
-            continue
-        (p, _), = factorize(q).items()
-        t = p
-        while t <= q:
-            yield "plus", q, t
-            t *= p
-    for q in TIMES_Q:
-        if q > q_max:
-            continue
-        for t in range(2, q):
-            if (q - 1) % t == 0:
-                yield "times", q, t
+from ramseycert.graphs import fleet
 
 
 def main(argv=None) -> int:

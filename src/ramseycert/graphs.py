@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -194,6 +194,31 @@ def build_g_times(q: int, t: int) -> Graph:
                  meta=GraphMeta(variant="times", p=p, a=a, q=q, t=t))
 
 
+# the desk-scale fleet: every valid (q, t) with q <= 128 for the sum
+# construction and q <= 121 for the product construction
+PLUS_Q = (4, 8, 9, 16, 25, 27, 32, 64, 81, 128)
+TIMES_Q = (5, 7, 9, 11, 13, 25, 49, 81, 121)
+
+
+def fleet(q_max: int = 128) -> Iterator[tuple[str, int, int]]:
+    """Every (variant, q, t) of the fleet with q <= q_max: plus cases with t
+    running over the powers p, p^2, ..., q, then times cases with t | q-1."""
+    for q in PLUS_Q:
+        if q > q_max:
+            continue
+        (p, _), = factorize(q).items()
+        t = p
+        while t <= q:
+            yield "plus", q, t
+            t *= p
+    for q in TIMES_Q:
+        if q > q_max:
+            continue
+        for t in range(2, q):
+            if (q - 1) % t == 0:
+                yield "times", q, t
+
+
 def from_edges(n: int, edges: Iterable[tuple[int, int]], variant: str = "other",
                t: int = 0, labels: tuple[tuple[int, int], ...] | None = None,
                meta: GraphMeta | None = None) -> Graph:
@@ -348,36 +373,76 @@ def to_g2t(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+_G2T_HEADER_KEYS = ("variant", "p", "a", "q", "t", "n")
+
+
+def _g2t_header(line: str, max_n: int) -> tuple[GraphMeta, int]:
+    """Parse and cross-check a g2t header; every defect is a ValueError.
+
+    ``max_n`` is the number of lines after the header: n may not exceed it,
+    which is checked before anything of size n (or q <= n + 1) is touched.
+    """
+    fields = {}
+    for tok in line.split()[2:]:
+        key, eq, value = tok.partition("=")
+        if not eq or key in fields:
+            raise ValueError(f"g2t header token {tok!r} is not a new key=value")
+        fields[key] = value
+    missing = [k for k in _G2T_HEADER_KEYS if k not in fields]
+    if missing:
+        raise ValueError(f"g2t header lacks {', '.join(k + '=' for k in missing)}")
+    p, a, q, t, n = (int(fields[k]) for k in _G2T_HEADER_KEYS[1:])
+    if min(p, a, q, t, n) < 0:
+        raise ValueError("g2t header counts must be non-negative")
+    if n > max_n:
+        raise ValueError(f"header says n = {n} but only {max_n} lines follow it")
+    variant = fields["variant"]
+    if variant in ("plus", "times"):
+        if not 2 <= t <= q or n * t != q * (q - 1):
+            raise ValueError(f"g2t header: n = {n} is not q(q-1)/t for q = {q}, t = {t}")
+        if factorize(q) != {p: a}:
+            raise ValueError(f"g2t header: q = {q} is not p^a = {p}^{a}")
+        if (q if variant == "plus" else q - 1) % t != 0:
+            raise ValueError(f"g2t header: t = {t} is not a {variant} subgroup order "
+                             f"for q = {q}")
+    return GraphMeta(variant=variant, p=p, a=a, q=q, t=t), n
+
+
 def from_g2t(text: str) -> Graph:
-    """Parse ``to_g2t`` output; validates the header counts and edge ranges."""
+    """Parse ``to_g2t`` output; every malformed input raises ValueError.
+
+    The header must carry all of variant, p, a, q, t, n; for ``plus``/``times``
+    they must describe a valid construction (q = p^a, t a subgroup order,
+    n = q(q-1)/t).  Each vertex needs exactly one ``v`` line, and every record
+    must have its full field count with indices in range.
+    """
     lines = text.splitlines()
     if not lines or not lines[0].startswith("g2t v1 "):
         raise ValueError("not a g2t v1 file")
-    fields = dict(tok.split("=", 1) for tok in lines[0].split()[2:])
-    meta = GraphMeta(variant=fields["variant"], p=int(fields["p"]),
-                     a=int(fields["a"]), q=int(fields["q"]), t=int(fields["t"]))
-    n = int(fields["n"])
-    labels: list[tuple[int, int]] = [(0, 0)] * n
+    meta, n = _g2t_header(lines[0], len(lines) - 1)
+    labels: list[tuple[int, int] | None] = [None] * n
     rows = [0] * n
     seen_v = 0
     for ln in lines[1:]:
-        if not ln:
-            continue
         parts = ln.split()
-        if parts[0] == "v":
-            i, cid, x = int(parts[1]), int(parts[2]), int(parts[3])
-            if not 0 <= i < n:
-                raise ValueError(f"vertex index {i} out of range")
-            labels[i] = (cid, x)
-            seen_v += 1
-        elif parts[0] == "e":
+        if not parts:
+            continue
+        if parts[0] == "e" and len(parts) == 3:  # edge lines dominate; test them first
             u, v = int(parts[1]), int(parts[2])
             if not (0 <= u <= v < n):
                 raise ValueError(f"edge ({u}, {v}) malformed")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
+        elif parts[0] == "v" and len(parts) == 4:
+            i, cid, x = int(parts[1]), int(parts[2]), int(parts[3])
+            if not 0 <= i < n:
+                raise ValueError(f"vertex index {i} out of range")
+            if labels[i] is not None:
+                raise ValueError(f"vertex {i} has more than one v line")
+            labels[i] = (cid, x)
+            seen_v += 1
         else:
-            raise ValueError(f"unknown g2t line {ln!r}")
+            raise ValueError(f"malformed g2t line {ln!r}")
     if seen_v != n:
         raise ValueError(f"expected {n} vertex lines, saw {seen_v}")
     return Graph(rows=tuple(rows), labels=tuple(labels), meta=meta)

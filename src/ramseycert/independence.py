@@ -5,6 +5,14 @@ adjacency, greedy-coloring upper bounds, deterministic order) under node/time
 budgets; on completion the result is the exact independence number with a
 witness, otherwise a certified lower (incumbent) / upper (root bound) bracket.
 
+``greedy_alpha`` is the cheap lower bound the Monte-Carlo check uses on large
+samples: it repeatedly takes the live vertex of least residual degree, lowest
+index on ties, and deletes it with its neighbourhood.  A lazy-deletion heap of
+(degree, index) pairs picks each vertex; a deletion re-counts only the live
+vertices next to the deleted neighbourhood.  The run costs O(n + T) bigint
+popcounts and heap operations, where T, the total size of those touched sets,
+is at most min(2m, alpha * n).
+
 Loops need a policy the constructions force us to pick: under
 ``ignore-loops`` a looped vertex may join an independent set (the loop is not
 a crossing edge); under ``exclude-looped`` it may not.  Both are implemented
@@ -14,6 +22,7 @@ alpha values.
 
 from __future__ import annotations
 
+import heapq
 import sys
 import time
 from dataclasses import dataclass
@@ -235,7 +244,15 @@ def alpha_bruteforce(g: Graph, semantics: str = "ignore-loops") -> int:
 
 
 def greedy_alpha(g: Graph, semantics: str = "ignore-loops") -> tuple[int, tuple[int, ...]]:
-    """Deterministic min-residual-degree greedy lower bound with witness."""
+    """Deterministic min-residual-degree greedy lower bound with witness.
+
+    Repeatedly takes the live vertex of least residual degree (neighbours
+    still live, loops not counted), lowest index on ties, and deletes it with
+    its neighbourhood N(v).  A lazy-deletion heap of (degree, index) pairs
+    finds each pick; deleting N(v) re-counts only the live vertices adjacent
+    to N(v), one popcount and one heap push each.  Total work is O(n + T)
+    such steps, T = sum of those touched sets <= min(2m, alpha * n).
+    """
     _check_semantics(semantics)
     n = g.n
     live = (1 << n) - 1
@@ -244,19 +261,35 @@ def greedy_alpha(g: Graph, semantics: str = "ignore-loops") -> tuple[int, tuple[
             if g.rows[i] >> i & 1:
                 live ^= 1 << i
     rows = [g.rows[i] & ~(1 << i) for i in range(n)]
+    # deg[v] is v's residual degree while v is live and -1 once it is deleted,
+    # so a heap entry is current iff its degree equals deg[v]
+    deg = [(rows[v] & live).bit_count() if live >> v & 1 else -1 for v in range(n)]
+    heap = [(d, v) for v, d in enumerate(deg) if d >= 0]
+    heapq.heapify(heap)
     chosen: list[int] = []
-    while live:
-        best_v, best_deg = -1, n + 1
-        m = live
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d != deg[v]:
+            continue
+        chosen.append(v)
+        deg[v] = -1
+        gone = rows[v] & live
+        live &= ~(gone | (1 << v))
+        touched = 0
+        m = gone
         while m:
             low = m & -m
-            v = low.bit_length() - 1
+            w = low.bit_length() - 1
             m ^= low
-            dv = (rows[v] & live).bit_count()
-            if dv < best_deg:
-                best_v, best_deg = v, dv
-        chosen.append(best_v)
-        live &= ~(rows[best_v] | (1 << best_v))
+            deg[w] = -1
+            touched |= rows[w]
+        m = touched & live
+        while m:
+            low = m & -m
+            w = low.bit_length() - 1
+            m ^= low
+            deg[w] -= (rows[w] & gone).bit_count()
+            heapq.heappush(heap, (deg[w], w))
     chosen.sort()
     return len(chosen), tuple(chosen)
 

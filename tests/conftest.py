@@ -7,33 +7,10 @@ across the whole run; the big q=121/128 builds are only paid once.
 import pytest
 
 from ramseycert import build_g_plus, build_g_times
-from ramseycert.fields import factorize
+from ramseycert.graphs import fleet
 
-# every valid (q, t) with q <= 128 for the sum construction ...
-PLUS_Q = (4, 8, 9, 16, 25, 27, 32, 64, 81, 128)
-# ... and q <= 121 for the product construction
-TIMES_Q = (5, 7, 9, 11, 13, 25, 49, 81, 121)
-
-
-def _plus_cases():
-    out = []
-    for q in PLUS_Q:
-        (p, _), = factorize(q).items()
-        t = p
-        while t <= q:
-            out.append(("plus", q, t))
-            t *= p
-    return out
-
-
-def _times_cases():
-    return [("times", q, t) for q in TIMES_Q
-            for t in range(2, q) if (q - 1) % t == 0]
-
-
-PLUS_CASES = _plus_cases()
-TIMES_CASES = _times_cases()
-ALL_CASES = PLUS_CASES + TIMES_CASES
+# the 94 desk-scale cases: plus with q <= 128, then times with q <= 121
+ALL_CASES = list(fleet())
 
 _CACHE = {}
 

@@ -124,6 +124,45 @@ def test_import_rejects_malformed(tmp_path, capsys):
     assert run_cli(["import", str(bad)], capsys)[0] == 2
 
 
+def _set_line(i, new):
+    def mangle(text):
+        lines = text.splitlines(keepends=True)
+        lines[i] = new(lines)
+        return "".join(lines)
+    return mangle
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda s: s.replace(" t=3", "", 1),                  # header without t=
+    lambda s: s.replace(" t=3", " t=0", 1),              # t = 0
+    lambda s: s.replace(" t=3", " t=9", 1),              # n != q(q-1)/t
+    lambda s: s.replace(" p=3", " p=2", 1),              # q != p^a
+    lambda s: s.replace(" n=24", " n=10000000000", 1),   # n beyond the line count
+    lambda s: s.replace(" q=9", " q=9 q=9", 1),          # repeated header key
+    lambda s: s.replace(" q=9", " q", 1),                # token without '='
+    _set_line(1, lambda lines: "v 0\n"),                 # short v line
+    _set_line(2, lambda lines: lines[1]),                # v 0 twice, no v 1
+    lambda s: s + "e 0\n",                               # short e line
+], ids=["no-t", "t-zero", "n-formula", "q-not-p^a", "huge-n", "repeated-key",
+        "bare-token", "short-v", "duplicate-v", "short-e"])
+@pytest.mark.parametrize("sub", ["import", "audit", "spectrum", "alpha"])
+def test_malformed_g2t_exits_2(mangle, sub, plus93_file, tmp_path, capsys):
+    with open(plus93_file) as fh:
+        text = fh.read()
+    bad = tmp_path / "bad.g2t"
+    bad.write_text(mangle(text))
+    assert run_cli([sub, str(bad)], capsys)[0] == 2
+
+
+def test_times_header_n_formula_exits_2(tmp_path, capsys):
+    good = tmp_path / "t72.g2t"
+    assert run_cli(["build", "--variant", "times", "--q", "7", "--t", "2",
+                    "--out", str(good)], capsys)[0] == 0
+    bad = tmp_path / "bad.g2t"
+    bad.write_text(good.read_text().replace(" t=2", " t=3", 1))
+    assert run_cli(["import", str(bad)], capsys)[0] == 2
+
+
 def test_version_and_missing_subcommand():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

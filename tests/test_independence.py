@@ -1,9 +1,12 @@
 """Exact independence search: known values, oracle equivalence, budget behavior."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ramseycert.graphs import from_edges
+from ramseycert.random_model import lemma_parameters, sample_gnp
 from ramseycert.independence import (
     KNOWN_EVEN_CHAR_ALPHA,
     SEMANTICS,
@@ -102,6 +105,55 @@ def test_greedy_is_a_valid_lower_bound(g, sem):
     assert size == len(witness)
     assert verify_independent(g, witness, sem)
     assert size <= max_independent_set_exact(g, semantics=sem).lower
+
+
+def _greedy_alpha_scan(g, semantics):
+    """Reference greedy: rescan every live vertex for each pick and take the
+    least residual degree, lowest index on ties.  O(alpha * n) popcounts."""
+    n = g.n
+    live = (1 << n) - 1
+    if semantics == "exclude-looped":
+        for i in range(n):
+            if g.rows[i] >> i & 1:
+                live ^= 1 << i
+    rows = [g.rows[i] & ~(1 << i) for i in range(n)]
+    chosen = []
+    while live:
+        best_v, best_deg = -1, n + 1
+        m = live
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            m ^= low
+            dv = (rows[v] & live).bit_count()
+            if dv < best_deg:
+                best_v, best_deg = v, dv
+        chosen.append(best_v)
+        live &= ~(rows[best_v] | (1 << best_v))
+    chosen.sort()
+    return len(chosen), tuple(chosen)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 48), st.sampled_from([0.0, 0.03, 0.1, 0.3, 0.6, 0.9, 1.0]),
+       st.integers(0, 2**32 - 1), st.sampled_from(SEMANTICS))
+def test_greedy_equals_scan_oracle(n, density, seed, sem):
+    rng = random.Random(seed)  # pairs include (u, u), so loops appear too
+    edges = [(u, v) for u in range(n) for v in range(u, n) if rng.random() < density]
+    g = from_edges(n, edges)
+    assert greedy_alpha(g, sem) == _greedy_alpha_scan(g, sem)
+
+
+@pytest.mark.parametrize("sem", SEMANTICS)
+@pytest.mark.parametrize("variant,q,t", [("plus", 9, 3), ("plus", 64, 32), ("times", 49, 3)])
+def test_greedy_equals_scan_oracle_on_constructions(variant, q, t, sem):
+    g = cached_graph(variant, q, t)
+    assert greedy_alpha(g, sem) == _greedy_alpha_scan(g, sem)
+
+
+def test_greedy_equals_scan_oracle_on_recipe_sample():
+    g = sample_gnp(2096, lemma_parameters(100, 10, 1.0, seed=1).p, 1, 0)
+    assert greedy_alpha(g) == _greedy_alpha_scan(g, "ignore-loops")
 
 
 def test_bruteforce_caps_at_26():
