@@ -413,8 +413,9 @@ def from_g2t(text: str) -> Graph:
 
     The header must carry all of variant, p, a, q, t, n; for ``plus``/``times``
     they must describe a valid construction (q = p^a, t a subgroup order,
-    n = q(q-1)/t).  Each vertex needs exactly one ``v`` line, and every record
-    must have its full field count with indices in range.
+    n = q(q-1)/t), and each vertex label must be the one the construction
+    gives that index.  Each vertex needs exactly one ``v`` line, and every
+    record must have its full field count with indices in range.
     """
     lines = text.splitlines()
     if not lines or not lines[0].startswith("g2t v1 "):
@@ -445,6 +446,15 @@ def from_g2t(text: str) -> Graph:
             raise ValueError(f"malformed g2t line {ln!r}")
     if seen_v != n:
         raise ValueError(f"expected {n} vertex lines, saw {seen_v}")
+    if meta.variant in ("plus", "times"):
+        # the labels build_g_plus / build_g_times give: plus vertices pair a
+        # coset with a unit 1..q-1, times vertices with an element 0..q-1
+        width, first = (meta.q - 1, 1) if meta.variant == "plus" else (meta.q, 0)
+        for i, label in enumerate(labels):
+            want = (i // width, i % width + first)
+            if label != want:
+                raise ValueError(f"vertex {i} has label {label}, not the {meta.variant} "
+                                 f"construction's {want}")
     return Graph(rows=tuple(rows), labels=tuple(labels), meta=meta)
 
 

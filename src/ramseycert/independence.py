@@ -1,9 +1,14 @@
 """Exact maximum-independent-set search and the explicit residue construction.
 
-The solver runs branch-and-bound maximum clique on the complement (bitset
-adjacency, greedy-coloring upper bounds, deterministic order) under node/time
-budgets; on completion the result is the exact independence number with a
-witness, otherwise a certified lower (incumbent) / upper (root bound) bracket.
+The solver runs branch-and-bound maximum clique on the complement under
+node/time budgets: bitset adjacency renumbered by non-increasing complement
+degree (the MCQ order of Tomita & Seki), an incumbent seeded by the
+min-degree greedy, and greedy-coloring upper bounds whose classes below
+``kmin = best - size + 1`` are colored but never branched on (BBMC, San
+Segundo et al.).  On completion the result is the exact independence number
+with a witness in the original numbering; otherwise it is a certified
+bracket: lower is the incumbent, upper the largest coloring bound still open
+on the search path.
 
 ``greedy_alpha`` is the cheap lower bound the Monte-Carlo check uses on large
 samples: it repeatedly takes the live vertex of least residual degree, lowest
@@ -75,20 +80,27 @@ def _check_semantics(semantics: str) -> None:
         raise ValueError(f"semantics must be one of {SEMANTICS}, got {semantics!r}")
 
 
-def _complement_rows(g: Graph, semantics: str) -> tuple[list[int], int]:
-    """Complement adjacency bitsets (loops dropped) and the allowed-vertex mask."""
-    n = g.n
-    full = (1 << n) - 1
-    allowed = full
+def _complement_rows(g: Graph, semantics: str) -> tuple[list[int], list[int]]:
+    """Complement adjacency bitsets (loops dropped) on the allowed vertices,
+    renumbered by non-increasing complement degree, lower index on ties.
+
+    Returns the rows in the new numbering and ``order``, where ``order[k]`` is
+    the original index of new vertex k.  The permutation is applied to the
+    unpacked 0/1 matrix and packed back, so no per-bit Python loop runs.
+    """
+    allowed = range(g.n)
     if semantics == "exclude-looped":
-        for i in range(n):
-            if g.rows[i] >> i & 1:
-                allowed ^= 1 << i
-    comp = [0] * n
-    for i in range(n):
-        if allowed >> i & 1:
-            comp[i] = ~g.rows[i] & full & allowed & ~(1 << i)
-    return comp, allowed
+        allowed = [v for v in allowed if not g.rows[v] >> v & 1]
+    mask = 0
+    for v in allowed:
+        mask |= 1 << v
+    # fewest allowed neighbours first; sorted() is stable, so ties keep index order
+    order = sorted(allowed, key=lambda v: (g.rows[v] & mask & ~(1 << v)).bit_count())
+    comp_bits = g.adjacency_matrix(dtype=np.bool_)[np.ix_(order, order)]
+    np.logical_not(comp_bits, out=comp_bits)
+    np.fill_diagonal(comp_bits, False)  # a vertex is not its own complement neighbour
+    packed = np.packbits(comp_bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed], order
 
 
 def verify_independent(g: Graph, vertices, semantics: str = "ignore-loops") -> bool:
@@ -118,24 +130,52 @@ def max_independent_set_exact(
 ) -> AlphaResult:
     """Branch-and-bound exact alpha via max clique on the complement.
 
-    Greedy sequential coloring of the candidate set gives the upper bound at
-    every node; vertices are processed in reverse color order.  Deterministic
-    for fixed (graph, budgets, semantics); budget exhaustion returns the
-    incumbent as ``lower`` and the root coloring bound as ``upper``.
+    The allowed vertices are renumbered by non-increasing complement degree
+    (lower index on ties), the MCQ initial order.  The incumbent starts from
+    the min-degree greedy.  At every node a greedy sequential coloring of the
+    candidate set, in vertex order, bounds the clique size, and vertices are
+    branched on in reverse color order; classes below ``kmin = best - size +
+    1`` cannot improve the incumbent, so their vertices are colored but never
+    branched on (BBMC).  Deterministic for fixed (graph, budgets, semantics);
+    the witness is mapped back to the original indices and sorted.
+
+    On budget exhaustion ``lower`` is the incumbent and ``upper`` is the
+    largest of ``best`` and ``size + color`` over the open level of every
+    frame on the current search path (each unexplored branch there is bounded
+    by its color), or the number of allowed vertices if no coloring ran.
     """
     _check_semantics(semantics)
-    comp, allowed = _complement_rows(g, semantics)
     start = time.monotonic()
     deadline = start + time_budget
+    comp, order = _complement_rows(g, semantics)
 
-    best = 0
+    seed = set(_min_degree_greedy(g, semantics))
+    best = len(seed)
     best_mask = 0
+    for k, v in enumerate(order):
+        if v in seed:
+            best_mask |= 1 << k
     nodes = 0
     hit: str | None = None
+    open_bound = 0  # max of size + color over the open levels of the path
 
-    def coloring(P: int) -> tuple[list[int], list[int]]:
-        # classes of mutual non-(comp)-neighbors; bounds[i] = color of order[i]
-        order: list[int] = []
+    def expand(size: int, mask: int, P: int) -> None:
+        nonlocal best, best_mask, nodes, hit, open_bound
+        nodes += 1
+        if nodes > node_budget:
+            hit = "nodes"
+            return
+        if not (nodes & 1023) and time.monotonic() > deadline:
+            hit = "time"
+            return
+        if not P:
+            if size > best:
+                best, best_mask = size, mask
+            return
+        # color classes of mutual non-(comp)-neighbours; bounds[i] is the
+        # color of branch[i], kept only from kmin up
+        kmin = best - size + 1
+        branch: list[int] = []
         bounds: list[int] = []
         color = 0
         rest = P
@@ -148,53 +188,42 @@ def max_independent_set_exact(
                 avail ^= low
                 avail &= ~comp[v]
                 rest ^= low
-                order.append(v)
-                bounds.append(color)
-        return order, bounds
-
-    def expand(size: int, mask: int, P: int) -> None:
-        nonlocal best, best_mask, nodes, hit
-        nodes += 1
-        if nodes > node_budget:
-            hit = "nodes"
-            return
-        if not (nodes & 1023) and time.monotonic() > deadline:
-            hit = "time"
-            return
-        if not P:
-            if size > best:
-                best, best_mask = size, mask
-            return
-        order, bounds = coloring(P)
-        for i in range(len(order) - 1, -1, -1):
+                if color >= kmin:
+                    branch.append(v)
+                    bounds.append(color)
+        for i in range(len(branch) - 1, -1, -1):
             if size + bounds[i] <= best:
                 return
-            v = order[i]
+            v = branch[i]
             bit = 1 << v
             P &= ~bit
             expand(size + 1, mask | bit, P & comp[v])
             if hit:
+                open_bound = max(open_bound, size + bounds[i])
                 return
 
-    _, root_bounds = coloring(allowed)
-    root_upper = root_bounds[-1] if root_bounds else 0
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, g.n + 1000))
     try:
-        expand(0, 0, allowed)
+        expand(0, 0, (1 << len(comp)) - 1)
     finally:
         sys.setrecursionlimit(old_limit)
 
     exact = hit is None
+    if exact:
+        upper = best
+    else:
+        upper = max(best, open_bound) if open_bound else len(comp)
     witness = []
     m = best_mask
     while m:
         low = m & -m
-        witness.append(low.bit_length() - 1)
+        witness.append(order[low.bit_length() - 1])
         m ^= low
+    witness.sort()
     return AlphaResult(
         lower=best,
-        upper=best if exact else root_upper,
+        upper=upper,
         exact=exact,
         witness=tuple(witness),
         nodes_explored=nodes,
@@ -254,6 +283,12 @@ def greedy_alpha(g: Graph, semantics: str = "ignore-loops") -> tuple[int, tuple[
     such steps, T = sum of those touched sets <= min(2m, alpha * n).
     """
     _check_semantics(semantics)
+    chosen = _min_degree_greedy(g, semantics)
+    return len(chosen), tuple(chosen)
+
+
+def _min_degree_greedy(g: Graph, semantics: str) -> list[int]:
+    """The vertices ``greedy_alpha`` picks, sorted; also seeds the exact search."""
     n = g.n
     live = (1 << n) - 1
     if semantics == "exclude-looped":
@@ -291,7 +326,7 @@ def greedy_alpha(g: Graph, semantics: str = "ignore-loops") -> tuple[int, tuple[
             deg[w] -= (rows[w] & gone).bit_count()
             heapq.heappush(heap, (deg[w], w))
     chosen.sort()
-    return len(chosen), tuple(chosen)
+    return chosen
 
 
 # -- the explicit quadratic-residue independent set -------------------------------

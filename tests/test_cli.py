@@ -143,8 +143,9 @@ def _set_line(i, new):
     _set_line(1, lambda lines: "v 0\n"),                 # short v line
     _set_line(2, lambda lines: lines[1]),                # v 0 twice, no v 1
     lambda s: s + "e 0\n",                               # short e line
+    _set_line(1, lambda lines: "v 0 7 99\n"),            # label not the construction's
 ], ids=["no-t", "t-zero", "n-formula", "q-not-p^a", "huge-n", "repeated-key",
-        "bare-token", "short-v", "duplicate-v", "short-e"])
+        "bare-token", "short-v", "duplicate-v", "short-e", "foreign-label"])
 @pytest.mark.parametrize("sub", ["import", "audit", "spectrum", "alpha"])
 def test_malformed_g2t_exits_2(mangle, sub, plus93_file, tmp_path, capsys):
     with open(plus93_file) as fh:

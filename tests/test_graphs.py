@@ -190,3 +190,16 @@ def test_g2t_rejects_malformed(mangle):
     text = to_g2t(cached_graph("plus", 9, 3))
     with pytest.raises(ValueError):
         from_g2t(mangle(text))
+
+
+@pytest.mark.parametrize("variant,q,t,line,label", [
+    ("plus", 9, 3, 1, "v 0 0 2"),      # a unit of GF(9), but vertex 1's
+    ("plus", 9, 3, 8, "v 7 0 0"),      # 0 is not a unit, so no plus vertex
+    ("times", 7, 2, 1, "v 0 0 1"),     # element 1 belongs to vertex 1
+    ("times", 7, 2, 8, "v 7 1 1"),     # coset 1, element 1 is vertex 8
+])
+def test_g2t_rejects_labels_off_the_construction(variant, q, t, line, label):
+    lines = to_g2t(cached_graph(variant, q, t)).splitlines(keepends=True)
+    lines[line] = label + "\n"
+    with pytest.raises(ValueError, match="label"):
+        from_g2t("".join(lines))

@@ -39,6 +39,7 @@ def small_graphs(max_n=14, max_edges=40):
     (16, 8, 5, "ignore-loops"),
     (64, 32, 8, "ignore-loops"),
     (64, 32, 8, "exclude-looped"),
+    (25, 5, 16, "exclude-looped"),
 ])
 def test_plus_alpha_values(q, t, alpha, sem):
     g = cached_graph("plus", q, t)
@@ -83,7 +84,19 @@ def test_branch_and_bound_equals_bruteforce(g, sem):
     res = max_independent_set_exact(g, semantics=sem)
     assert res.exact
     assert res.lower == alpha_bruteforce(g, sem)
+    # the search renumbers vertices: the witness must map back to distinct,
+    # sorted original indices
+    assert len(set(res.witness)) == res.lower
+    assert list(res.witness) == sorted(res.witness)
     assert verify_independent(g, res.witness, sem)
+
+
+@pytest.mark.parametrize("n,p,seed,alpha", [(100, 0.05, 1, 45), (100, 0.1, 2, 32)])
+def test_sparse_gnp_alpha_values(n, p, seed, alpha):
+    g = sample_gnp(n, p, seed=seed)
+    res = max_independent_set_exact(g)
+    assert res.exact and res.lower == alpha == len(res.witness)
+    assert verify_independent(g, res.witness)
 
 
 @settings(max_examples=40, deadline=None)
@@ -170,6 +183,22 @@ def test_node_budget_returns_bracket():
     assert not res.exact and res.budget_hit == "nodes"
     assert 0 <= res.lower <= 8 <= res.upper
     assert verify_independent(g, res.witness)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(range(21)), st.sampled_from([0.1, 0.2, 0.35, 0.5, 0.7]),
+       st.integers(0, 2**32 - 1), st.sampled_from(SEMANTICS))
+def test_budget_bracket_contains_alpha(n, density, seed, sem):
+    # the seeding greedy misses alpha on some of these graphs, so an unsound
+    # upper bound shows up as upper < alpha at some budget
+    rng = random.Random(seed)  # pairs include (u, u), so loops appear too
+    g = from_edges(n, [(u, v) for u in range(n) for v in range(u, n) if rng.random() < density])
+    alpha = alpha_bruteforce(g, sem) if n else 0
+    for budget in range(61):
+        res = max_independent_set_exact(g, semantics=sem, node_budget=budget)
+        assert res.lower <= alpha <= res.upper
+        assert len(set(res.witness)) == res.lower
+        assert verify_independent(g, res.witness, sem)
 
 
 def test_time_budget_returns_bracket():
