@@ -36,7 +36,7 @@ from .independence import (
     verify_independent,
 )
 from .random_model import DegenerateRecipeError, lemma_parameters, monte_carlo_check
-from .spectral import verify_spectrum
+from .spectral import SpectralSolveError, verify_spectrum
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -326,6 +326,9 @@ def main(argv=None) -> int:
     except DegenerateRecipeError as exc:
         print(f"degenerate recipe: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except SpectralSolveError as exc:
+        print(f"spectrum check failed: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

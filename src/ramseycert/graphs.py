@@ -28,7 +28,9 @@ import numpy as np
 
 from .fields import Field, Subgroup, make_field, subgroup, factorize
 
-_MATMUL_HISTOGRAM_MIN_N = 1500  # below this, pure-python popcounts win
+# integers are exact in float32 below 2^24 and in float64 below 2^53
+_FLOAT32_EXACT = 1 << 24
+_FLOAT64_EXACT = 1 << 53
 
 
 @dataclass(frozen=True)
@@ -291,21 +293,44 @@ class StructuralReport:
         }
 
 
-def codegree_histogram(g: Graph) -> dict[int, int]:
-    """Histogram of |N(u) ∩ N(v)| over unordered pairs u < v (inclusive counts)."""
+def _exact_walks(g: Graph, power: int, jmax: int = 0, q: int = 0) -> list[np.ndarray]:
+    """[M, M^2, ..., M^power] (power <= 3) as float32 walk counts, exact.
+
+    Every exactness bound of the audit and the spectrum is asserted here, from
+    the measured maximum degree d; the header's q enters only as the
+    annihilator's coefficient:
+
+    - M^k = M^(k-1) @ M: a partial sum in row i is at most the number of
+      (k-1)-walks out of i, so d^(power-1) < 2^24 keeps every product exact;
+    - ``jmax``: the spectrum reads tr(M^j), j <= jmax, as float64 sums of
+      non-negative products of these entries; every partial sum is at most
+      tr(M^j) <= n d^(j-1) < 2^53;
+    - ``q``: the annihilator product (M^3 - qM)(M^3 - (q-1)M^2 - M + (q-1)I)
+      runs in float64; its factors' entries are at most d^2 + q and
+      d^2 + (q-1)(d+1) + 1, and n times their product stays below 2^53.
+
+    A bound that does not hold raises ValueError.
+    """
     n = g.n
-    if n < _MATMUL_HISTOGRAM_MIN_N:
-        hist: Counter[int] = Counter()
-        rows = g.rows
-        for u in range(n):
-            ru = rows[u]
-            for v in range(u + 1, n):
-                hist[(ru & rows[v]).bit_count()] += 1
-        return dict(hist)
-    # Large graphs: single float32 GEMM.  Entries of M @ M are codegrees; the
-    # partial sums are bounded by the degree < 2^24, so float32 is exact.
+    d = max((r.bit_count() for r in g.rows), default=0)
+    if d ** (power - 1) >= _FLOAT32_EXACT:
+        raise ValueError(f"maximum degree {d} is too large for exact float32 walks")
+    if jmax and n * d ** (jmax - 1) >= _FLOAT64_EXACT:
+        raise ValueError(f"tr(M^{jmax}) may exceed 2^53 at n = {n}, maximum degree {d}")
+    if q and n * (d * d + q) * (d * d + (q - 1) * (d + 1) + 1) >= _FLOAT64_EXACT:
+        raise ValueError(f"annihilator partial sums may exceed 2^53 at n = {n}, "
+                         f"maximum degree {d}, q = {q}")
     m = g.adjacency_matrix(dtype=np.float32)
-    m2 = m @ m
+    walks = [m]
+    for _ in range(power - 1):
+        walks.append(walks[-1] @ m)
+    return walks
+
+
+def codegree_histogram(g: Graph) -> dict[int, int]:
+    """Histogram of |N(u) ∩ N(v)| over unordered pairs u < v (inclusive counts),
+    read off the exact M^2."""
+    _, m2 = _exact_walks(g, 2)
     codeg = m2.astype(np.int64)
     total = np.bincount(codeg.ravel())
     diag = np.bincount(np.diagonal(codeg), minlength=len(total))

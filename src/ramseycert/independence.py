@@ -143,6 +143,8 @@ def max_independent_set_exact(
     largest of ``best`` and ``size + color`` over the open level of every
     frame on the current search path (each unexplored branch there is bounded
     by its color), or the number of allowed vertices if no coloring ran.
+    The time budget counts from entry and is read once before the first node,
+    then every 1024 nodes.
     """
     _check_semantics(semantics)
     start = time.monotonic()
@@ -205,7 +207,12 @@ def max_independent_set_exact(
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, g.n + 1000))
     try:
-        expand(0, 0, (1 << len(comp)) - 1)
+        # expand reads the clock every 1024 nodes; the complement build and
+        # the seeding greedy may already have spent the budget
+        if time.monotonic() > deadline:
+            hit = "time"
+        else:
+            expand(0, 0, (1 << len(comp)) - 1)
     finally:
         sys.setrecursionlimit(old_limit)
 

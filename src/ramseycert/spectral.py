@@ -2,13 +2,16 @@
 
 Route 1 is exact integer arithmetic: the eigenvalues of both constructions lie
 in {q-1, +sqrt(q), -sqrt(q), +1, -1, 0}, so the six multiplicities are pinned
-by the power-sum moments tr(M^j) for j = 0..5.  Moments are computed with
-float64 GEMMs whose every partial sum is provably below 2^53 at desk scale
-(the guard is asserted, with an integer fallback), hence exact.  The odd
-moments are solved for (mult of q-1, (m_+ - m_-)*sqrt(q), m_1 - m_-1) and the
-even ones for the paired sums, all over Fractions; sqrt(q) never appears as a
-float.  Independently, the annihilating identity
-M (M^2 - qI)(M^2 - I)(M - (q-1)I) = 0 is verified as an exact matrix product.
+by the power-sum moments tr(M^j) for j = 0..5.  The walk matrices M, M^2 and
+M^3 = M^2 M are formed in float32, exact because d^2 < 2^24 is asserted for
+the measured maximum degree d; float64 is used only for the trace sums
+(tr(M^5) = sum of M^3 o M^2, and so on) and the annihilator product, each
+under an asserted bound, so every number is an exact integer (see
+``graphs._exact_walks``).  The odd moments are solved for (mult of q-1,
+(m_+ - m_-)*sqrt(q), m_1 - m_-1) and the even ones for the paired sums, all
+over Fractions; sqrt(q) never appears as a float.  Independently, the
+annihilating identity M (M^2 - qI)(M^2 - I)(M - (q-1)I) = 0 is verified as an
+exact matrix product.
 
 Route 2 is a numeric cross-check of *why* the spectrum looks like that:
 characters of the two factor groups give an eigenbasis, with eigenvalue the
@@ -27,9 +30,7 @@ from math import isqrt
 import numpy as np
 
 from .fields import Field, Subgroup, make_field, subgroup
-from .graphs import Graph
-
-_EXACT_FLOAT_LIMIT = 1 << 53
+from .graphs import Graph, _exact_walks
 
 
 class SpectralSolveError(Exception):
@@ -39,68 +40,32 @@ class SpectralSolveError(Exception):
 # -- exact moments --------------------------------------------------------------
 
 
-def _gemm_dtype(d: int):
-    # float32 GEMMs are exact while the partial sums (bounded by d^3 for the
-    # products formed here) stay under 2^24; they run ~2x faster at half the RAM
-    return np.float32 if d**3 < (1 << 24) else np.float64
+def _moments(walks: list[np.ndarray], jmax: int) -> tuple[int, ...]:
+    """tr(M^j), j = 0..jmax, from walks = [M, M^2, ...]: tr(M) is the diagonal
+    sum, and tr(M^(a+b)) = sum of M^a o M^b for a = ceil(j/2), b = floor(j/2)
+    (M is symmetric)."""
+    f64 = np.float64
+    out = [walks[0].shape[0]]
+    for j in range(1, jmax + 1):
+        high = walks[(j + 1) // 2 - 1]
+        if j == 1:
+            out.append(int(np.einsum("ii->", high, dtype=f64)))
+        else:
+            out.append(int(np.einsum("ij,ij->", high, walks[j // 2 - 1], dtype=f64)))
+    return tuple(out)
 
 
 def eigen_moments(g: Graph, jmax: int = 5) -> tuple[int, ...]:
     """Exact traces tr(M^j), j = 0..jmax (jmax <= 6), for the adjacency matrix.
 
     tr(M^0) = n, tr(M) = loop count, tr(M^2) = n*degree on regular graphs.
-    GEMMs run in float32 when the d^3 partial-sum bound allows, float64
-    otherwise; trace accumulation always happens in float64, where every
-    partial sum is a non-negative integer bounded by n*d^(jmax-1), asserted
-    below 2^53 (an arbitrary-precision fallback covers the rest).
+    Raises ValueError if the exactness bounds of ``graphs._exact_walks`` fail.
     """
     if not 0 <= jmax <= 6:
         raise ValueError("jmax must be in 0..6")
-    n = g.n
-    d = max(g.degree(i) for i in range(n)) if n else 0
-    out = [n]
     if jmax == 0:
-        return tuple(out)
-    if n and n * max(d, 1) ** max(jmax - 1, 1) >= _EXACT_FLOAT_LIMIT:
-        return _eigen_moments_exact_int(g, jmax)
-    f64 = np.float64
-    m = g.adjacency_matrix(dtype=_gemm_dtype(d))
-    out.append(int(np.einsum("ii->", m, dtype=f64)))
-    if jmax >= 2:
-        m2 = m @ m
-        out.append(int(np.einsum("ii->", m2, dtype=f64)))
-    if jmax >= 3:
-        out.append(int(np.einsum("ij,ij->", m2, m, dtype=f64)))
-    if jmax >= 4:
-        out.append(int(np.einsum("ij,ij->", m2, m2, dtype=f64)))
-    if jmax >= 5:
-        m4 = m2 @ m2
-        out.append(int(np.einsum("ij,ij->", m4, m, dtype=f64)))
-    if jmax >= 6:
-        out.append(int(np.einsum("ij,ij->", m4, m2, dtype=f64)))
-    return tuple(out[: jmax + 1])
-
-
-def _eigen_moments_exact_int(g: Graph, jmax: int) -> tuple[int, ...]:
-    """Arbitrary-precision fallback: row-by-row walk counting with python ints."""
-    n = g.n
-    rows = g.rows
-    # vec[v] = number of j-walks ending at v, one source vertex at a time
-    out = [n] + [0] * jmax
-    for src in range(n):
-        vec = {src: 1}
-        for j in range(1, jmax + 1):
-            nxt: dict[int, int] = {}
-            for v, c in vec.items():
-                r = rows[v]
-                while r:
-                    low = r & -r
-                    w = low.bit_length() - 1
-                    nxt[w] = nxt.get(w, 0) + c
-                    r ^= low
-            vec = nxt
-            out[j] += vec.get(src, 0)
-    return tuple(out)
+        return (g.n,)
+    return _moments(_exact_walks(g, (jmax + 1) // 2, jmax=jmax), jmax)
 
 
 def _solve3(rows: list[list[Fraction]]) -> tuple[Fraction, Fraction, Fraction]:
@@ -199,71 +164,42 @@ def closed_form_multiplicities(variant: str, q: int, t: int) -> dict[str, int]:
     }
 
 
-def _annihilator_bound_check(n: int, q: int) -> None:
-    d = q - 1
-    b1 = d**3 + (q + 1) * d + q
-    b2 = d + q - 1
-    if n * b1 * b2 >= _EXACT_FLOAT_LIMIT:
-        raise ValueError("partial-sum bound exceeds exact float64 range at this size")
+def _annihilator(walks: list[np.ndarray], q: int) -> float:
+    """Max |entry| of (M^3 - qM)(M^3 - (q-1)M^2 - M + (q-1)I), from walks = [M, M^2, M^3].
 
-
-def _annihilator_from_powers(m, m2, m4, q: int) -> float:
-    """Residual of H1 @ H2 given M, M^2, M^4; consumes all three buffers.
-
-    H1 = M^4 - (q+1)M^2 + qI is formed in place on m4 (entries stay below
-    d^3 + (q+1)d + q, within the buffer dtype's exact range by construction);
-    H2 = M^2 - (q-1)M is built in float64, and the product runs in float64
-    where the asserted bound makes a zero an exact zero.
+    This is M (M^2 - qI)(M^2 - I)(M - (q-1)I) regrouped.  The right factor is
+    built in float64 and the product runs in float64 row blocks, exact under
+    the bound ``_exact_walks`` asserted for q, so a zero is an exact zero.
     """
+    m, m2, m3 = walks
     n = m.shape[0]
-    block = 512
-    h2 = np.empty((n, n), dtype=np.float64)
-    for i in range(0, n, block):
-        np.subtract(m2[i:i + block], (q - 1) * m[i:i + block],
-                    out=h2[i:i + block], casting="unsafe")
-        m4[i:i + block] -= (q + 1) * m2[i:i + block]
-    m4[np.diag_indices(n)] += q
+    f64 = np.float64
+    right = m2.astype(f64)
+    right *= -(q - 1)
+    right += m3
+    right -= m
+    right.flat[:: n + 1] += q - 1
     worst = 0.0
+    block = 512
     for i in range(0, n, block):
-        prod = np.asarray(m4[i:i + block], dtype=np.float64) @ h2
-        worst = max(worst, float(np.abs(prod).max()))
+        rows = slice(i, i + block)
+        left = m[rows].astype(f64)
+        left *= -q
+        left += m3[rows]
+        worst = max(worst, float(np.abs(left @ right).max()))
     return worst
 
 
 def annihilator_residual(g: Graph) -> float:
     """Max |entry| of M (M^2 - qI)(M^2 - I)(M - (q-1)I); exactly 0.0 on the constructions.
 
-    Evaluated as H1 @ H2 with H1 = M^4 - (q+1)M^2 + qI and
-    H2 = M^2 - (q-1)M (the same degree-6 polynomial, regrouped), with the
-    partial-sum bound n * max|H1| * max|H2| asserted below 2^53 so a zero is
-    an exact zero.
+    q comes from the construction metadata; the evaluation is exact (a zero
+    is an exact zero) or raises ValueError.
     """
     q = g.meta.q
     if q <= 0:
         raise ValueError("annihilator check needs construction metadata (q)")
-    _annihilator_bound_check(g.n, q)
-    m = g.adjacency_matrix(dtype=_gemm_dtype(q - 1))
-    m2 = m @ m
-    m4 = m2 @ m2
-    return _annihilator_from_powers(m, m2, m4, q)
-
-
-def _spectral_core(g: Graph, q: int) -> tuple[tuple[int, ...], float]:
-    """Moments tr(M^j) j=0..5 and the annihilator residual off one set of GEMMs."""
-    _annihilator_bound_check(g.n, q)
-    f64 = np.float64
-    m = g.adjacency_matrix(dtype=_gemm_dtype(q - 1))
-    m2 = m @ m
-    m4 = m2 @ m2
-    moments = (
-        g.n,
-        int(np.einsum("ii->", m, dtype=f64)),
-        int(np.einsum("ii->", m2, dtype=f64)),
-        int(np.einsum("ij,ij->", m2, m, dtype=f64)),
-        int(np.einsum("ij,ij->", m2, m2, dtype=f64)),
-        int(np.einsum("ij,ij->", m4, m, dtype=f64)),
-    )
-    return moments, _annihilator_from_powers(m, m2, m4, q)
+    return _annihilator(_exact_walks(g, 3, q=q), q)
 
 
 @dataclass(frozen=True)
@@ -329,7 +265,9 @@ def verify_spectrum(g: Graph) -> SpectrumReport:
     if g.meta.variant not in ("plus", "times"):
         raise ValueError("spectrum certification applies to the plus/times constructions")
     q, t, n = g.meta.q, g.meta.t, g.n
-    moments, resid = _spectral_core(g, q)
+    walks = _exact_walks(g, 3, jmax=5, q=q)
+    moments = _moments(walks, 5)
+    resid = _annihilator(walks, q)
     mult = solve_multiplicities(moments, q, n)
 
     # first/second moment identities with sqrt(q) kept symbolic

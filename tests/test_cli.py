@@ -1,12 +1,15 @@
 """CLI surface: exit codes, JSON schema conformance, human/JSON consistency."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
 
 import jsonschema
 import pytest
 
+import ramseycert
 from ramseycert import cli
 from ramseycert.cli import load_schema, main
 from ramseycert.graphs import write_g2t
@@ -153,6 +156,24 @@ def test_malformed_g2t_exits_2(mangle, sub, plus93_file, tmp_path, capsys):
     bad = tmp_path / "bad.g2t"
     bad.write_text(mangle(text))
     assert run_cli([sub, str(bad)], capsys)[0] == 2
+
+
+def test_spectrum_of_foreign_edges_exits_1_without_traceback(plus93_file, tmp_path):
+    # valid header and labels, but one edge short of plus(9,3): the moment
+    # solve fails, which is a failed check, not a crash
+    with open(plus93_file) as fh:
+        lines = fh.read().splitlines(keepends=True)
+    last_e = max(i for i, ln in enumerate(lines) if ln.startswith("e "))
+    bad = tmp_path / "short.g2t"
+    bad.write_text("".join(lines[:last_e] + lines[last_e + 1:]))
+    src = os.path.dirname(os.path.dirname(ramseycert.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "ramseycert.cli", "spectrum", str(bad)],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_times_header_n_formula_exits_2(tmp_path, capsys):

@@ -10,7 +10,6 @@ from ramseycert.graphs import (
     GraphMeta,
     build_g_plus,
     build_g_times,
-    codegree_histogram,
     common_neighbors,
     from_edges,
     from_g2t,
@@ -122,22 +121,6 @@ def test_common_neighbors_is_m2_entry():
     for u in range(g.n):
         for v in range(u + 1, g.n):
             assert len(common_neighbors(g, u, v)) == m2[u, v]
-
-
-def test_codegree_histogram_gemm_path_matches_python_path():
-    # same graph through both implementations (the GEMM path is forced by
-    # monkeypatching the threshold in spirit: call the internals directly)
-    import ramseycert.graphs as graphs_mod
-
-    g = cached_graph("times", 13, 2)
-    slow = codegree_histogram(g)
-    old = graphs_mod._MATMUL_HISTOGRAM_MIN_N
-    graphs_mod._MATMUL_HISTOGRAM_MIN_N = 1
-    try:
-        fast = codegree_histogram(g)
-    finally:
-        graphs_mod._MATMUL_HISTOGRAM_MIN_N = old
-    assert slow == fast
 
 
 def test_from_edges_and_loops():

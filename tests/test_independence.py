@@ -206,6 +206,10 @@ def test_time_budget_returns_bracket():
     res = max_independent_set_exact(g, time_budget=0.0)
     assert not res.exact and res.budget_hit == "time" and res.time_limit_hit
     assert res.lower <= res.upper
+    # the setup spent the budget, so no node ran: the bracket is the seeding
+    # greedy against the number of allowed vertices
+    assert res.nodes_explored == 0
+    assert (res.lower, res.upper) == (greedy_alpha(g)[0], g.n)
 
 
 # -- explicit residue set ------------------------------------------------------------

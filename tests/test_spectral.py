@@ -1,18 +1,30 @@
 """Spectrum certification: exact moments/multiplicities and the character route."""
 
 import cmath
+import random
+from collections import Counter
 from math import sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ramseycert import spectral
 from ramseycert.fields import make_field, subgroup
-from ramseycert.graphs import Graph, from_edges
+from ramseycert.graphs import (
+    Graph,
+    GraphMeta,
+    build_g_plus,
+    codegree_histogram,
+    common_neighbors,
+    from_edges,
+    from_g2t,
+    to_g2t,
+)
+from ramseycert.random_model import sample_gnp
 from ramseycert.spectral import (
     CHARACTER_KINDS,
     SpectralSolveError,
-    _eigen_moments_exact_int,
-    _gemm_dtype,
     annihilator_residual,
     character_vector,
     closed_form_multiplicities,
@@ -35,6 +47,57 @@ PLUS_9_3_MULT = {"q-1": 1, "+sqrt(q)": 7, "-sqrt(q)": 7, "+1": 1, "-1": 1, "0": 
 TIMES_7_3_MULT = {"q-1": 1, "+sqrt(q)": 3, "-sqrt(q)": 3, "+1": 3, "-1": 3, "0": 1}
 
 
+# -- oracles -----------------------------------------------------------------------
+
+
+def _eigen_moments_exact_int(g: Graph, jmax: int) -> tuple[int, ...]:
+    """tr(M^j), j = 0..jmax, by row-by-row walk counting with python ints."""
+    n = g.n
+    rows = g.rows
+    # vec[v] = number of j-walks ending at v, one source vertex at a time
+    out = [n] + [0] * jmax
+    for src in range(n):
+        vec = {src: 1}
+        for j in range(1, jmax + 1):
+            nxt: dict[int, int] = {}
+            for v, c in vec.items():
+                r = rows[v]
+                while r:
+                    low = r & -r
+                    w = low.bit_length() - 1
+                    nxt[w] = nxt.get(w, 0) + c
+                    r ^= low
+            vec = nxt
+            out[j] += vec.get(src, 0)
+    return tuple(out)
+
+
+def _codegree_histogram_pair_scan(g: Graph) -> dict[int, int]:
+    """|N(u) ∩ N(v)| for every pair u < v, one common_neighbors call each."""
+    return dict(Counter(len(common_neighbors(g, u, v))
+                        for u in range(g.n) for v in range(u + 1, g.n)))
+
+
+def _annihilator_int64(g: Graph, q: int) -> np.ndarray:
+    """M (M^2 - qI)(M^2 - I)(M - (q-1)I) in int64."""
+    m = g.adjacency_matrix(dtype=np.int64)
+    eye = np.eye(g.n, dtype=np.int64)
+    return m @ (m @ m - q * eye) @ (m @ m - eye) @ (m - (q - 1) * eye)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 40), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1),
+       st.integers(2, 16))
+def test_walk_kernel_matches_oracles(n, density, seed, q):
+    rng = random.Random(seed)  # pairs include (u, u), so loops appear too
+    edges = [(u, v) for u in range(n) for v in range(u, n) if rng.random() < density]
+    g = from_edges(n, edges, meta=GraphMeta(variant="other", q=q))
+    assert codegree_histogram(g) == _codegree_histogram_pair_scan(g)
+    assert eigen_moments(g, 6) == _eigen_moments_exact_int(g, 6)
+    residual = np.abs(_annihilator_int64(g, q)).max() if n else 0
+    assert annihilator_residual(g) == residual
+
+
 # -- moments ---------------------------------------------------------------------
 
 
@@ -55,9 +118,37 @@ def test_gemm_moments_match_integer_walk_counts(variant, q, t):
     assert eigen_moments(g, 5) == _eigen_moments_exact_int(g, 5)
 
 
-def test_gemm_dtype_threshold():
-    assert _gemm_dtype(255) is np.float32   # 255^3 < 2^24
-    assert _gemm_dtype(256) is np.float64
+def test_spectrum_moments_use_the_measured_degree(monkeypatch):
+    # a plus(32,2) header over a graph of degree up to 428: the walk bounds
+    # must come from the edges, not from q - 1 = 31
+    g = build_g_plus(32, 2)
+    noise = sample_gnp(g.n, 0.8, 3)
+    rows = tuple(a | b for a, b in zip(g.rows, noise.rows))
+    g = from_g2t(to_g2t(Graph(rows=rows, labels=g.labels, meta=g.meta)))
+    seen = []
+
+    def spy(moments, q, n):
+        seen.append(moments)
+        return solve_multiplicities(moments, q, n)
+
+    monkeypatch.setattr(spectral, "solve_multiplicities", spy)
+    with pytest.raises(SpectralSolveError):
+        verify_spectrum(g)
+    m = g.adjacency_matrix(np.int64)
+    power = np.eye(g.n, dtype=np.int64)
+    want = []
+    for _ in range(6):
+        want.append(int(np.trace(power)))
+        power = power @ m
+    assert seen == [tuple(want)]
+
+
+def test_exactness_bounds_refuse():
+    star = from_edges(4097, [(0, v) for v in range(1, 4097)], meta=GraphMeta("other", q=2))
+    with pytest.raises(ValueError):
+        annihilator_residual(star)  # d^2 = 2^24, past the float32 bound for M^3
+    with pytest.raises(ValueError):
+        eigen_moments(star, 6)
 
 
 def test_eigen_moments_rejects_bad_jmax():
