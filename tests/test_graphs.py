@@ -1,6 +1,7 @@
 """Construction audits against frozen histograms and the g2t format round trip."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from ramseycert.graphs import (
     GraphMeta,
     build_g_plus,
     build_g_times,
+    codegree_histogram,
     common_neighbors,
     from_edges,
     from_g2t,
@@ -121,6 +123,14 @@ def test_common_neighbors_is_m2_entry():
     for u in range(g.n):
         for v in range(u + 1, g.n):
             assert len(common_neighbors(g, u, v)) == m2[u, v]
+
+
+def test_codegree_histogram_gemm_path_matches_python_path():
+    # the GEMM histogram against a python pair scan over common_neighbors
+    g = cached_graph("times", 13, 2)
+    slow = Counter(len(common_neighbors(g, u, v))
+                   for u in range(g.n) for v in range(u + 1, g.n))
+    assert codegree_histogram(g) == dict(slow)
 
 
 def test_from_edges_and_loops():

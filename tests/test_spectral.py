@@ -14,6 +14,7 @@ from ramseycert.fields import make_field, subgroup
 from ramseycert.graphs import (
     Graph,
     GraphMeta,
+    _exact_walks,
     build_g_plus,
     codegree_histogram,
     common_neighbors,
@@ -116,6 +117,26 @@ def test_moment_identities_on_oracles():
 def test_gemm_moments_match_integer_walk_counts(variant, q, t):
     g = cached_graph(variant, q, t)
     assert eigen_moments(g, 5) == _eigen_moments_exact_int(g, 5)
+
+
+def test_gemm_dtype_threshold(monkeypatch):
+    # the walks stay float32 past the old float64 switch at degree 256 ...
+    star = from_edges(258, [(0, v) for v in range(1, 258)], meta=GraphMeta("other", q=2))
+    m = star.adjacency_matrix(np.int64)
+    walks = _exact_walks(star, 3)
+    assert [w.dtype for w in walks] == [np.float32] * 3
+    assert (walks[2] == m @ m @ m).all()
+    # ... up to the float32 bound d^2 < 2^24 on M^3: d = 4095 passes, 4096 not
+    # (the star's matrix is replaced, only the bound check is under test)
+    monkeypatch.setattr(Graph, "adjacency_matrix",
+                        lambda self, dtype: np.zeros((1, 1), dtype=dtype))
+    for d, ok in ((4095, True), (4096, False)):
+        star = from_edges(d + 1, [(0, v) for v in range(1, d + 1)])
+        if ok:
+            assert _exact_walks(star, 3)[0].dtype == np.float32
+        else:
+            with pytest.raises(ValueError):
+                _exact_walks(star, 3)
 
 
 def test_spectrum_moments_use_the_measured_degree(monkeypatch):
