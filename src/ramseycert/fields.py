@@ -191,7 +191,7 @@ class Field:
     exp: tuple[int, ...] = dc_field(repr=False)
     log: tuple[int, ...] = dc_field(repr=False)
 
-    # -- ring ops -------------------------------------------------------------
+    # -- ring ops (add, neg and sub also work elementwise on int arrays) --------
 
     def add(self, x: int, y: int) -> int:
         if self.p == 2:
@@ -201,8 +201,8 @@ class Field:
         p, out, mul = self.p, 0, 1
         for _ in range(self.a):
             out += ((x + y) % p) * mul
-            x //= p
-            y //= p
+            x = x // p  # rebinding, not //=, so an int array is never mutated
+            y = y // p
             mul *= p
         return out
 
@@ -214,7 +214,7 @@ class Field:
         p, out, mul = self.p, 0, 1
         for _ in range(self.a):
             out += ((-x) % p) * mul
-            x //= p
+            x = x // p
             mul *= p
         return out
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import is_prime, make_field
-from .graphs import Graph, build_g_plus
+from .graphs import Graph, _bits, _layout, _pack_rows, build_g_plus
 
 SEMANTICS = ("ignore-loops", "exclude-looped")
 
@@ -99,8 +99,7 @@ def _complement_rows(g: Graph, semantics: str) -> tuple[list[int], list[int]]:
     comp_bits = g.adjacency_matrix(dtype=np.bool_)[np.ix_(order, order)]
     np.logical_not(comp_bits, out=comp_bits)
     np.fill_diagonal(comp_bits, False)  # a vertex is not its own complement neighbour
-    packed = np.packbits(comp_bits, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed], order
+    return _pack_rows(comp_bits), order
 
 
 def verify_independent(g: Graph, vertices, semantics: str = "ignore-loops") -> bool:
@@ -144,9 +143,11 @@ def max_independent_set_exact(
     frame on the current search path (each unexplored branch there is bounded
     by its color), or the number of allowed vertices if no coloring ran.
     The time budget counts from entry and is read once before the first node,
-    then every 1024 nodes.
+    then every 1024 nodes.  A negative (or NaN) budget raises ValueError.
     """
     _check_semantics(semantics)
+    if node_budget < 0 or not time_budget >= 0:
+        raise ValueError(f"budgets must be non-negative: {node_budget} nodes, {time_budget} s")
     start = time.monotonic()
     deadline = start + time_budget
     comp, order = _complement_rows(g, semantics)
@@ -221,18 +222,11 @@ def max_independent_set_exact(
         upper = best
     else:
         upper = max(best, open_bound) if open_bound else len(comp)
-    witness = []
-    m = best_mask
-    while m:
-        low = m & -m
-        witness.append(order[low.bit_length() - 1])
-        m ^= low
-    witness.sort()
     return AlphaResult(
         lower=best,
         upper=upper,
         exact=exact,
-        witness=tuple(witness),
+        witness=tuple(sorted(order[k] for k in _bits(best_mask))),
         nodes_explored=nodes,
         time_limit_hit=hit is not None,
         loop_semantics=semantics,
@@ -357,8 +351,8 @@ def explicit_qr_set(p: int, g: Graph | None = None) -> tuple[int, ...]:
         raise ValueError("graph is not the plus construction on (p^2, p)")
     F = make_field(p, 2)
     residues = sorted(F.exp[2 * k] for k in range((q - 1) // 2))
-    # vertex (coset 0, y) has index 0*(q-1) + (y-1)
-    return tuple(y - 1 for y in residues)
+    _, first = _layout("plus", q)
+    return tuple(y - first for y in residues)  # vertex (coset 0, y) has index y - first
 
 
 # -- conjecture checks -------------------------------------------------------------

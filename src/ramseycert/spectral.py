@@ -30,7 +30,7 @@ from math import isqrt
 import numpy as np
 
 from .fields import Field, Subgroup, make_field, subgroup
-from .graphs import Graph, _exact_walks
+from .graphs import Graph, _check_construction, _exact_walks
 
 
 class SpectralSolveError(Exception):
@@ -260,10 +260,12 @@ def verify_spectrum(g: Graph) -> SpectrumReport:
     Solves the multiplicities from integer moments, re-checks the first two
     moment identities symbolically (rational and sqrt(q) parts separately),
     verifies the annihilating polynomial as an exact matrix identity, and in
-    odd characteristic compares against the closed forms.
+    odd characteristic compares against the closed forms.  Metadata that is
+    not a construction on n vertices raises ValueError first.
     """
     if g.meta.variant not in ("plus", "times"):
         raise ValueError("spectrum certification applies to the plus/times constructions")
+    _check_construction(g.meta, g.n)
     q, t, n = g.meta.q, g.meta.t, g.n
     walks = _exact_walks(g, 3, jmax=5, q=q)
     moments = _moments(walks, 5)
@@ -422,13 +424,10 @@ def gamma_sum(chi: Character, phi: Character, variant: str) -> complex:
 
 def construction_parts(g: Graph) -> tuple[Field, Subgroup]:
     """Rebuild the field and subgroup behind a constructed graph's labels."""
-    if g.meta.variant == "plus":
-        F = make_field(g.meta.p, g.meta.a)
-        return F, subgroup(F, "additive", g.meta.t)
-    if g.meta.variant == "times":
-        F = make_field(g.meta.p, g.meta.a)
-        return F, subgroup(F, "multiplicative", g.meta.t)
-    raise ValueError("not a constructed graph")
+    if g.meta.variant not in ("plus", "times"):
+        raise ValueError("not a constructed graph")
+    F = make_field(g.meta.p, g.meta.a)
+    return F, subgroup(F, "additive" if g.meta.variant == "plus" else "multiplicative", g.meta.t)
 
 
 def character_vector(g: Graph, chi: Character, phi: Character) -> np.ndarray:

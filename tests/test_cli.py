@@ -121,6 +121,14 @@ def test_exit_2_on_invalid_input(argv, capsys):
     assert run_cli(argv, capsys)[0] == 2
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--budget-nodes", "-1"), ("--budget-secs", "-1"), ("--budget-secs", "nan")])
+@pytest.mark.parametrize("sub", ["alpha", "conjecture"])
+def test_bad_budget_exits_2(sub, flag, value, plus93_file, capsys):
+    argv = ["alpha", plus93_file] if sub == "alpha" else ["conjecture", "--a", "4"]
+    assert run_cli(argv + [flag, value], capsys)[0] == 2
+
+
 def test_import_rejects_malformed(tmp_path, capsys):
     bad = tmp_path / "bad.g2t"
     bad.write_text("g2t v1 variant=plus p=3 a=2 q=9 t=3 n=24\ne 0 999\n")

@@ -1,5 +1,6 @@
 """Field arithmetic against independent oracles (sympy) and algebraic laws."""
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -201,6 +202,20 @@ def test_char2_addition_is_xor():
     for x in range(16):
         for y in range(16):
             assert F.add(x, y) == x ^ y
+
+
+@pytest.mark.parametrize("p,a", FLEET_PA)
+def test_array_ops_match_scalar_ops(p, a):
+    # the table-driven builders add and subtract whole int64 arrays
+    F = make_field(p, a)
+    x, y = np.divmod(np.arange(F.q * F.q, dtype=np.int64), F.q)
+    x0, y0 = x.copy(), y.copy()
+    add, sub, neg = F.add(x, y), F.sub(x, y), F.neg(x)
+    assert (x == x0).all() and (y == y0).all()
+    pairs = list(zip(x0.tolist(), y0.tolist()))
+    assert add.tolist() == [F.add(u, v) for u, v in pairs]
+    assert sub.tolist() == [F.sub(u, v) for u, v in pairs]
+    assert neg.tolist() == [F.neg(u) for u in x0.tolist()]
 
 
 def test_field_ops_dispatch():

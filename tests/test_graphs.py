@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ramseycert.fields import factorize, make_field, subgroup
 from ramseycert.graphs import (
+    Graph,
     GraphMeta,
     build_g_plus,
     build_g_times,
@@ -92,6 +94,42 @@ def test_loop_counts(variant, q, t):
     assert rep.loop_claim_ok is (expected == q - 1)
 
 
+# -- the table-driven builders against the scalar loop ------------------------
+
+
+def loop_build(variant: str, q: int, t: int) -> Graph:
+    """Reference construction: one scalar field operation per (u, y) pair,
+    each edge OR-ed into both endpoints' rows."""
+    ((p, a),) = factorize(q).items()
+    F = make_field(p, a)
+    H = subgroup(F, "additive" if variant == "plus" else "multiplicative", t)
+    elems = list(F.units()) if variant == "plus" else list(F.elements())
+    index = {(cid, x): k for k, (cid, x) in
+             enumerate((cid, x) for cid in range(H.num_cosets) for x in elems)}
+    rows = [0] * len(index)
+    for (ca, x), u in index.items():
+        arep = H.reps[ca]
+        for y in elems:
+            if variant == "plus":
+                cb = H.coset_id[F.sub(F.mul(x, y), arep)]
+            else:
+                s = F.add(x, y)
+                if s == 0:
+                    continue  # 0 lies in no unit coset
+                cb = H.coset_id[F.mul(s, F.inv(arep))]
+            v = index[(cb, y)]
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return Graph(rows=tuple(rows), labels=tuple(index),
+                 meta=GraphMeta(variant=variant, p=p, a=a, q=q, t=t))
+
+
+@pytest.mark.parametrize("variant,q,t", [c for c in ALL_CASES if c[1] * (c[1] - 1) // c[2] <= 1000]
+                         + [("plus", 2, 2), ("plus", 4, 4), ("times", 3, 2), ("times", 4, 3)])
+def test_builders_equal_the_loop_oracle(variant, q, t):
+    assert cached_graph(variant, q, t) == loop_build(variant, q, t)
+
+
 def test_build_rejects_bad_parameters():
     with pytest.raises(ValueError):
         build_g_plus(6, 2)  # not a prime power
@@ -131,6 +169,13 @@ def test_codegree_histogram_gemm_path_matches_python_path():
     slow = Counter(len(common_neighbors(g, u, v))
                    for u in range(g.n) for v in range(u + 1, g.n))
     assert codegree_histogram(g) == dict(slow)
+
+
+def test_codegree_histogram_spans_row_blocks():
+    g = build_g_times(37, 2)  # n = 666, more than one 512-row block of M^2
+    m = g.adjacency_matrix(dtype=np.int64)
+    m2 = m @ m
+    assert codegree_histogram(g) == dict(Counter(m2[np.triu_indices(g.n, 1)].tolist()))
 
 
 def test_from_edges_and_loops():

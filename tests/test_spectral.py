@@ -164,6 +164,17 @@ def test_spectrum_moments_use_the_measured_degree(monkeypatch):
     assert seen == [tuple(want)]
 
 
+@pytest.mark.parametrize("meta", [
+    GraphMeta("plus", p=2, a=3, q=9, t=3),   # q != p^a; would skip the closed form
+    GraphMeta("plus", p=3, a=2, q=9, t=9),   # n != q(q-1)/t
+    GraphMeta("times", p=3, a=2, q=9, t=3),  # 3 does not divide q - 1
+])
+def test_spectrum_rejects_metadata_that_is_not_a_construction(meta):
+    g = cached_graph("plus", 9, 3)
+    with pytest.raises(ValueError, match="metadata"):
+        verify_spectrum(Graph(rows=g.rows, labels=g.labels, meta=meta))
+
+
 def test_exactness_bounds_refuse():
     star = from_edges(4097, [(0, v) for v in range(1, 4097)], meta=GraphMeta("other", q=2))
     with pytest.raises(ValueError):
