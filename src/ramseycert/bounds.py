@@ -22,7 +22,7 @@ from math import ceil, floor, log, sqrt
 
 import mpmath
 
-from .fields import is_prime
+from .fields import is_prime_power
 
 TOOL_NAME = "ramseycert"
 
@@ -97,18 +97,6 @@ def prop1_upper(query: BoundQuery, c1: float) -> float:
 
 
 # -- prime powers -----------------------------------------------------------------
-
-
-def is_prime_power(n: int) -> tuple[int, int] | None:
-    """(p, a) with n = p^a, or None."""
-    if n < 2:
-        return None
-    for a in range(n.bit_length(), 0, -1):
-        r = round(n ** (1.0 / a))
-        for cand in (r - 1, r, r + 1):
-            if cand >= 2 and cand**a == n and is_prime(cand):
-                return cand, a
-    return None
 
 
 def find_prime_power(t: int, congruence: str, lo: int, hi: int) -> int | None:

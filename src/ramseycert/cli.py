@@ -329,7 +329,7 @@ def main(argv=None) -> int:
     except SpectralSolveError as exc:
         print(f"spectrum check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -4,11 +4,12 @@ An element is an int in 0..q-1 whose base-p digits (little-endian) are the
 coefficients of a polynomial of degree < a over GF(p); 0 and 1 are the additive
 and multiplicative identities in every field.  The reducing modulus is monic of
 degree a and chosen so that the monomial x is a *primitive* element: among
-moduli x^a + tail ordered by the tail's encoding, we take the first that is
-irreducible and gives x multiplicative order q-1.  The canonical generator is
-then the reduction of x itself (for a = 1 the modulus is x + k and x reduces to
--k, so we take the first k making -k primitive mod p).  Pinning primitivity
-into the modulus keeps downstream constructions that exponentiate the generator
+moduli x^a + tail ordered by the tail's encoding, we take the first for which x
+has multiplicative order q-1.  Irreducibility is implied: the q-1 distinct
+powers of x are units, so every nonzero element of the quotient ring is one and
+the ring is a field.  The canonical generator is the reduction of x itself (for
+a = 1 the modulus is x + k and x reduces to -k).  Pinning primitivity into the
+modulus keeps downstream constructions that exponentiate the generator
 (powers, quadratic residues, multiplicative subgroups) canonical.
 """
 
@@ -16,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
+
+import numpy as np
 
 MAX_Q = 1 << 20
 
@@ -45,17 +48,27 @@ def is_prime(n: int) -> bool:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division; n stays small (< 2^20) here."""
+    """Prime factorization by trial division; {} for n < 2.  A cofactor above
+    2^32 is tested with ``is_prime`` first, so a large prime ends the search
+    instead of costing sqrt(n) divisions."""
     out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
+    d, done = 2, n > 1 << 32 and is_prime(n)
+    while not done and d * d <= n:
+        if n % d == 0:
+            while n % d == 0:
+                out[d] = out.get(d, 0) + 1
+                n //= d
+            done = n > 1 << 32 and is_prime(n)
         d += 1 if d == 2 else 2
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def is_prime_power(n: int) -> tuple[int, int] | None:
+    """(p, a) with n = p^a, or None."""
+    f = factorize(n)
+    return next(iter(f.items())) if len(f) == 1 else None
 
 
 # -- polynomial helpers on little-endian coefficient tuples over GF(p) --------
@@ -94,69 +107,16 @@ def _poly_mulmod(u: tuple[int, ...], v: tuple[int, ...], tail: tuple[int, ...], 
     return tuple(prod[:a])
 
 
-def _poly_is_irreducible(tail: tuple[int, ...], p: int) -> bool:
-    """Is x^a + tail irreducible over GF(p)?  Via gcd-free Rabin test:
-    x^(p^a) == x mod f, and x^(p^(a/r)) - x coprime to f for prime r | a."""
-    a = len(tail)
-    if a == 1:
-        return True
-
-    def frob_iter(times: int) -> tuple[int, ...]:
-        # x^(p^times) mod f by repeated p-th powering of x
-        cur = tuple(1 if i == 1 else 0 for i in range(a))
-        for _ in range(times):
-            nxt = tuple(1 if i == 0 else 0 for i in range(a))  # build cur^p
-            base, e = cur, p
-            while e:
-                if e & 1:
-                    nxt = _poly_mulmod(nxt, base, tail, p)
-                base = _poly_mulmod(base, base, tail, p)
-                e >>= 1
-            cur = nxt
-        return cur
-
-    x = tuple(1 if i == 1 else 0 for i in range(a))
-    if frob_iter(a) != x:
-        return False
-    for r in factorize(a):
-        h = frob_iter(a // r)
-        # gcd(h - x, f) must be 1; since f has no roots structure shortcut,
-        # do a real poly gcd over GF(p).
-        diff = tuple((h[i] - x[i]) % p for i in range(a))
-        if _poly_gcd_is_nonconst(diff, tail, p):
-            return False
-    return True
+def _times_x(v: tuple[int, ...], tail: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """v * x mod (x^a + tail): shift v up one degree, then x^a = -tail."""
+    lead = v[-1]
+    return tuple((s - lead * c) % p for s, c in zip((0,) + v[:-1], tail))
 
 
-def _poly_gcd_is_nonconst(g: tuple[int, ...], tail: tuple[int, ...], p: int) -> bool:
-    """gcd(g, x^a + tail) has positive degree?  g given little-endian, len a."""
-    a = len(tail)
-    f = list(tail) + [1]
-    gg = list(g)
-    while len(gg) and gg[-1] == 0:
-        gg.pop()
-    u, v = f, gg
-    while v:
-        # u mod v
-        inv_lead = pow(v[-1], -1, p)
-        u = u[:]
-        while len(u) >= len(v):
-            c = u[-1] * inv_lead % p
-            if c:
-                off = len(u) - len(v)
-                for i, vi in enumerate(v):
-                    u[off + i] = (u[off + i] - c * vi) % p
-            u.pop()
-            while u and u[-1] == 0:
-                u.pop()
-        u, v = v, u
-    return len(u) > 1
-
-
-def _multiplicative_order(elem: tuple[int, ...], tail: tuple[int, ...], p: int, q: int) -> int:
-    """Order of elem in GF(q)^* (elem as coefficient tuple, field as modulus)."""
-    order = q - 1
-    one = tuple(1 if i == 0 else 0 for i in range(len(tail)))
+def _is_primitive(elem: tuple[int, ...], tail: tuple[int, ...], p: int, q: int) -> bool:
+    """Has elem multiplicative order q - 1 modulo x^a + tail?  Checks
+    elem^(q-1) = 1 and elem^((q-1)/r) != 1 for each prime r | q - 1."""
+    one = (1,) + (0,) * (len(tail) - 1)
 
     def pw(e: int) -> tuple[int, ...]:
         r, b = one, elem
@@ -167,10 +127,7 @@ def _multiplicative_order(elem: tuple[int, ...], tail: tuple[int, ...], p: int, 
             e >>= 1
         return r
 
-    for r in factorize(q - 1):
-        while order % r == 0 and pw(order // r) == one:
-            order //= r
-    return order
+    return pw(q - 1) == one and all(pw((q - 1) // r) != one for r in factorize(q - 1))
 
 
 @dataclass(frozen=True)
@@ -255,7 +212,12 @@ class Field:
 
 
 def field_ops(field: Field, op: str, x: int, y: int | None = None) -> int:
-    """Dispatch a named field operation; the CLI and quick scripts use this."""
+    """Dispatch a named field operation; the CLI and quick scripts use this.
+    Operands must be elements 0..q-1; the exponent of ``pow`` is any int."""
+    operands = (x,) if op == "pow" else (x, y)
+    for v in operands:
+        if v is not None and not 0 <= v < field.q:
+            raise ValueError(f"operand {v} is not an element of GF({field.q})")
     unary = {"neg": field.neg, "inv": field.inv, "trace": field.trace}
     binary = {"add": field.add, "sub": field.sub, "mul": field.mul, "pow": field.power}
     if op in unary:
@@ -278,42 +240,32 @@ def make_field(p: int, a: int) -> Field:
     if q > MAX_Q:
         raise ValueError(f"q = {q} exceeds the desk-scale limit {MAX_Q}")
 
-    if a == 1:
-        for k in range(1, p):
-            g = (-k) % p
-            if _multiplicative_order((g,), (k,), p, p) == p - 1:
-                modulus = (k, 1)
-                generator = g
-                break
-        else:  # pragma: no cover - a primitive root always exists
-            raise AssertionError("no primitive root found")
-        exp_list = [1]
-        for _ in range(p - 2):
-            exp_list.append(exp_list[-1] * generator % p)
-    else:
-        x_tuple = tuple(1 if i == 1 else 0 for i in range(a))
-        for enc in range(1, q):
-            tail = _decode(enc, p, a)
-            if not _poly_is_irreducible(tail, p):
-                continue
-            if _multiplicative_order(x_tuple, tail, p, q) == q - 1:
-                break
-        else:  # pragma: no cover - primitive polynomials always exist
-            raise AssertionError("no primitive-monomial modulus found")
-        modulus = tail + (1,)
-        generator = p  # the encoding of the monomial x
-        exp_list = [1]
-        acc = tuple(1 if i == 0 else 0 for i in range(a))
-        for _ in range(q - 2):
-            acc = _poly_mulmod(acc, x_tuple, tail, p)
-            exp_list.append(_encode(acc, p))
+    one = (1,) + (0,) * (a - 1)
+    for enc in range(1, q):
+        tail = _decode(enc, p, a)
+        x = _times_x(one, tail, p)  # the monomial x reduced: -tail[0] when a = 1
+        if _is_primitive(x, tail, p, q):
+            break
+    else:  # pragma: no cover - primitive polynomials always exist
+        raise AssertionError("no primitive-monomial modulus found")
 
-    log_list = [-1] * q
-    for i, v in enumerate(exp_list):
-        assert log_list[v] == -1, "generator is not primitive"
-        log_list[v] = i
-    return Field(p=p, a=a, q=q, modulus=modulus, generator=generator,
-                 exp=tuple(exp_list), log=tuple(log_list))
+    # coefficient rows of x^0..x^(q-2) by doubling: rows k..2k-1 are rows
+    # 0..k-1 times x^k, whose matrix ``mul`` (row j = x^j * x^k) squares as k
+    # doubles; every entry stays below a * p^2 < 2^63
+    exp = np.zeros((q - 1, a), dtype=np.int64)
+    exp[0, 0] = 1
+    mul = np.array([_times_x(tuple(r), tail, p) for r in np.eye(a, dtype=int).tolist()])
+    k = 1
+    while k < q - 1:
+        m = min(k, q - 1 - k)
+        exp[k:k + m] = exp[:m] @ mul % p
+        k, mul = k + m, mul @ mul % p
+    powers = exp @ p ** np.arange(a)  # encoded
+    log = np.full(q, -1)
+    log[powers] = np.arange(q - 1)
+    assert (log[1:] >= 0).all(), "generator is not primitive"
+    return Field(p=p, a=a, q=q, modulus=tail + (1,), generator=_encode(x, p),
+                 exp=tuple(powers.tolist()), log=tuple(log.tolist()))
 
 
 # -- subgroups and cosets ------------------------------------------------------
@@ -350,9 +302,7 @@ class Subgroup:
 
 def _span_additive(field: Field, b: int) -> set[int]:
     """GF(p)-span of the reduced monomials x, x^2, ..., x^b."""
-    # field.p encodes the monomial x when a >= 2; for a == 1 x reduces to g.
-    x_elt = field.generator if field.a == 1 else field.p
-    basis = [field.power(x_elt, i) for i in range(1, b + 1)]
+    basis = [field.power(field.generator, i) for i in range(1, b + 1)]
     span = {0}
     for v in basis:
         new = set()

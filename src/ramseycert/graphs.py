@@ -32,7 +32,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .fields import Field, Subgroup, make_field, subgroup, factorize
+from .fields import Field, Subgroup, is_prime_power, make_field, subgroup
 
 # integers are exact in float32 below 2^24 and in float64 below 2^53
 _FLOAT32_EXACT = 1 << 24
@@ -114,14 +114,6 @@ def common_neighbors(g: Graph, u: int, v: int) -> list[int]:
 # -- constructions -------------------------------------------------------------
 
 
-def _prime_power(q: int) -> tuple[int, int]:
-    f = factorize(q)
-    if len(f) != 1:
-        raise ValueError(f"q = {q} is not a prime power")
-    ((p, a),) = f.items()
-    return p, a
-
-
 def _layout(variant: str, q: int) -> tuple[int, int]:
     """(width, first): vertex cid * width + (x - first) carries the label
     (coset cid, element x), lexicographic in both; plus vertices pair a coset
@@ -172,10 +164,11 @@ def build_g_plus(q: int, t: int) -> Graph:
 
     Requires t = p^b >= 2 dividing q.  (a,x) ~ (b,y) iff x*y in a + b + H.
     """
-    p, a = _prime_power(q)
+    if (pa := is_prime_power(q)) is None:
+        raise ValueError(f"q = {q} is not a prime power")
     if t < 2 or q % t != 0:
-        raise ValueError(f"t = {t} must be a power of p = {p} with 2 <= t <= q")
-    return _coset_graph("plus", p, a, t)
+        raise ValueError(f"t = {t} must be a power of p = {pa[0]} with 2 <= t <= q")
+    return _coset_graph("plus", *pa, t)
 
 
 def build_g_times(q: int, t: int) -> Graph:
@@ -183,10 +176,11 @@ def build_g_times(q: int, t: int) -> Graph:
 
     Requires t >= 2 dividing q - 1.  (a,x) ~ (b,y) iff x + y in a*b*H.
     """
-    p, a = _prime_power(q)
+    if (pa := is_prime_power(q)) is None:
+        raise ValueError(f"q = {q} is not a prime power")
     if t < 2 or (q - 1) % t != 0:
         raise ValueError(f"t = {t} must divide q - 1 = {q - 1}")
-    return _coset_graph("times", p, a, t)
+    return _coset_graph("times", *pa, t)
 
 
 # the desk-scale fleet: every valid (q, t) with q <= 128 for the sum
@@ -201,7 +195,7 @@ def fleet(q_max: int = 128) -> Iterator[tuple[str, int, int]]:
     for q in PLUS_Q:
         if q > q_max:
             continue
-        (p, _), = factorize(q).items()
+        p, _ = is_prime_power(q)
         t = p
         while t <= q:
             yield "plus", q, t
@@ -433,7 +427,7 @@ def _check_construction(meta: GraphMeta, n: int) -> None:
     if not 2 <= t <= q or n * t != q * (q - 1):
         raise ValueError(f"{meta.variant} metadata: n = {n} is not q(q-1)/t "
                          f"for q = {q}, t = {t}")
-    if factorize(q) != {p: a}:
+    if is_prime_power(q) != (p, a):
         raise ValueError(f"{meta.variant} metadata: q = {q} is not p^a = {p}^{a}")
     if (q if meta.variant == "plus" else q - 1) % t != 0:
         raise ValueError(f"{meta.variant} metadata: t = {t} is not a subgroup order for q = {q}")

@@ -80,6 +80,17 @@ def _check_semantics(semantics: str) -> None:
         raise ValueError(f"semantics must be one of {SEMANTICS}, got {semantics!r}")
 
 
+def _allowed(g: Graph, semantics: str) -> int:
+    """Bitmask of the vertices an independent set may use: all of them, or
+    under exclude-looped those without a loop."""
+    mask = (1 << g.n) - 1
+    if semantics == "exclude-looped":
+        for v in range(g.n):
+            if g.rows[v] >> v & 1:
+                mask ^= 1 << v
+    return mask
+
+
 def _complement_rows(g: Graph, semantics: str) -> tuple[list[int], list[int]]:
     """Complement adjacency bitsets (loops dropped) on the allowed vertices,
     renumbered by non-increasing complement degree, lower index on ties.
@@ -88,14 +99,9 @@ def _complement_rows(g: Graph, semantics: str) -> tuple[list[int], list[int]]:
     the original index of new vertex k.  The permutation is applied to the
     unpacked 0/1 matrix and packed back, so no per-bit Python loop runs.
     """
-    allowed = range(g.n)
-    if semantics == "exclude-looped":
-        allowed = [v for v in allowed if not g.rows[v] >> v & 1]
-    mask = 0
-    for v in allowed:
-        mask |= 1 << v
+    mask = _allowed(g, semantics)
     # fewest allowed neighbours first; sorted() is stable, so ties keep index order
-    order = sorted(allowed, key=lambda v: (g.rows[v] & mask & ~(1 << v)).bit_count())
+    order = sorted(_bits(mask), key=lambda v: (g.rows[v] & mask & ~(1 << v)).bit_count())
     comp_bits = g.adjacency_matrix(dtype=np.bool_)[np.ix_(order, order)]
     np.logical_not(comp_bits, out=comp_bits)
     np.fill_diagonal(comp_bits, False)  # a vertex is not its own complement neighbour
@@ -112,12 +118,9 @@ def verify_independent(g: Graph, vertices, semantics: str = "ignore-loops") -> b
     mask = 0
     for v in vs:
         mask |= 1 << v
-    for v in vs:
-        if g.rows[v] & (mask ^ (1 << v)):
-            return False
-        if semantics == "exclude-looped" and g.rows[v] >> v & 1:
-            return False
-    return True
+    if mask & ~_allowed(g, semantics):
+        return False
+    return not any(g.rows[v] & (mask ^ (1 << v)) for v in vs)
 
 
 def max_independent_set_exact(
@@ -250,11 +253,7 @@ def alpha_bruteforce(g: Graph, semantics: str = "ignore-loops") -> int:
         return 0
     adj = np.array([g.rows[i] & ~(1 << i) & ((1 << n) - 1) for i in range(n)],
                    dtype=np.uint32)
-    veto = 0
-    if semantics == "exclude-looped":
-        for i in range(n):
-            if g.rows[i] >> i & 1:
-                veto |= 1 << i
+    veto = _allowed(g, semantics) ^ ((1 << n) - 1)
     best = 0
     chunk = 1 << 22
     for lo in range(0, 1 << n, chunk):
@@ -291,11 +290,7 @@ def greedy_alpha(g: Graph, semantics: str = "ignore-loops") -> tuple[int, tuple[
 def _min_degree_greedy(g: Graph, semantics: str) -> list[int]:
     """The vertices ``greedy_alpha`` picks, sorted; also seeds the exact search."""
     n = g.n
-    live = (1 << n) - 1
-    if semantics == "exclude-looped":
-        for i in range(n):
-            if g.rows[i] >> i & 1:
-                live ^= 1 << i
+    live = _allowed(g, semantics)
     rows = [g.rows[i] & ~(1 << i) for i in range(n)]
     # deg[v] is v's residual degree while v is live and -1 once it is deleted,
     # so a heap entry is current iff its degree equals deg[v]

@@ -20,7 +20,7 @@ from math import comb, exp, lgamma, log, sqrt
 
 import numpy as np
 
-from .graphs import Graph, GraphMeta
+from .graphs import Graph, GraphMeta, common_neighbors
 from .independence import greedy_alpha, max_independent_set_exact
 
 E8 = math.exp(8.0)
@@ -152,13 +152,7 @@ def find_k2t(g: Graph, t: int) -> K2tWitness | None:
         raise ValueError("t must be >= 2")
     for (u, v), c in _codegree_counts(g).items():
         if c >= t:
-            common = (g.rows[u] & g.rows[v])
-            picks = []
-            while common and len(picks) < t:
-                low = common & -common
-                picks.append(low.bit_length() - 1)
-                common ^= low
-            return K2tWitness(u=u, v=v, common=tuple(picks))
+            return K2tWitness(u=u, v=v, common=tuple(common_neighbors(g, u, v)[:t]))
     return None
 
 
@@ -208,14 +202,14 @@ def monte_carlo_check(
     except ValueError:
         frieze_center = frieze_working = None
 
-    indices = list(range(samples))
-    if threads > 1:
+    args = [(recipe, i, exact_alpha_limit) for i in range(samples)]
+    workers = min(threads, samples)  # never more processes than samples
+    if workers > 1:
         from multiprocessing import Pool
-        args = [(recipe, i, exact_alpha_limit) for i in indices]
-        with Pool(threads) as pool:
+        with Pool(workers) as pool:
             rows = pool.map(_one_sample, args)
     else:
-        rows = [_one_sample((recipe, i, exact_alpha_limit)) for i in indices]
+        rows = [_one_sample(a) for a in args]
 
     edges = [r["edges"] for r in rows]
     witness_counts = [r["witness_count"] for r in rows]

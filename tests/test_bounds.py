@@ -116,6 +116,11 @@ def test_is_prime_power_values():
     assert is_prime_power(81) == (3, 4)
     assert is_prime_power(121) == (11, 2)
     assert is_prime_power(2**31 - 1) == (2**31 - 1, 1)
+    # the double nearest this prime is 23 below it, so a search over float
+    # roots r that tries r - 1, r, r + 1 misses it
+    assert is_prime_power(487116986083713431) == (487116986083713431, 1)
+    assert is_prime_power(3**37) == (3, 37)
+    assert is_prime_power(2 * 487116986083713431) is None
     for n in (0, 1, 12, 100, 1000):
         assert is_prime_power(n) is None
 

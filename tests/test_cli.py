@@ -116,9 +116,20 @@ def test_conjecture_exit_codes(capsys):
     ["certify", "--k", "2", "--t", "10", "--m", "100"],  # hypothesis refused
     ["random", "--m", "1000", "--t", "50", "--samples", "1"],  # degenerate default c3
     ["qrset", "--p", "4"],
+    ["field", "--p", "2", "--a", "3", "--op", "add", "--x", "9", "--y", "1"],  # 9 not in GF(8)
+    ["field", "--p", "7", "--op", "inv", "--x", "-1"],
+    ["field", "--p", "2", "--a", "3", "--op", "mul", "--x", "9", "--y", "1"],
+    ["field", "--p", "7", "--op", "inv", "--x", "0"],  # ZeroDivisionError
+    ["field", "--p", "7", "--op", "pow", "--x", "0", "--y", "-1"],
+    ["random", "--m", "10", "--t", "2", "--c3", "inf"],  # OverflowError
+    ["random", "--m", "10", "--t", "2", "--c3", "1e308"],
+    ["certify", "--k", "2", "--t", "10", "--m", "1" + "0" * 400],
 ])
 def test_exit_2_on_invalid_input(argv, capsys):
-    assert run_cli(argv, capsys)[0] == 2
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith(("error:", "refused:", "degenerate"))
 
 
 @pytest.mark.parametrize("flag,value", [

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ramseycert.fields import (
     MAX_Q,
@@ -74,6 +74,12 @@ def test_is_prime_large_composites():
         assert is_prime(n) == sympy.isprime(n)
 
 
+# prime cofactors above 2^32, which trial division alone would reach only after
+# 5*10^5 to 8*10^8 divisions
+@example(1000000000039)
+@example(96 * 1000000000039)
+@example(6 * (2**61 - 1))
+@example(487116986083713431)
 @given(st.integers(2, 10**6))
 def test_factorize_matches_sympy(n):
     assert factorize(n) == sympy.factorint(n)
@@ -103,6 +109,31 @@ def test_generator_is_primitive(p, a):
 def test_frozen_modulus_and_generator(p, a):
     F = make_field(p, a)
     assert (F.modulus, F.generator) == FROZEN[(p, a)]
+
+
+def _is_primitive_modulus(tail, p):
+    """sympy oracle: is x^a + tail irreducible, with x of order p^a - 1?"""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_irreducible_p, gf_pow_mod
+
+    q, f = p ** len(tail), [1] + list(reversed(tail))  # big-endian, monic
+    if not gf_irreducible_p(f, p, ZZ):
+        return False
+    one = [1]
+    return (gf_pow_mod([1, 0], q - 1, f, p, ZZ) == one
+            and all(gf_pow_mod([1, 0], (q - 1) // r, f, p, ZZ) != one
+                    for r in sympy.factorint(q - 1)))
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 1025) if len(sympy.factorint(q)) == 1])
+def test_modulus_is_the_first_primitive_tail(q):
+    ((p, a),) = sympy.factorint(q).items()
+    F = make_field(p, a)
+    tail = F.modulus[:-1]
+    assert F.modulus[-1] == 1 and _is_primitive_modulus(tail, p)
+    enc = sum(c * p**i for i, c in enumerate(tail))
+    for smaller in range(1, enc):
+        assert not _is_primitive_modulus(tuple(smaller // p**i % p for i in range(a)), p)
 
 
 def test_make_field_rejects_bad_parameters():
@@ -228,6 +259,11 @@ def test_field_ops_dispatch():
         field_ops(F, "mul", 3)  # missing second operand
     with pytest.raises(ValueError):
         field_ops(F, "gcd", 3, 3)
+    for op, x, y in [("add", 9, 1), ("mul", 1, -1), ("neg", 9, None), ("inv", -1, None),
+                     ("pow", 9, 2)]:
+        with pytest.raises(ValueError, match="not an element"):
+            field_ops(F, op, x, y)
+    assert field_ops(F, "pow", 3, -1) == F.inv(3)  # the exponent may be any int
 
 
 # -- subgroups -----------------------------------------------------------------

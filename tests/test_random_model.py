@@ -219,6 +219,36 @@ def test_monte_carlo_threads_do_not_change_results():
     assert seq["rows"] == par["rows"]
 
 
+def test_monte_carlo_pool_never_exceeds_samples(monkeypatch):
+    """min(threads, samples) workers, sequential at 1; the recording stand-in
+    for Pool runs the map in this process, so no worker is ever started."""
+    import multiprocessing
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return [fn(a) for a in args]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    recipe = lemma_parameters(30, 3, 1.0, seed=5)
+    want = monte_carlo_check(recipe, samples=3, threads=1)["rows"]
+    assert sizes == []
+    assert monte_carlo_check(recipe, samples=3, threads=100000)["rows"] == want
+    assert sizes == [3]
+    monte_carlo_check(recipe, samples=1, threads=100000)
+    assert sizes == [3]  # one sample runs in this process
+
+
 def test_monte_carlo_summary_gates():
     recipe = lemma_parameters(60, 6, 1.0, seed=2)
     rep = monte_carlo_check(recipe, samples=8)
