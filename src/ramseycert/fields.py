@@ -48,27 +48,37 @@ def is_prime(n: int) -> bool:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division; {} for n < 2.  A cofactor above
-    2^32 is tested with ``is_prime`` first, so a large prime ends the search
-    instead of costing sqrt(n) divisions."""
+    """Prime factorization by trial division; n stays small (< 2^20) here."""
     out: dict[int, int] = {}
-    d, done = 2, n > 1 << 32 and is_prime(n)
-    while not done and d * d <= n:
-        if n % d == 0:
-            while n % d == 0:
-                out[d] = out.get(d, 0) + 1
-                n //= d
-            done = n > 1 << 32 and is_prime(n)
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
         d += 1 if d == 2 else 2
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
 
 
+def _iroot(n: int, a: int) -> int:
+    """floor(n^(1/a)) for n >= 1, exactly: integer Newton steps from 2^ceil(bits/a)."""
+    r = 1 << -(-n.bit_length() // a)
+    while (s := ((a - 1) * r + n // r ** (a - 1)) // a) < r:
+        r = s
+    return r
+
+
 def is_prime_power(n: int) -> tuple[int, int] | None:
-    """(p, a) with n = p^a, or None."""
-    f = factorize(n)
-    return next(iter(f.items())) if len(f) == 1 else None
+    """(p, a) with n = p^a, or None.  Exact for any n, at one prime test plus
+    one integer root per exponent a < log2 n."""
+    if is_prime(n):
+        return n, 1
+    for a in range(2, n.bit_length()):
+        r = _iroot(n, a)
+        if r**a == n and is_prime(r):
+            return r, a
+    return None
 
 
 # -- polynomial helpers on little-endian coefficient tuples over GF(p) --------
@@ -229,6 +239,25 @@ def field_ops(field: Field, op: str, x: int, y: int | None = None) -> int:
     raise ValueError(f"unknown field operation {op!r}")
 
 
+def _powers_of_x(tail: tuple[int, ...], p: int, q: int) -> np.ndarray:
+    """Encoded x^0..x^(q-2) modulo x^a + tail, by doubling: coefficient rows
+    k..2k-1 are rows 0..k-1 times x^k, whose matrix ``mul`` (row j = x^j * x^k)
+    squares as k doubles.  Rows take the narrowest signed type holding a product
+    entry, at most a * (p-1)^2: one byte a coefficient for GF(2^20)."""
+    a = len(tail)
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                 if np.iinfo(t).max >= a * (p - 1) ** 2)
+    rows = np.zeros((q - 1, a), dtype=dtype)
+    rows[0, 0] = 1
+    mul = np.array([_times_x(tuple(r), tail, p) for r in np.eye(a, dtype=int).tolist()], dtype=dtype)
+    k = 1
+    while k < q - 1:
+        m = min(k, q - 1 - k)
+        rows[k:k + m] = rows[:m] @ mul % p
+        k, mul = k + m, mul @ mul % p
+    return sum(rows[:, j].astype(np.int64) * p**j for j in range(a))
+
+
 @lru_cache(maxsize=None)
 def make_field(p: int, a: int) -> Field:
     """Construct GF(p^a), selecting the primitive-monomial modulus."""
@@ -249,18 +278,7 @@ def make_field(p: int, a: int) -> Field:
     else:  # pragma: no cover - primitive polynomials always exist
         raise AssertionError("no primitive-monomial modulus found")
 
-    # coefficient rows of x^0..x^(q-2) by doubling: rows k..2k-1 are rows
-    # 0..k-1 times x^k, whose matrix ``mul`` (row j = x^j * x^k) squares as k
-    # doubles; every entry stays below a * p^2 < 2^63
-    exp = np.zeros((q - 1, a), dtype=np.int64)
-    exp[0, 0] = 1
-    mul = np.array([_times_x(tuple(r), tail, p) for r in np.eye(a, dtype=int).tolist()])
-    k = 1
-    while k < q - 1:
-        m = min(k, q - 1 - k)
-        exp[k:k + m] = exp[:m] @ mul % p
-        k, mul = k + m, mul @ mul % p
-    powers = exp @ p ** np.arange(a)  # encoded
+    powers = _powers_of_x(tail, p, q)
     log = np.full(q, -1)
     log[powers] = np.arange(q - 1)
     assert (log[1:] >= 0).all(), "generator is not primitive"

@@ -421,8 +421,7 @@ def _g2t_header(line: str, max_n: int) -> tuple[GraphMeta, int]:
 
 def _check_construction(meta: GraphMeta, n: int) -> None:
     """Raise ValueError unless ``meta`` describes the plus/times construction
-    on n vertices: q = p^a, t a subgroup order, n = q(q-1)/t.  n is compared
-    first, so q <= n + 1 is small before it is factorized."""
+    on n vertices: q = p^a, t a subgroup order, n = q(q-1)/t."""
     p, a, q, t = meta.p, meta.a, meta.q, meta.t
     if not 2 <= t <= q or n * t != q * (q - 1):
         raise ValueError(f"{meta.variant} metadata: n = {n} is not q(q-1)/t "

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from ramseycert.bounds import (
@@ -121,6 +122,9 @@ def test_is_prime_power_values():
     assert is_prime_power(487116986083713431) == (487116986083713431, 1)
     assert is_prime_power(3**37) == (3, 37)
     assert is_prime_power(2 * 487116986083713431) is None
+    # two prime factors near 10^9: trial division would need ~5*10^8 steps
+    assert is_prime_power((10**9 + 7) * (10**9 + 9)) is None
+    assert is_prime_power((10**9 + 7) ** 2) == (10**9 + 7, 2)
     for n in (0, 1, 12, 100, 1000):
         assert is_prime_power(n) is None
 
@@ -140,6 +144,15 @@ def _trial_division_pp(n):
 @settings(max_examples=300, deadline=None)
 def test_is_prime_power_matches_trial_division(n):
     assert is_prime_power(n) == _trial_division_pp(n)
+
+
+@given(st.integers(2, 10**12), st.integers(1, 6))
+@settings(max_examples=200, deadline=None)
+def test_is_prime_power_of_large_powers(b, e):
+    # b^e reaches 10^72, far past float roots; sympy factors b itself
+    f = sympy.factorint(b)
+    expected = next((r, k * e) for r, k in f.items()) if len(f) == 1 else None
+    assert is_prime_power(b**e) == expected
 
 
 def test_find_prime_power_examples():
