@@ -1,8 +1,12 @@
 #!/usr/bin/env python3
-"""SHA-256 digests of each fleet case's g2t text, `audit --json` and `spectrum --json`.
+"""SHA-256 digests of each fleet case's g2t text, `audit --json`, `spectrum --json`
+and `alpha --json`.
 
-``tests/golden_fleet.json`` pins these digests, with the two exit codes, for
-all 94 fleet cases, so a refactor that changes one output byte fails.  The
+``tests/golden_fleet.json`` pins these digests, with the exit codes, for all
+94 fleet cases, so a refactor that changes one output byte fails.  The cases
+with n <= TIER1_MAX_N also pin `alpha --json --budget-nodes ALPHA_NODE_BUDGET`
+under both loop semantics, without its wall-time ``seconds`` line: the node
+budget makes the bracket, the node count and the witness deterministic.  The
 Tier-1 suite checks the cases with n <= TIER1_MAX_N; ``check`` checks the
 larger ones.  Write the file only at a commit whose outputs are the intended
 ones, and say so when an output change is intended.
@@ -22,11 +26,15 @@ import tempfile
 
 from ramseycert import cli
 from ramseycert.graphs import build_g_plus, build_g_times, fleet, to_g2t
+from ramseycert.independence import SEMANTICS
 
 WRITE_COMMAND = "PYTHONPATH=src python scripts/golden_fleet.py write tests/golden_fleet.json"
 
 # the cases up to this size are cheap enough for Tier-1 (about 3 s for 75)
 TIER1_MAX_N = 1000
+
+# the alpha digests' node budget: 150 searches take about 3 s, and 85 close
+ALPHA_NODE_BUDGET = 2000
 
 
 def case_key(variant: str, q: int, t: int) -> str:
@@ -37,9 +45,18 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _run(argv: list[str]) -> tuple[str, int]:
+    """stdout and exit code of one in-process CLI run."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    return buf.getvalue(), code
+
+
 def digests(variant: str, q: int, t: int) -> dict:
     """n, the g2t digest, and the stdout digest and exit code of `audit --json`
-    and `spectrum --json` run in-process on that file."""
+    and `spectrum --json` run in-process on that file; for n <= TIER1_MAX_N
+    also of `alpha --json` under each loop semantics, ``seconds`` line removed."""
     g = (build_g_plus if variant == "plus" else build_g_times)(q, t)
     text = to_g2t(g)
     out = {"n": g.n, "g2t": _sha256(text)}
@@ -48,11 +65,16 @@ def digests(variant: str, q: int, t: int) -> dict:
         with open(path, "w", newline="\n") as fh:
             fh.write(text)
         for cmd in ("audit", "spectrum"):
-            buf = io.StringIO()
-            with contextlib.redirect_stdout(buf):
-                code = cli.main([cmd, path, "--json"])
-            out[cmd] = _sha256(buf.getvalue())
-            out[f"{cmd}_exit"] = code
+            stdout, out[f"{cmd}_exit"] = _run([cmd, path, "--json"])
+            out[cmd] = _sha256(stdout)
+        if g.n <= TIER1_MAX_N:
+            for sem in SEMANTICS:
+                stdout, out[f"alpha_{sem}_exit"] = _run(
+                    ["alpha", path, "--json", "--semantics", sem,
+                     "--budget-nodes", str(ALPHA_NODE_BUDGET)])
+                lines = stdout.splitlines(keepends=True)
+                out[f"alpha_{sem}"] = _sha256("".join(
+                    ln for ln in lines if not ln.startswith('  "seconds": ')))
     return out
 
 

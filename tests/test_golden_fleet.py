@@ -1,10 +1,13 @@
 """Each fleet case's g2t text, `audit --json` and `spectrum --json` output
-against the SHA-256 digests pinned in tests/golden_fleet.json.
+against the SHA-256 digests pinned in tests/golden_fleet.json, and for the
+cases with n <= TIER1_MAX_N also `alpha --json` under a node budget, both loop
+semantics.
 
 The cases with n <= TIER1_MAX_N run here; the larger ones run in CI through
-``scripts/golden_fleet.py check``.  The digests were written once, before the
-table-driven builders replaced the scalar loops, with the command the file
-records.
+``scripts/golden_fleet.py check``.  The g2t, audit and spectrum digests were
+written before the table-driven builders replaced the scalar loops, and the
+alpha digests before the reports' ``to_dict`` moved to ``dataclasses.asdict``,
+each with the command the file records.
 """
 
 import importlib.util
