@@ -30,10 +30,10 @@ from ramseycert.independence import SEMANTICS
 
 WRITE_COMMAND = "PYTHONPATH=src python scripts/golden_fleet.py write tests/golden_fleet.json"
 
-# the cases up to this size are cheap enough for Tier-1 (about 3 s for 75)
+# the cases up to this size are cheap enough for Tier-1 (about 8 s for 75)
 TIER1_MAX_N = 1000
 
-# the alpha digests' node budget: 150 searches take about 3 s, and 85 close
+# the alpha digests' node budget: 150 searches take about 5 s, and 85 close
 ALPHA_NODE_BUDGET = 2000
 
 

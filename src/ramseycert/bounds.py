@@ -17,14 +17,12 @@ re-decided in extended precision before it is trusted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import ceil, floor, log, sqrt
 
 import mpmath
 
 from .fields import is_prime_power
-
-TOOL_NAME = "ramseycert"
 
 _REPLAY_DPS = 50
 _SIGN_GUARD = 1e-6
@@ -52,7 +50,7 @@ class BoundQuery:
             raise ValueError("m must be >= 3")
 
     def to_dict(self) -> dict:
-        return {"k": self.k, "t": self.t, "m": self.m}
+        return asdict(self)
 
 
 # -- closed-form bounds -----------------------------------------------------------
@@ -210,59 +208,37 @@ class Certificate:
     failure: str | None
 
     def to_dict(self) -> dict:
-        return {
-            "query": self.query.to_dict(),
-            "variant": self.variant,
-            "s": self.s,
-            "L": self.L,
-            "window": {"lo": self.window_lo, "hi": self.window_hi},
-            "q": self.q,
-            "n": self.n,
-            "d": self.d,
-            "lambda": {"sqrtq_of": self.q} if self.q is not None else None,
-            "m_prime": self.m_prime,
-            "step1_ok": self.step1_ok,
-            "ineq_log_lhs": self.ineq_log_lhs,
-            "ineq_ok": self.ineq_ok,
-            "certified_n": self.certified_n,
-            "achieved_ratio": self.achieved_ratio,
-            "theorem5_hypothesis": {
-                "required_m": self.theorem5_required,
-                "ok": self.theorem5_ok,
-            },
-            "failure": self.failure,
-            "tool_version": _tool_version(),
-        }
+        doc = asdict(self)  # the query nests as {"k", "t", "m"}
+        doc["window"] = {"lo": doc.pop("window_lo"), "hi": doc.pop("window_hi")}
+        doc["theorem5_hypothesis"] = {"required_m": doc.pop("theorem5_required"),
+                                      "ok": doc.pop("theorem5_ok")}
+        doc["lambda"] = {"sqrtq_of": self.q} if self.q is not None else None
+        doc["tool_version"] = _tool_version()
+        return doc
 
 
-def certify(query: BoundQuery, variant: str | None = None) -> Certificate:
+def certify(query: BoundQuery) -> Certificate:
     """Run the two-step pipeline for a query and record every intermediate.
 
-    variant "k2" (k = 2: s = 2, L = 8, entry hypothesis m >= 128 log^2 t,
-    threshold m' = (n/d) log^2 n) or "k3plus" (k >= 3: s = 1, L = 4k,
-    hypothesis m >= 16 k log t, m' = 2k (n/d) log n).  Chosen from query.k
-    when not given.  A failed stage still yields a certificate (with
+    The recipe variant follows from k: "k2" for k = 2 (s = 2, L = 8, entry
+    hypothesis m >= 128 log^2 t, threshold m' = (n/d) log^2 n), "k3plus" for
+    k >= 3 (s = 1, L = 4k, hypothesis m >= 16 k log t, m' = 2k (n/d) log n);
+    k = 1 raises ValueError.  A failed stage still yields a certificate (with
     ``failure`` set); only a violated entry hypothesis refuses outright.
     """
     k, t, m = query.k, query.t, query.m
-    if variant is None:
-        variant = "k2" if k == 2 else "k3plus"
-    if variant == "k2":
-        if k != 2:
-            raise ValueError("variant k2 requires k = 2")
+    if k == 2:
         if m < 128 * log(t) ** 2:
             raise HypothesisViolation(
                 f"m = {m} < 128 log^2 t = {128 * log(t) ** 2:.3f}")
-        s, L = 2, 8
-    elif variant == "k3plus":
-        if k < 3:
-            raise ValueError("variant k3plus requires k >= 3")
+        variant, s, L = "k2", 2, 8
+    elif k >= 3:
         if m < 16 * k * log(t):
             raise HypothesisViolation(
                 f"m = {m} < 16 k log t = {16 * k * log(t):.3f}")
-        s, L = 1, 4 * k
+        variant, s, L = "k3plus", 1, 4 * k
     else:
-        raise ValueError("variant must be 'k2' or 'k3plus'")
+        raise ValueError("the certification recipe needs k >= 2")
 
     ell = m / (L * log(m * t) ** s)
     hi = floor(ell * t)

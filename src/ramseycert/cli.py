@@ -178,7 +178,7 @@ def _cmd_random(args) -> int:
 
 def _cmd_certify(args) -> int:
     query = BoundQuery(k=args.k, t=args.t, m=args.m)
-    cert = certify(query, args.variant)
+    cert = certify(query)
     doc = cert.to_dict()
     doc["replay"] = replay_certificate(doc)
     _emit(doc, args.json)
@@ -290,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--variant", choices=["k2", "k3plus"], default=None)
     _add_common(p)
     p.set_defaults(fn=_cmd_certify)
 

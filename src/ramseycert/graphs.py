@@ -26,8 +26,9 @@ round-trips byte-identically.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -111,6 +112,20 @@ def common_neighbors(g: Graph, u: int, v: int) -> list[int]:
     return _bits(g.rows[u] & g.rows[v])
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory: the ceiling of the up-front size checks."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_memory(need: int, what: str) -> None:
+    """Refuse, with a ValueError, work estimated at more bytes than physical
+    memory holds, before any of it is allocated."""
+    have = _physical_memory()
+    if need > have:  # need may be too large for a float
+        raise ValueError(f"{what} needs at least 2^{need.bit_length() - 1} bytes, more "
+                         f"than the {have:,} bytes of physical memory")
+
+
 # -- constructions -------------------------------------------------------------
 
 
@@ -131,12 +146,18 @@ def _coset_graph(variant: str, p: int, a: int, t: int) -> Graph:
     """The plus or times graph by the module docstring's rule, one coset c at
     a time as a (width, q-1) neighbour array with a column per unit u: plus
     has y = u and one x*y table, exp[(log x + log y) mod (q-1)], for all c;
-    times has u = x + y, so y = u - x and x + y = 0 never arises."""
-    F = make_field(p, a)
-    q = F.q
-    H = subgroup(F, "additive" if variant == "plus" else "multiplicative", t)
+    times has u = x + y, so y = u - x and x + y = 0 never arises.
+
+    Before the field is built, the peak is estimated and checked against
+    physical memory: a few int32/int64 (width, q-1) tables, one coset's bool
+    block of (width, n) and the n^2/8 bytes of bitset rows."""
+    q = p**a
     width, first = _layout(variant, q)
-    n = H.num_cosets * width
+    n = (q if variant == "plus" else q - 1) // t * width
+    _check_memory(32 * width * (q - 1) + width * n + n * n // 8,
+                  f"the {variant} graph on q = {q}, t = {t} (n = {n})")
+    F = make_field(p, a)
+    H = subgroup(F, "additive" if variant == "plus" else "multiplicative", t)
     exp, log = np.array(F.exp, dtype=np.int32), np.array(F.log, dtype=np.int32)
     coset = np.array(H.coset_id, dtype=np.int64)  # b * width + y may pass 2^31
     x = np.arange(first, q, dtype=np.int32)[:, None]
@@ -261,23 +282,12 @@ class StructuralReport:
         return all(c is not False for c in core)
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "q": self.q,
-            "t": self.t,
-            "n": self.n,
-            "degree_histogram": {str(k): v for k, v in sorted(self.degree_histogram.items())},
-            "is_regular": self.is_regular,
-            "degree_claim_ok": self.degree_claim_ok,
-            "loop_count": self.loop_count,
-            "loop_claim_ok": self.loop_claim_ok,
-            "common_nbhd_histogram": {str(k): v for k, v in sorted(self.common_nbhd_histogram.items())},
-            "max_common": self.max_common,
-            "k2t1_free": self.k2t1_free,
-            "exactly_t_all_pairs": self.exactly_t_all_pairs,
-            "n_formula_ok": self.n_formula_ok,
-            "passed": self.passed,
-        }
+        # str keys, which json.dumps(sort_keys=True) orders lexically
+        doc = asdict(self)
+        for key in ("degree_histogram", "common_nbhd_histogram"):
+            doc[key] = {str(k): v for k, v in sorted(doc[key].items())}
+        doc["passed"] = self.passed
+        return doc
 
 
 def _walk_matrix(g: Graph, power: int, jmax: int = 0, q: int = 0) -> np.ndarray:
@@ -296,9 +306,11 @@ def _walk_matrix(g: Graph, power: int, jmax: int = 0, q: int = 0) -> np.ndarray:
       runs in float64; its factors' entries are at most d^2 + q and
       d^2 + (q-1)(d+1) + 1, and n times their product stays below 2^53.
 
-    A bound that does not hold raises ValueError.
+    A bound that does not hold raises ValueError, and so does an M that would
+    not fit in physical memory beside its 0/1 bytes (5 n^2 bytes in all).
     """
     n = g.n
+    _check_memory(5 * n * n, f"the dense adjacency matrix at n = {n}")
     d = max((r.bit_count() for r in g.rows), default=0)
     if d ** (power - 1) >= _FLOAT32_EXACT:
         raise ValueError(f"maximum degree {d} is too large for exact float32 walks")
@@ -312,7 +324,11 @@ def _walk_matrix(g: Graph, power: int, jmax: int = 0, q: int = 0) -> np.ndarray:
 
 def _exact_walks(g: Graph, power: int, jmax: int = 0, q: int = 0) -> list[np.ndarray]:
     """[M, M^2, ..., M^power] (power <= 3) as float32 walk counts, exact under
-    the bounds ``_walk_matrix`` asserts."""
+    the bounds ``_walk_matrix`` asserts.  Refused up front (ValueError) when
+    they, M's 0/1 bytes and, given q, the annihilator's float64 factor would
+    not fit in physical memory."""
+    n = g.n
+    _check_memory(n * n * (1 + 4 * power + (8 if q else 0)), f"dense walk matrices at n = {n}")
     m = _walk_matrix(g, power, jmax, q)
     walks = [m]
     for _ in range(power - 1):

@@ -30,7 +30,7 @@ from __future__ import annotations
 import heapq
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -62,17 +62,7 @@ class AlphaResult:
     budget_hit: str | None = None  # "nodes" | "time" | None
 
     def to_dict(self) -> dict:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "exact": self.exact,
-            "witness": list(self.witness),
-            "nodes_explored": self.nodes_explored,
-            "time_limit_hit": self.time_limit_hit,
-            "loop_semantics": self.loop_semantics,
-            "seconds": self.seconds,
-            "budget_hit": self.budget_hit,
-        }
+        return asdict(self)
 
 
 def _check_semantics(semantics: str) -> None:
@@ -240,8 +230,6 @@ def max_independent_set_exact(
 
 # -- brute-force oracle ----------------------------------------------------------
 
-_POP16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
-
 
 def alpha_bruteforce(g: Graph, semantics: str = "ignore-loops") -> int:
     """Exhaustive 2^n scan (vectorized); the ground-truth oracle for n <= 26."""
@@ -255,7 +243,7 @@ def alpha_bruteforce(g: Graph, semantics: str = "ignore-loops") -> int:
                    dtype=np.uint32)
     veto = _allowed(g, semantics) ^ ((1 << n) - 1)
     best = 0
-    chunk = 1 << 22
+    chunk = 1 << 20  # the unpacked bits of a chunk take at most 32 MB
     for lo in range(0, 1 << n, chunk):
         s = np.arange(lo, min(lo + chunk, 1 << n), dtype=np.uint32)
         ok = np.ones(len(s), dtype=bool)
@@ -266,9 +254,9 @@ def alpha_bruteforce(g: Graph, semantics: str = "ignore-loops") -> int:
             crossing = (s & adj[v]) != 0
             ok &= ~((inside == 1) & crossing)
         if ok.any():
-            cands = s[ok]
-            sizes = _POP16[cands & np.uint32(0xFFFF)] + _POP16[cands >> np.uint32(16)]
-            best = max(best, int(sizes.max()))
+            # popcounts of the surviving candidates: 32 unpacked bits each
+            bits = np.unpackbits(s[ok].view(np.uint8).reshape(-1, 4), axis=1)
+            best = max(best, int(bits.sum(axis=1, dtype=np.uint8).max()))
     return best
 
 

@@ -15,7 +15,7 @@ edge counts) are engineering choices and the reports say so.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import comb, exp, lgamma, log, sqrt
 
 import numpy as np
@@ -49,8 +49,7 @@ class RandomRecipe:
         return self.p * self.n
 
     def to_dict(self) -> dict:
-        return {"m": self.m, "t": self.t, "c3": self.c3, "n": self.n,
-                "p": self.p, "d": self.d, "seed": self.seed}
+        return {**asdict(self), "d": self.d}
 
 
 def lemma_parameters(m: int, t: int, c3: float | None = None, seed: int = 0) -> RandomRecipe:

@@ -23,7 +23,7 @@ sum bound covers the doubly non-principal case).
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -237,21 +237,8 @@ class SpectrumReport:
         ]
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "q": self.q,
-            "t": self.t,
-            "n": self.n,
-            "moments_used": list(self.moments_used),
-            "eigenvalues": self.eigenvalue_rows(),
-            "multiplicities": dict(self.multiplicities),
-            "annihilator_verified": self.annihilator_verified,
-            "identities_ok": self.identities_ok,
-            "lambda2": {"sqrtq_of": self.q},
-            "lambda_abs": {"sqrtq_of": self.q},
-            "closed_form": dict(self.closed_form) if self.closed_form else None,
-            "matches_lemma": self.matches_lemma,
-        }
+        return {**asdict(self), "eigenvalues": self.eigenvalue_rows(),
+                "lambda2": {"sqrtq_of": self.q}, "lambda_abs": {"sqrtq_of": self.q}}
 
 
 def verify_spectrum(g: Graph) -> SpectrumReport:

@@ -255,15 +255,6 @@ def test_certify_hypothesis_gates():
     certify(BoundQuery(3, 10, 111))
 
 
-def test_certify_variant_validation():
-    with pytest.raises(ValueError):
-        certify(BoundQuery(3, 10, 10**6), variant="k2")
-    with pytest.raises(ValueError):
-        certify(BoundQuery(2, 10, 10**6), variant="k3plus")
-    with pytest.raises(ValueError):
-        certify(BoundQuery(2, 10, 10**6), variant="spectral")
-
-
 @pytest.mark.parametrize("k,t,m", [(2, 10, 10**6), (3, 10, 10**6), (2, 4, 10**5),
                                    (4, 16, 10**7), (2, 25, 2 * 10**6)])
 def test_replay_round_trip(k, t, m):

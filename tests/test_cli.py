@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
@@ -124,12 +125,19 @@ def test_conjecture_exit_codes(capsys):
     ["random", "--m", "10", "--t", "2", "--c3", "inf"],  # OverflowError
     ["random", "--m", "10", "--t", "2", "--c3", "1e308"],
     ["certify", "--k", "2", "--t", "10", "--m", "1" + "0" * 400],
+    ["certify", "--k", "1", "--t", "10", "--m", "1000000"],  # below the recipe's k >= 2
+    # refused before any allocation: beyond physical memory
+    ["build", "--variant", "plus", "--q", "1048576", "--t", "2", "--out", "/tmp/never.g2t"],
+    ["conjecture", "--a", "20"],
+    ["qrset", "--p", "1021"],
 ])
 def test_exit_2_on_invalid_input(argv, capsys):
+    start = time.monotonic()
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith(("error:", "refused:", "degenerate"))
+    assert time.monotonic() - start < 1.0
 
 
 @pytest.mark.parametrize("flag,value", [

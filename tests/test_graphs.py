@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ramseycert import graphs
 from ramseycert.fields import factorize, make_field, subgroup
 from ramseycert.graphs import (
     Graph,
@@ -20,6 +21,7 @@ from ramseycert.graphs import (
     structural_audit,
     to_g2t,
 )
+from ramseycert.spectral import verify_spectrum
 from conftest import ALL_CASES, cached_graph
 
 SMALL_CASES = [c for c in ALL_CASES if c[1] <= 64]
@@ -139,6 +141,29 @@ def test_build_rejects_bad_parameters():
         build_g_times(9, 3)  # 3 does not divide q - 1 = 8
     with pytest.raises(ValueError):
         build_g_times(9, 1)
+
+
+def test_build_refuses_beyond_physical_memory(monkeypatch):
+    with pytest.raises(ValueError, match="physical memory"):
+        build_g_plus(2**1000, 2)  # an estimate no float can hold
+    monkeypatch.setattr(graphs, "_physical_memory", lambda: 1000)
+    with pytest.raises(ValueError, match="physical memory"):
+        build_g_plus(9, 3)
+    with pytest.raises(ValueError, match="physical memory"):
+        build_g_times(7, 2)
+
+
+def test_walk_matrix_refuses_beyond_physical_memory(monkeypatch):
+    # plus(9,3), n = 24: the audit holds M as bytes and as float32 (24^2 * 5
+    # bytes); the spectrum adds M^2, M^3 and the float64 factor (24^2 * 21)
+    g = cached_graph("plus", 9, 3)
+    monkeypatch.setattr(graphs, "_physical_memory", lambda: 24 * 24 * 5)
+    assert structural_audit(g).passed
+    with pytest.raises(ValueError, match="physical memory"):
+        verify_spectrum(g)
+    monkeypatch.setattr(graphs, "_physical_memory", lambda: 24 * 24 * 5 - 1)
+    with pytest.raises(ValueError, match="physical memory"):
+        structural_audit(g)
 
 
 # -- adjacency machinery -----------------------------------------------------------
