@@ -201,6 +201,46 @@ def test_budget_bracket_contains_alpha(n, density, seed, sem):
         assert verify_independent(g, res.witness, sem)
 
 
+# (lower, exact, nodes_explored) of complete searches, recorded with the
+# recursive search this file predates: any change to the visiting order, the
+# coloring or the prune rule shows up as a different node count
+COMPLETE_SEARCH_NODES = [
+    ("plus", 8, 4, "ignore-loops", (4, True, 3)),
+    ("plus", 8, 4, "exclude-looped", (2, True, 4)),
+    ("plus", 16, 8, "ignore-loops", (5, True, 27)),
+    ("plus", 16, 8, "exclude-looped", (4, True, 5)),
+    ("plus", 32, 16, "ignore-loops", (6, True, 273)),
+    ("plus", 32, 16, "exclude-looped", (4, True, 46)),
+    ("plus", 64, 32, "ignore-loops", (8, True, 1978)),
+    ("plus", 64, 32, "exclude-looped", (8, True, 95)),
+    ("plus", 128, 64, "ignore-loops", (9, True, 43310)),
+    ("plus", 128, 64, "exclude-looped", (8, True, 2031)),
+    ("plus", 256, 128, "ignore-loops", (16, True, 85815)),
+    ("plus", 256, 128, "exclude-looped", (16, True, 7811)),
+    ("plus", 9, 3, "ignore-loops", (8, True, 3)),
+    ("plus", 9, 3, "exclude-looped", (5, True, 9)),
+    ("plus", 25, 5, "ignore-loops", (24, True, 22149)),
+    ("plus", 25, 5, "exclude-looped", (16, True, 28711)),
+    ("gnp", 100, 0.05, 1, (45, True, 402)),
+    ("gnp", 100, 0.1, 2, (32, True, 2399)),
+    ("gnp", 100, 0.3, 0, (14, True, 2904)),
+    ("gnp", 100, 0.3, 1, (15, True, 2096)),
+    ("gnp", 100, 0.3, 2, (15, True, 1228)),
+    ("gnp", 100, 0.3, 3, (15, True, 1924)),
+]
+
+
+@pytest.mark.parametrize("kind,a,b,c,expected", COMPLETE_SEARCH_NODES)
+def test_complete_search_node_counts(kind, a, b, c, expected):
+    if kind == "plus":  # plus(q, t) under semantics c
+        g, sem = cached_graph("plus", a, b), c
+    else:  # G(n, p) drawn with seed c
+        g, sem = sample_gnp(a, b, seed=c), "ignore-loops"
+    res = max_independent_set_exact(g, semantics=sem)
+    assert (res.lower, res.exact, res.nodes_explored) == expected
+    assert verify_independent(g, res.witness, sem)
+
+
 def test_time_budget_returns_bracket():
     g = cached_graph("times", 121, 2)  # big enough that 0 seconds always trips
     res = max_independent_set_exact(g, time_budget=0.0)
