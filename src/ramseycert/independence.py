@@ -5,10 +5,12 @@ node/time budgets: bitset adjacency renumbered by non-increasing complement
 degree (the MCQ order of Tomita & Seki), an incumbent seeded by the
 min-degree greedy, and greedy-coloring upper bounds whose classes below
 ``kmin = best - size + 1`` are colored but never branched on (BBMC, San
-Segundo et al.).  On completion the result is the exact independence number
-with a witness in the original numbering; otherwise it is a certified
-bracket: lower is the incumbent, upper the largest coloring bound still open
-on the search path.
+Segundo et al.).  The search is one loop over an explicit path of open
+nodes, root first, so its depth is bounded by memory rather than by the
+interpreter's recursion limit.  On completion the result is the exact
+independence number with a witness in the original numbering; otherwise it
+is a certified bracket: lower is the incumbent, upper the largest coloring
+bound still open on the path.
 
 ``greedy_alpha`` is the cheap lower bound the Monte-Carlo check uses on large
 samples: it repeatedly takes the live vertex of least residual degree, lowest
@@ -28,7 +30,6 @@ alpha values.
 from __future__ import annotations
 
 import heapq
-import sys
 import time
 from dataclasses import asdict, dataclass
 
@@ -131,12 +132,16 @@ def max_independent_set_exact(
     branched on (BBMC).  Deterministic for fixed (graph, budgets, semantics);
     the witness is mapped back to the original indices and sorted.
 
-    On budget exhaustion ``lower`` is the incumbent and ``upper`` is the
-    largest of ``best`` and ``size + color`` over the open level of every
-    frame on the current search path (each unexplored branch there is bounded
-    by its color), or the number of allowed vertices if no coloring ran.
-    The time budget counts from entry and is read once before the first node,
-    then every 1024 nodes.  A negative (or NaN) budget raises ValueError.
+    The search keeps the open nodes from the root down as a list of frames
+    and visits nodes in the order a depth-first recursion would.  On budget
+    exhaustion ``lower`` is the incumbent and ``upper`` is read off that
+    path: the largest of ``best`` and each frame's ``size + color`` of the
+    branch it is exploring (every unexplored branch there is bounded by its
+    color), or the number of allowed vertices if the path is empty.  The
+    time budget counts from entry; the clock is read before a node is
+    visited whenever the node count is a multiple of 1024, node 0 included,
+    so a budget spent by the setup stops the search at 0 nodes.  A negative
+    (or NaN) budget raises ValueError.
     """
     _check_semantics(semantics)
     if node_budget < 0 or not time_budget >= 0:
@@ -153,68 +158,72 @@ def max_independent_set_exact(
             best_mask |= 1 << k
     nodes = 0
     hit: str | None = None
-    open_bound = 0  # max of size + color over the open levels of the path
-
-    def expand(size: int, mask: int, P: int) -> None:
-        nonlocal best, best_mask, nodes, hit, open_bound
+    # the open nodes from the root down, each [size, mask, P, branch, bounds,
+    # open]: branch holds the vertices still to branch on, last one first,
+    # bounds[i] is the color of branch[i], and open is size + the color of the
+    # branch being explored below it
+    path: list[list] = []
+    size, mask, P = 0, 0, (1 << len(comp)) - 1  # the next node to visit
+    while True:
+        # the complement build and the seeding greedy may already have spent
+        # the budget, so the clock is read before node 0 too
+        if not nodes & 1023 and time.monotonic() > deadline:
+            hit = "time"
+            break
         nodes += 1
         if nodes > node_budget:
             hit = "nodes"
-            return
-        if not (nodes & 1023) and time.monotonic() > deadline:
-            hit = "time"
-            return
-        if not P:
-            if size > best:
-                best, best_mask = size, mask
-            return
-        # color classes of mutual non-(comp)-neighbours; bounds[i] is the
-        # color of branch[i], kept only from kmin up
-        kmin = best - size + 1
-        branch: list[int] = []
-        bounds: list[int] = []
-        color = 0
-        rest = P
-        while rest:
-            color += 1
-            avail = rest
-            while avail:
-                low = avail & -avail
-                v = low.bit_length() - 1
-                avail ^= low
-                avail &= ~comp[v]
-                rest ^= low
-                if color >= kmin:
-                    branch.append(v)
-                    bounds.append(color)
-        for i in range(len(branch) - 1, -1, -1):
-            if size + bounds[i] <= best:
-                return
-            v = branch[i]
-            bit = 1 << v
-            P &= ~bit
-            expand(size + 1, mask | bit, P & comp[v])
-            if hit:
-                open_bound = max(open_bound, size + bounds[i])
-                return
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, g.n + 1000))
-    try:
-        # expand reads the clock every 1024 nodes; the complement build and
-        # the seeding greedy may already have spent the budget
-        if time.monotonic() > deadline:
-            hit = "time"
+            break
+        if P:
+            # color classes of mutual non-(comp)-neighbours, kept only from
+            # kmin up: lower classes cannot lift size past best
+            kmin = best - size + 1
+            branch: list[int] = []
+            bounds: list[int] = []
+            color = 0
+            rest = P
+            while rest:
+                color += 1
+                avail = rest
+                while avail:
+                    low = avail & -avail
+                    v = low.bit_length() - 1
+                    avail ^= low
+                    avail &= ~comp[v]
+                    rest ^= low
+                    if color >= kmin:
+                        branch.append(v)
+                        bounds.append(color)
+            path.append([size, mask, P, branch, bounds, 0])
+        elif size > best:
+            best, best_mask = size, mask
+        # the next node is the last branch of the deepest open node whose
+        # color can still beat best; colors only fall along a branch list,
+        # so the first one that cannot closes its node
+        while path:
+            frame = path[-1]
+            branch = frame[3]
+            if branch:
+                size = frame[0]
+                color = frame[4].pop()
+                v = branch.pop()
+                if size + color > best:
+                    frame[5] = size + color
+                    bit = 1 << v
+                    P = frame[2] = frame[2] & ~bit
+                    size, mask, P = size + 1, frame[1] | bit, P & comp[v]
+                    break
+            path.pop()
         else:
-            expand(0, 0, (1 << len(comp)) - 1)
-    finally:
-        sys.setrecursionlimit(old_limit)
+            break
 
     exact = hit is None
     if exact:
         upper = best
+    elif path:
+        upper = max(best, max(frame[5] for frame in path))
     else:
-        upper = max(best, open_bound) if open_bound else len(comp)
+        upper = len(comp)
     return AlphaResult(
         lower=best,
         upper=upper,
