@@ -161,32 +161,26 @@ class Field:
     # -- ring ops (add, neg and sub also work elementwise on int arrays) --------
 
     def add(self, x: int, y: int) -> int:
-        if self.p == 2:
+        return self._digitwise(x, y, 1)
+
+    def neg(self, x: int) -> int:
+        return self._digitwise(0, x, -1)
+
+    def sub(self, x: int, y: int) -> int:
+        return self._digitwise(x, y, -1)
+
+    def _digitwise(self, x: int, y: int, s: int) -> int:
+        """(x + s*y) mod p digit by digit in base p, for s = +1 or -1."""
+        p = self.p
+        if p == 2:
             return x ^ y
-        if self.a == 1:
-            return (x + y) % self.p
-        p, out, mul = self.p, 0, 1
-        for _ in range(self.a):
-            out += ((x + y) % p) * mul
+        out, mul = (x + s * y) % p, 1
+        for _ in range(self.a - 1):
             x = x // p  # rebinding, not //=, so an int array is never mutated
             y = y // p
             mul *= p
+            out += (x + s * y) % p * mul
         return out
-
-    def neg(self, x: int) -> int:
-        if self.p == 2:
-            return x
-        if self.a == 1:
-            return (-x) % self.p
-        p, out, mul = self.p, 0, 1
-        for _ in range(self.a):
-            out += ((-x) % p) * mul
-            x = x // p
-            mul *= p
-        return out
-
-    def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
 
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:
