@@ -229,8 +229,7 @@ def fleet(q_max: int = 128) -> Iterator[tuple[str, int, int]]:
                 yield "times", q, t
 
 
-def from_edges(n: int, edges: Iterable[tuple[int, int]], variant: str = "other",
-               t: int = 0, labels: tuple[tuple[int, int], ...] | None = None,
+def from_edges(n: int, edges: Iterable[tuple[int, int]], t: int = 0,
                meta: GraphMeta | None = None) -> Graph:
     """Assemble a Graph from an edge list; (i, i) pairs become loops."""
     rows = [0] * n
@@ -239,11 +238,9 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]], variant: str = "other",
             raise ValueError(f"edge ({u}, {v}) out of range for n = {n}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    if labels is None:
-        labels = tuple((0, i) for i in range(n))
     if meta is None:
-        meta = GraphMeta(variant=variant, t=t)
-    return Graph(rows=tuple(rows), labels=labels, meta=meta)
+        meta = GraphMeta(variant="other", t=t)
+    return Graph(rows=tuple(rows), labels=tuple((0, i) for i in range(n)), meta=meta)
 
 
 # -- structural audit ----------------------------------------------------------

@@ -27,6 +27,7 @@ E8 = math.exp(8.0)
 C3_DEFAULT = 1.0 / (400.0 * E8)  # asymptotic constant; degenerates at desk scale
 
 _DENSE_SAMPLE_LIMIT = 20000
+_EXACT_ALPHA_LIMIT = 200  # monte_carlo_check searches alpha exactly up to this n
 
 
 class DegenerateRecipeError(ValueError):
@@ -177,13 +178,12 @@ def monte_carlo_check(
     recipe: RandomRecipe,
     samples: int = 50,
     *,
-    exact_alpha_limit: int = 200,
     threads: int = 1,
 ) -> dict:
     """Draw graphs from the recipe and test the desk-checkable predictions.
 
     Per sample: edge count, K_{2,t} witness count/freeness, alpha (exact
-    search when n <= exact_alpha_limit, deterministic greedy lower bound
+    search when n <= _EXACT_ALPHA_LIMIT, deterministic greedy lower bound
     otherwise), and the distance to the alpha center when d >= 3.  The summary
     compares: mean witness count <= 3x the analytic first moment; fraction of
     K_{2,t}-free samples >= 90% whenever the analytic expectation is < 0.1;
@@ -201,7 +201,7 @@ def monte_carlo_check(
     except ValueError:
         frieze_center = frieze_working = None
 
-    args = [(recipe, i, exact_alpha_limit) for i in range(samples)]
+    args = [(recipe, i) for i in range(samples)]
     workers = min(threads, samples)  # never more processes than samples
     if workers > 1:
         from multiprocessing import Pool
@@ -258,11 +258,11 @@ def monte_carlo_check(
     }
 
 
-def _one_sample(args: tuple[RandomRecipe, int, int]) -> dict:
-    recipe, index, exact_alpha_limit = args
+def _one_sample(args: tuple[RandomRecipe, int]) -> dict:
+    recipe, index = args
     g = sample_gnp(recipe.n, recipe.p, recipe.seed, stream=index)
     wc = k2t_witness_count(g, recipe.t)
-    if recipe.n <= exact_alpha_limit:
+    if recipe.n <= _EXACT_ALPHA_LIMIT:
         res = max_independent_set_exact(g)
         alpha, alpha_exact = res.lower, res.exact
     else:
