@@ -43,8 +43,7 @@ def main(argv=None) -> int:
             row["annihilator"] = rep.annihilator_verified
             row["identities"] = rep.identities_ok
             row["matches_lemma"] = rep.matches_lemma
-            spectrum_bad = not (rep.annihilator_verified and rep.identities_ok
-                                and rep.matches_lemma is not False)
+            spectrum_bad = not rep.passed
         else:
             spectrum_bad = False
         row["seconds"] = round(time.time() - t0, 2)

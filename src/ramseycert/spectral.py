@@ -225,6 +225,11 @@ class SpectrumReport:
     closed_form: dict[str, int] | None
     matches_lemma: bool | None
 
+    @property
+    def passed(self) -> bool:
+        """Annihilator and identities verified, and the lemma not contradicted."""
+        return self.annihilator_verified and self.identities_ok and self.matches_lemma is not False
+
     def eigenvalue_rows(self) -> list[dict]:
         q = self.q
         shape = {

@@ -1,6 +1,7 @@
 """Spectrum certification: exact moments/multiplicities and the character route."""
 
 import cmath
+import dataclasses
 import random
 from collections import Counter
 from math import sqrt
@@ -247,6 +248,16 @@ def test_verify_spectrum_even_char_records_without_closed_form():
     assert rep.matches_lemma is None and rep.closed_form is None
     assert rep.annihilator_verified and rep.identities_ok
     assert sum(rep.multiplicities.values()) == rep.n
+
+
+def test_spectrum_passed_rule():
+    # no closed form (matches_lemma None) passes; a contradicted lemma or a
+    # failed identity does not; the property stays out of the JSON
+    rep = verify_spectrum(cached_graph("plus", 16, 4))
+    assert rep.passed and "passed" not in rep.to_dict()
+    assert not dataclasses.replace(rep, matches_lemma=False).passed
+    assert not dataclasses.replace(rep, identities_ok=False).passed
+    assert not dataclasses.replace(rep, annihilator_verified=False).passed
 
 
 def test_verify_spectrum_rejects_synthetic_graphs():
