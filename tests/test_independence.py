@@ -201,9 +201,9 @@ def test_budget_bracket_contains_alpha(n, density, seed, sem):
         assert verify_independent(g, res.witness, sem)
 
 
-# (lower, exact, nodes_explored) of complete searches, recorded with the
-# recursive search this file predates: any change to the visiting order, the
-# coloring or the prune rule shows up as a different node count
+# (lower, exact, nodes_explored) of complete searches: any change to the
+# visiting order, the coloring or the prune rule shows up as a different
+# node count
 COMPLETE_SEARCH_NODES = [
     ("plus", 8, 4, "ignore-loops", (4, True, 3)),
     ("plus", 8, 4, "exclude-looped", (2, True, 4)),
