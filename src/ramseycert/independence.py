@@ -217,17 +217,14 @@ def max_independent_set_exact(
         else:
             break
 
-    exact = hit is None
-    if exact:
-        upper = best
-    elif path:
-        upper = max(best, max(frame[5] for frame in path))
+    if path:  # a budget stopped the search below these open nodes
+        upper = max(best, *(frame[5] for frame in path))
     else:
-        upper = len(comp)
+        upper = len(comp) if hit else best
     return AlphaResult(
         lower=best,
         upper=upper,
-        exact=exact,
+        exact=hit is None,
         witness=tuple(sorted(order[k] for k in _bits(best_mask))),
         nodes_explored=nodes,
         time_limit_hit=hit is not None,
