@@ -132,16 +132,14 @@ def max_independent_set_exact(
     branched on (BBMC).  Deterministic for fixed (graph, budgets, semantics);
     the witness is mapped back to the original indices and sorted.
 
-    The search keeps the open nodes from the root down as a list of frames
-    and visits nodes in the order a depth-first recursion would.  On budget
-    exhaustion ``lower`` is the incumbent and ``upper`` is read off that
-    path: the largest of ``best`` and each frame's ``size + color`` of the
-    branch it is exploring (every unexplored branch there is bounded by its
-    color), or the number of allowed vertices if the path is empty.  The
-    time budget counts from entry; the clock is read before a node is
-    visited whenever the node count is a multiple of 1024, node 0 included,
-    so a budget spent by the setup stops the search at 0 nodes.  A negative
-    (or NaN) budget raises ValueError.
+    The open nodes from the root down are kept as a list of frames, visited
+    in depth-first order.  On budget exhaustion ``lower`` is the incumbent
+    and ``upper`` is read off that path: the largest of ``best`` and each
+    frame's ``size + color`` of the branch it is exploring (every unexplored
+    branch there is bounded by its color), or the number of allowed vertices
+    if the path is empty.  The time budget counts from entry; the clock is
+    read before each node whose count is a multiple of 1024, node 0
+    included.  A negative (or NaN) budget raises ValueError.
     """
     _check_semantics(semantics)
     if node_budget < 0 or not time_budget >= 0:
