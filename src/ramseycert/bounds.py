@@ -19,10 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from math import ceil, floor, log, sqrt
-
-import mpmath
+from typing import TYPE_CHECKING
 
 from .fields import is_prime_power
+
+if TYPE_CHECKING:
+    import mpmath
 
 _REPLAY_DPS = 50
 _SIGN_GUARD = 1e-6
@@ -149,6 +151,8 @@ def alon_rodl_log_lhs(n: float, d: float, lam: float, k: int, m: float) -> float
 
 def alon_rodl_log_lhs_mp(n, d, lam, k, m) -> mpmath.mpf:
     """The same expression in extended precision (independent evaluation path)."""
+    import mpmath  # loaded on first use: most commands never need it
+
     with mpmath.workdps(_REPLAY_DPS):
         n, d, lam, m = mpmath.mpf(n), mpmath.mpf(d), mpmath.mpf(lam), mpmath.mpf(m)
         ln_n = mpmath.log(n)
@@ -264,6 +268,8 @@ def certify(query: BoundQuery) -> Certificate:
     step1_ok = m >= m_prime
     log_lhs = alon_rodl_log_lhs(n, d, lam, k, m_prime)
     if abs(log_lhs) < _SIGN_GUARD:
+        import mpmath
+
         with mpmath.workdps(_REPLAY_DPS):
             log_lhs = float(alon_rodl_log_lhs_mp(n, d, mpmath.sqrt(q), k, m_prime))
     ineq_ok = log_lhs < 0
@@ -287,6 +293,8 @@ def replay_certificate(cert: dict) -> dict:
     Relative tolerance 1e-9 on real-valued quantities; integer and boolean
     fields must match exactly.
     """
+    import mpmath
+
     checks: dict[str, dict] = {}
 
     def add(name: str, recorded, replayed, ok: bool) -> None:

@@ -192,7 +192,7 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_import(args) -> int:
-    with open(args.file) as fh:
+    with open(args.file, newline="") as fh:  # CRLF or CR line ends are not canonical
         text = fh.read()
     g = from_g2t(text)
     roundtrip = to_g2t(g) == text

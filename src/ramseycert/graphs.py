@@ -21,7 +21,14 @@ audit records the full codegree histogram; the load-bearing property is that
 the maximum codegree is at most t, i.e. the graph contains no K_{2,t+1}.
 
 Graphs serialize to a line-oriented ``g2t`` text format (see ``to_g2t``) that
-round-trips byte-identically.
+round-trips byte-identically.  Both directions are whole-array numpy kernels
+over 512 bitset rows at a time.  The writer unpacks each block's upper
+triangle; its nonzero entries are the block's edges in (u, v) order, and
+their ``e u v`` lines are written digit by digit into one byte array.  The
+parser classifies the bytes after the header a few MB at a time, cuts tokens
+and lines where the byte class changes, decodes each number by digit
+position, makes every check an array predicate, and packs the rows from the
+edges sorted by row.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import asdict, dataclass, field as dc_field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -86,16 +93,7 @@ class Graph:
         return _bits(self.rows[i])
 
     def adjacency_matrix(self, dtype=np.float64) -> np.ndarray:
-        n = self.n
-        nbytes = (n + 7) // 8
-        buf = bytearray(nbytes * n)
-        for i, r in enumerate(self.rows):
-            buf[i * nbytes:(i + 1) * nbytes] = r.to_bytes(nbytes, "little")
-        bits = np.unpackbits(
-            np.frombuffer(bytes(buf), dtype=np.uint8).reshape(n, nbytes),
-            axis=1, bitorder="little",
-        )[:, : n]
-        return bits.astype(dtype)
+        return _unpack_rows(self.rows, self.n).astype(dtype)
 
 
 def _bits(x: int) -> list[int]:
@@ -140,6 +138,15 @@ def _pack_rows(bits: np.ndarray) -> list[int]:
     """One int bitset per row of a 0/1 matrix: bit j of row i is bits[i, j]."""
     packed = np.packbits(bits, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _unpack_rows(rows: Sequence[int], width: int) -> np.ndarray:
+    """The 0/1 uint8 matrix of bitset rows over ``width`` columns (no row may
+    have a bit past them): the inverse of ``_pack_rows``."""
+    nbytes = (width + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows),
+                           dtype=np.uint8).reshape(len(rows), nbytes)
+    return np.unpackbits(packed, axis=1, count=width, bitorder="little")
 
 
 def _coset_graph(variant: str, p: int, a: int, t: int) -> Graph:
@@ -386,6 +393,52 @@ def structural_audit(g: Graph) -> StructuralReport:
 
 # -- g2t serialization ----------------------------------------------------------
 
+_BLOCK = 512  # bitset rows unpacked (writer) or packed (parser) at a time
+_CHUNK = 1 << 21  # body bytes the parser classifies at a time, cut at a line end
+_MAX_DIGITS = 18  # a g2t number has at most 18 digits, so it fits an int64
+_POW10 = 10 ** np.arange(_MAX_DIGITS + 1, dtype=np.int64)  # 1, 10, ..., 10^18
+
+# byte classes of the lines after the header; every other byte is refused
+_SPACE, _LF, _DIGIT, _TAG, _OTHER = range(5)
+_CLASS = np.full(256, _OTHER, dtype=np.uint8)
+_CLASS[[ord(" "), ord("\t")]] = _SPACE
+_CLASS[ord("\n")] = _LF
+_CLASS[ord("0"):ord("9") + 1] = _DIGIT
+_CLASS[[ord("e"), ord("v")]] = _TAG
+
+
+def _digit_counts(x: np.ndarray) -> np.ndarray:
+    """Decimal digit count of each non-negative x < 10^19."""
+    return 1 + np.searchsorted(_POW10[1:], x, side="right")
+
+
+def _put_decimal(out: np.ndarray, last: np.ndarray, x: np.ndarray, width: np.ndarray) -> None:
+    """Write the ``width`` decimal digits of each non-negative x into ``out``,
+    the last digit at ``last`` (which is overwritten): one divmod pass per
+    digit position."""
+    if not len(x):
+        return
+    short = int(width.min())
+    for k in range(int(width.max())):
+        if k >= short:  # drop the numbers already written out
+            keep = width > k
+            last, x, width = last[keep], x[keep], width[keep]
+        x, digit = np.divmod(x, 10)
+        out[last] = digit.astype(np.uint8) + np.uint8(ord("0"))
+        last -= 1
+
+
+def _edge_lines(u: np.ndarray, v: np.ndarray) -> str:
+    """``e <u> <v>`` LF-terminated lines, written into one byte array."""
+    wu, wv = _digit_counts(u), _digit_counts(v)
+    ends = np.cumsum(wu + wv + 4)  # one past each line's LF
+    out = np.full(int(ends[-1]) if len(ends) else 0, ord(" "), dtype=np.uint8)
+    out[ends - (wu + wv + 4)] = ord("e")
+    out[ends - 1] = ord("\n")
+    _put_decimal(out, ends - 2, v, wv)
+    _put_decimal(out, ends - 3 - wv, u, wu)
+    return str(out.data, "ascii")
+
 
 def to_g2t(g: Graph) -> str:
     """Serialize deterministically: header, vertex labels, sorted edges, LF only.
@@ -393,14 +446,22 @@ def to_g2t(g: Graph) -> str:
     Header: ``g2t v1 variant=<v> p=<p> a=<a> q=<q> t=<t> n=<n>``; one
     ``v <index> <coset_id> <element>`` line per vertex in index order; one
     ``e <u> <v>`` line (u <= v) per edge in lexicographic order.
+
+    The n ``v`` lines are formatted by ``str``, since a label may be any int.
+    The edges are read 512 rows at a time: the rows' upper triangles are
+    unpacked, their nonzero entries are already in (u, v) order, and the
+    block's lines are written digit by digit into one byte array.
     """
     m = g.meta
     lines = [f"g2t v1 variant={m.variant} p={m.p} a={m.a} q={m.q} t={m.t} n={g.n}"]
-    for i, (cid, x) in enumerate(g.labels):
-        lines.append(f"v {i} {cid} {x}")
-    for u in range(g.n):
-        lines += [f"e {u} {u + k}" for k in _bits(g.rows[u] >> u)]  # v = u + k >= u
-    return "\n".join(lines) + "\n"
+    lines += [f"v {i} {cid} {x}" for i, (cid, x) in enumerate(g.labels)]
+    parts = ["\n".join(lines) + "\n"]
+    for b in range(0, g.n, _BLOCK):
+        upper = [r >> u << u for u, r in enumerate(g.rows[b:b + _BLOCK], b)]  # v >= u
+        width = max(r.bit_length() for r in upper) or 1  # no bit past it
+        u, v = np.divmod(np.flatnonzero(_unpack_rows(upper, width).view(np.bool_)), width)
+        parts.append(_edge_lines(u + b, v))
+    return "".join(parts)
 
 
 _G2T_HEADER_KEYS = ("variant", "p", "a", "q", "t", "n")
@@ -412,6 +473,8 @@ def _g2t_header(line: str, max_n: int) -> tuple[GraphMeta, int]:
     ``max_n`` is the number of lines after the header: n may not exceed it,
     which is checked before anything of size n (or q <= n + 1) is touched.
     """
+    if not line.replace("\t", " ").isprintable():
+        raise ValueError("the g2t header holds a control character")
     fields = {}
     for tok in line.split()[2:]:
         key, eq, value = tok.partition("=")
@@ -421,9 +484,11 @@ def _g2t_header(line: str, max_n: int) -> tuple[GraphMeta, int]:
     missing = [k for k in _G2T_HEADER_KEYS if k not in fields]
     if missing:
         raise ValueError(f"g2t header lacks {', '.join(k + '=' for k in missing)}")
+    for key in _G2T_HEADER_KEYS[1:]:
+        if not (fields[key].isdigit() and len(fields[key]) <= _MAX_DIGITS):
+            raise ValueError(f"g2t header {key}={fields[key]!r} is not an unsigned "
+                             f"decimal of at most {_MAX_DIGITS} digits")
     p, a, q, t, n = (int(fields[k]) for k in _G2T_HEADER_KEYS[1:])
-    if min(p, a, q, t, n) < 0:
-        raise ValueError("g2t header counts must be non-negative")
     if n > max_n:
         raise ValueError(f"header says n = {n} but only {max_n} lines follow it")
     meta = GraphMeta(variant=fields["variant"], p=p, a=a, q=q, t=t)
@@ -445,52 +510,149 @@ def _check_construction(meta: GraphMeta, n: int) -> None:
         raise ValueError(f"{meta.variant} metadata: t = {t} is not a subgroup order for q = {q}")
 
 
+def _g2t_records(a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(u, v, i, c, x) of the ``e u v`` and ``v i c x`` records in whole g2t
+    body lines ``a`` (bytes after the header, LF line ends, the last LF
+    optional; at least one byte).  Checks the bytes, the record shapes and the number widths;
+    ranges are the caller's.
+
+    Tokens are the runs of non-space bytes; a record is a line with tokens,
+    and its first token is its tag.  A number is decoded by digit position,
+    10^k times its k-th digit from the end, over all numbers of a field at
+    once.
+    """
+    cls = _CLASS.take(a)
+    nl = np.flatnonzero(cls == _LF)
+    if cls[-1] != _LF:
+        nl = np.append(nl, len(a))  # the unterminated last line
+
+    def malformed(pos: int) -> ValueError:
+        k = int(np.searchsorted(nl, pos))  # the line holding byte pos
+        lo = int(nl[k - 1]) + 1 if k else 0
+        return ValueError(f"malformed g2t line {a[lo:nl[k]].tobytes().decode()!r}")
+
+    if cls.max() == _OTHER:
+        raise malformed(np.argmax(cls == _OTHER))
+    is_tok = np.zeros(len(a) + 2, dtype=np.int8)
+    is_tok[1:-1] = cls >= _DIGIT
+    step = np.diff(is_tok)  # +1 where a token starts, -1 one past its end
+    starts, ends = np.flatnonzero(step == 1), np.flatnonzero(step == -1)
+    through = np.searchsorted(starts, nl)  # tokens starting before each line's end
+    ntok = np.diff(through, prepend=0)
+    tag = (through - ntok)[ntok > 0]  # each record's first token
+    is_e = a[starts[tag]] == ord("e")
+    shaped = ((ends[tag] - starts[tag] == 1) & (cls[starts[tag]] == _TAG)
+              & (ntok[ntok > 0] == np.where(is_e, 3, 4)))
+    if not shaped.all():
+        raise malformed(starts[tag[np.argmin(shaped)]])
+    if np.count_nonzero(cls == _TAG) != len(tag):  # a tag byte inside a number
+        letters = np.flatnonzero(cls == _TAG)
+        raise malformed(letters[np.isin(letters, starts[tag], invert=True)][0])
+    width = ends - starts
+    if width.max(initial=0) > _MAX_DIGITS:
+        raise malformed(starts[np.argmax(width)])
+    e, v = tag[is_e], tag[~is_e]
+    return tuple(_decimals(a, ends[f] - 1, width[f])
+                 for f in (e + 1, e + 2, v + 1, v + 2, v + 3))
+
+
+def _decimals(a: np.ndarray, last: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """The unsigned decimals of ``width`` digits ending at ``last`` in ``a``."""
+    value = np.zeros(len(last), dtype=np.int64)
+    for k in range(int(width.max(initial=0))):
+        digit = a[last - k] - np.uint8(ord("0"))
+        digit[width <= k] = 0  # before the number
+        value += digit * _POW10[k]
+    return value
+
+
+def _rows_from_edges(n: int, u: np.ndarray, v: np.ndarray) -> list[int]:
+    """Bitset rows of the edges (u, v), u <= v < n: both directions sorted
+    into one key row * n + column, then 512 rows at a time through
+    ``_pack_rows``, each block only as wide as its last set column."""
+    m = len(u)
+    key = np.empty(2 * m, dtype=np.int64)
+    np.multiply(u, n, out=key[:m])
+    key[:m] += v
+    np.multiply(v, n, out=key[m:])
+    key[m:] += u
+    key.sort()
+    rows: list[int] = []
+    for b in range(0, n, _BLOCK):
+        lo, hi = np.searchsorted(key, [b * n, min(b + _BLOCK, n) * n])
+        r, c = np.divmod(key[lo:hi], n)
+        bits = np.zeros((min(_BLOCK, n - b), int(c.max(initial=-1)) + 1), dtype=np.bool_)
+        bits[r - b, c] = True
+        rows += _pack_rows(bits)
+    return rows
+
+
+def _g2t_fields(text: str) -> tuple[GraphMeta, int, list[np.ndarray]]:
+    """The header of a g2t text and its record columns u, v, i, c, x, once
+    the bytes, the record shapes and the number widths are checked."""
+    if not text.isascii():
+        raise ValueError("a g2t file is ASCII text")
+    data = text.encode("ascii")
+    if b"\r" in data:  # universal newlines
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not data.startswith(b"g2t v1 "):
+        raise ValueError("not a g2t v1 file")
+    body = data.find(b"\n") + 1 or len(data)  # the first byte after the header
+    max_n = data.count(b"\n", body) + (body < len(data) and not data.endswith(b"\n"))
+    meta, n = _g2t_header(data[:body].rstrip(b"\n").decode(), max_n)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    records = []
+    while body < len(data):
+        cut = data.find(b"\n", body + _CHUNK) + 1 or len(data)
+        records.append(_g2t_records(buf[body:cut]))
+        body = cut
+    columns = [np.concatenate(col) for col in zip(*records)]
+    return meta, n, columns or [np.zeros(0, dtype=np.int64)] * 5
+
+
 def from_g2t(text: str) -> Graph:
     """Parse ``to_g2t`` output; every malformed input raises ValueError.
 
-    The header must carry all of variant, p, a, q, t, n; for ``plus``/``times``
-    they must describe a valid construction (q = p^a, t a subgroup order,
-    n = q(q-1)/t), and each vertex label must be the one the construction
-    gives that index.  Each vertex needs exactly one ``v`` line, and every
-    record must have its full field count with indices in range.
+    The grammar: ASCII text with no control character but tab, CR and LF; a
+    line ends at LF, CRLF or a lone CR; tokens are separated by spaces or
+    tabs.  The first line is the header, ``g2t v1 `` and key=value tokens.
+    Every later line is blank or a record, ``e u v`` or ``v i c x``, whose
+    numbers (and the header's p, a, q, t, n) are unsigned decimals of at
+    most 18 digits.
+
+    The header must carry all of variant, p, a, q, t, n, and n may not pass
+    the number of lines after it; for ``plus``/``times`` they must describe a
+    valid construction (q = p^a, t a subgroup order, n = q(q-1)/t), and each
+    vertex label must be the one the construction gives that index.  Each
+    vertex needs exactly one ``v`` line, and every edge needs u <= v < n.
+
+    The lines after the header are classified and cut into tokens as byte
+    arrays, a few MB at a time, and every check is an array predicate.
     """
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("g2t v1 "):
-        raise ValueError("not a g2t v1 file")
-    meta, n = _g2t_header(lines[0], len(lines) - 1)
-    labels: list[tuple[int, int] | None] = [None] * n
-    rows = [0] * n
-    seen_v = 0
-    for ln in lines[1:]:
-        parts = ln.split()
-        if not parts:
-            continue
-        if parts[0] == "e" and len(parts) == 3:  # edge lines dominate; test them first
-            u, v = int(parts[1]), int(parts[2])
-            if not (0 <= u <= v < n):
-                raise ValueError(f"edge ({u}, {v}) malformed")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        elif parts[0] == "v" and len(parts) == 4:
-            i, cid, x = int(parts[1]), int(parts[2]), int(parts[3])
-            if not 0 <= i < n:
-                raise ValueError(f"vertex index {i} out of range")
-            if labels[i] is not None:
-                raise ValueError(f"vertex {i} has more than one v line")
-            labels[i] = (cid, x)
-            seen_v += 1
-        else:
-            raise ValueError(f"malformed g2t line {ln!r}")
-    if seen_v != n:
-        raise ValueError(f"expected {n} vertex lines, saw {seen_v}")
+    meta, n, (u, v, i, cid, x) = _g2t_fields(text)
+    bad = np.flatnonzero((u > v) | (v >= n))
+    if len(bad):
+        raise ValueError(f"edge ({u[bad[0]]}, {v[bad[0]]}) malformed")
+    bad = np.flatnonzero(i >= n)
+    if len(bad):
+        raise ValueError(f"vertex index {i[bad[0]]} out of range")
+    seen = np.bincount(i, minlength=n)
+    if len(seen) and seen.max() > 1:
+        raise ValueError(f"vertex {np.argmax(seen)} has more than one v line")
+    if len(i) != n:
+        raise ValueError(f"expected {n} vertex lines, saw {len(i)}")
+    labels = np.empty((n, 2), dtype=np.int64)
+    labels[i] = np.stack([cid, x], axis=1)
     if meta.variant in ("plus", "times"):
         width, first = _layout(meta.variant, meta.q)
-        for i, label in enumerate(labels):
-            want = (i // width, i % width + first)
-            if label != want:
-                raise ValueError(f"vertex {i} has label {label}, not the {meta.variant} "
-                                 f"construction's {want}")
-    return Graph(rows=tuple(rows), labels=tuple(labels), meta=meta)
+        index = np.arange(n)
+        bad = np.flatnonzero((labels[:, 0] != index // width) | (labels[:, 1] != index % width + first))
+        if len(bad):
+            k = int(bad[0])
+            raise ValueError(f"vertex {k} has label {tuple(labels[k].tolist())}, not the "
+                             f"{meta.variant} construction's {(k // width, k % width + first)}")
+    return Graph(rows=tuple(_rows_from_edges(n, u, v)),
+                 labels=tuple(map(tuple, labels.tolist())), meta=meta)
 
 
 def write_g2t(g: Graph, path: str) -> None:

@@ -268,6 +268,17 @@ def test_import_reports_canonical_form(plus93_file, capsys):
     assert doc["loops"] == 8
 
 
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_import_judges_canonical_form_from_the_bytes(newline, plus93_file, tmp_path, capsys):
+    copy = tmp_path / "plus_9_3.g2t"
+    copy.write_bytes(open(plus93_file, "rb").read().replace(b"\n", newline.encode()))
+    _, lf = run_json(["import", plus93_file], capsys)
+    code, other = run_json(["import", str(copy)], capsys)
+    assert lf["canonical_form"] is True
+    assert code == 0 and other["canonical_form"] is False
+    assert (other["n"], other["edges"]) == (lf["n"], lf["edges"])
+
+
 def test_build_then_audit_pipeline(tmp_path, capsys):
     out = tmp_path / "times_11_5.g2t"
     code, doc = run_json(["build", "--variant", "times", "--q", "11", "--t", "5",
@@ -277,6 +288,17 @@ def test_build_then_audit_pipeline(tmp_path, capsys):
 
 
 # -- installed entry point ----------------------------------------------------------
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    # only certify and replay need extended precision; they import it themselves
+    src = os.path.dirname(os.path.dirname(ramseycert.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ramseycert.cli; print('mpmath' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
 
 @pytest.mark.skipif(shutil.which("ramseycert") is None,

@@ -1,17 +1,21 @@
 """Construction audits against frozen histograms and the g2t format round trip."""
 
 import math
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ramseycert import graphs
 from ramseycert.fields import factorize, make_field, subgroup
 from ramseycert.graphs import (
     Graph,
     GraphMeta,
+    _bits,
+    _check_construction,
+    _layout,
     build_g_plus,
     build_g_times,
     codegree_histogram,
@@ -248,6 +252,9 @@ def test_g2t_round_trip_synthetic(data):
     lambda s: s + "e 0 99\n",                       # edge out of range
     lambda s: s + "w 1 2\n",                        # unknown record type
     lambda s: s.replace("e 0", "e 1000000", 1),     # vertex index out of range
+    lambda s: s.replace("e 0 ", "e +0 ", 1),        # signed number
+    lambda s: s.replace("e 0 ", "e \u0660 ", 1),    # non-ASCII digit
+    lambda s: s.replace("\ne ", "\fe ", 1),         # form feed as a line break
 ])
 def test_g2t_rejects_malformed(mangle):
     text = to_g2t(cached_graph("plus", 9, 3))
@@ -266,3 +273,227 @@ def test_g2t_rejects_labels_off_the_construction(variant, q, t, line, label):
     lines[line] = label + "\n"
     with pytest.raises(ValueError, match="label"):
         from_g2t("".join(lines))
+
+
+# -- g2t against the loop oracles ------------------------------------------------
+
+
+def loop_to_g2t(g: Graph) -> str:
+    """Reference writer: one f-string per vertex and per edge, the edges of
+    each row read off its bitset from the diagonal up."""
+    m = g.meta
+    lines = [f"g2t v1 variant={m.variant} p={m.p} a={m.a} q={m.q} t={m.t} n={g.n}"]
+    for i, (cid, x) in enumerate(g.labels):
+        lines.append(f"v {i} {cid} {x}")
+    for u in range(g.n):
+        lines += [f"e {u} {u + k}" for k in _bits(g.rows[u] >> u)]  # v = u + k >= u
+    return "\n".join(lines) + "\n"
+
+
+def _loop_g2t_header(line: str, max_n: int) -> tuple[GraphMeta, int]:
+    fields = {}
+    for tok in line.split()[2:]:
+        key, eq, value = tok.partition("=")
+        if not eq or key in fields:
+            raise ValueError(f"g2t header token {tok!r} is not a new key=value")
+        fields[key] = value
+    missing = [k for k in ("variant", "p", "a", "q", "t", "n") if k not in fields]
+    if missing:
+        raise ValueError(f"g2t header lacks {', '.join(k + '=' for k in missing)}")
+    p, a, q, t, n = (int(fields[k]) for k in ("p", "a", "q", "t", "n"))
+    if min(p, a, q, t, n) < 0:
+        raise ValueError("g2t header counts must be non-negative")
+    if n > max_n:
+        raise ValueError(f"header says n = {n} but only {max_n} lines follow it")
+    meta = GraphMeta(variant=fields["variant"], p=p, a=a, q=q, t=t)
+    if meta.variant in ("plus", "times"):
+        _check_construction(meta, n)
+    return meta, n
+
+
+def loop_from_g2t(text: str) -> Graph:
+    """Reference parser: ``str.splitlines``, ``str.split`` and ``int`` per
+    line, each edge OR-ed into both endpoints' rows."""
+    lines = text.splitlines()
+    if not lines or not lines[0].startswith("g2t v1 "):
+        raise ValueError("not a g2t v1 file")
+    meta, n = _loop_g2t_header(lines[0], len(lines) - 1)
+    labels: list = [None] * n
+    rows = [0] * n
+    seen_v = 0
+    for ln in lines[1:]:
+        parts = ln.split()
+        if not parts:
+            continue
+        if parts[0] == "e" and len(parts) == 3:
+            u, v = int(parts[1]), int(parts[2])
+            if not (0 <= u <= v < n):
+                raise ValueError(f"edge ({u}, {v}) malformed")
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        elif parts[0] == "v" and len(parts) == 4:
+            i, cid, x = int(parts[1]), int(parts[2]), int(parts[3])
+            if not 0 <= i < n:
+                raise ValueError(f"vertex index {i} out of range")
+            if labels[i] is not None:
+                raise ValueError(f"vertex {i} has more than one v line")
+            labels[i] = (cid, x)
+            seen_v += 1
+        else:
+            raise ValueError(f"malformed g2t line {ln!r}")
+    if seen_v != n:
+        raise ValueError(f"expected {n} vertex lines, saw {seen_v}")
+    if meta.variant in ("plus", "times"):
+        width, first = _layout(meta.variant, meta.q)
+        for i, label in enumerate(labels):
+            if label != (i // width, i % width + first):
+                raise ValueError(f"vertex {i} has label {label}")
+    return Graph(rows=tuple(rows), labels=tuple(labels), meta=meta)
+
+
+OTHER = GraphMeta(variant="other")
+EDGE_CASE_GRAPHS = {
+    "empty": Graph(rows=(), labels=(), meta=OTHER),
+    "one-vertex": Graph(rows=(0,), labels=((0, 0),), meta=OTHER),
+    "one-loop": Graph(rows=(1,), labels=((0, 0),), meta=OTHER),
+    "isolated": from_edges(700, [(3, 600), (699, 699)]),
+    "loops": from_edges(6, [(0, 0), (2, 2), (2, 5), (5, 5)]),
+    "plus-4-4": build_g_plus(4, 4),  # n = 3, labels (0, 1), (0, 2), (0, 3)
+    "big-labels": Graph(rows=(0b110, 0b001, 0b001),
+                        labels=((10**17, 999_999_999_999_999_999), (-5, 0), (3, -10**18)),
+                        meta=GraphMeta(variant="other", p=7, a=2, q=49, t=0)),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_CASE_GRAPHS)
+def test_to_g2t_equals_the_loop_writer(name):
+    g = EDGE_CASE_GRAPHS[name]
+    assert to_g2t(g) == loop_to_g2t(g)
+
+
+@pytest.mark.parametrize("variant,q,t", [c for c in ALL_CASES
+                                         if c[1] * (c[1] - 1) // c[2] <= 1000])
+def test_fleet_g2t_equals_the_loop_oracles(variant, q, t):
+    g = cached_graph(variant, q, t)
+    text = to_g2t(g)
+    assert text == loop_to_g2t(g)
+    assert from_g2t(text) == loop_from_g2t(text) == g
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_to_g2t_equals_the_loop_writer_on_random_graphs(data):
+    n = data.draw(st.integers(1, 600))  # up to two 512-row blocks
+    vertex = st.integers(0, n - 1)
+    g = from_edges(n, data.draw(st.lists(st.tuples(vertex, vertex), max_size=60)))
+    if n <= 40:  # any int labels
+        label = st.integers(-10**20, 10**20)
+        labels = data.draw(st.lists(st.tuples(label, label), min_size=n, max_size=n))
+        g = Graph(rows=g.rows, labels=tuple(labels), meta=g.meta)
+    assert to_g2t(g) == loop_to_g2t(g)
+
+
+# the grammar from_g2t accepts: ASCII without control characters but tab, CR
+# and LF; unsigned decimals of at most 18 digits in records and in the
+# header's p, a, q, t, n
+_NUMBER = "[0-9]{1,18}"
+_RECORD = re.compile(rf"[ \t]*(?:(?:e(?:[ \t]+{_NUMBER}){{2}}|v(?:[ \t]+{_NUMBER}){{3}})[ \t]*)?")
+
+
+def in_grammar(text: str) -> bool:
+    if not text.isascii() or re.search(r"[^\x20-\x7e\t\r\n]", text):
+        return False
+    lines = re.split(r"\r\n|\r|\n", text)
+    if lines[-1] == "":
+        lines.pop()  # the last line's terminator is optional
+    if not lines or not lines[0].startswith("g2t v1 "):
+        return False
+    for tok in lines[0].split()[2:]:
+        key, _, value = tok.partition("=")
+        if key in ("p", "a", "q", "t", "n") and not re.fullmatch(_NUMBER, value):
+            return False
+    return all(_RECORD.fullmatch(ln) for ln in lines[1:])
+
+
+LOOPS_G2T = to_g2t(EDGE_CASE_GRAPHS["loops"])  # an `other` file: its labels are free
+# n <= 30, so the oracle's bigints stay small
+G2T_BASES = [to_g2t(cached_graph(*c)) for c in
+             [("plus", 4, 2), ("plus", 8, 4), ("plus", 9, 3), ("times", 5, 2), ("times", 7, 3)]]
+G2T_BASES += [LOOPS_G2T, to_g2t(EDGE_CASE_GRAPHS["one-vertex"]),
+              to_g2t(from_edges(9, [(0, 8), (1, 1), (2, 3), (4, 7)]))]
+# the grammar's bytes, then bytes and characters only the oracle's int() and
+# str.split / str.splitlines take
+G2T_ALPHABET = "0123456789 \t\r\nev=" + "+-_\v\f\x1c\x85\u0663\xa0"
+
+
+def _mutate_g2t(draw, text: str) -> str:
+    kind = draw(st.sampled_from(["swap", "drop", "duplicate", "blank", "gap", "zeros",
+                                 "mark", "field", "newline", "char", "token"]))
+    lines = text.splitlines(keepends=True)
+    if not lines:
+        return draw(st.text(G2T_ALPHABET, max_size=3))
+    i = draw(st.integers(0, len(lines) - 1))
+    j = draw(st.integers(1, len(lines) - 1)) if len(lines) > 1 else 0
+    if kind == "swap" and i and j:  # records may come in any order
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "blank":
+        lines.insert(j or 1, draw(st.sampled_from(["\n", " \n", "\t \n"])))
+    elif kind == "gap":  # another run of spaces and tabs between tokens
+        lines[i] = lines[i].replace(" ", draw(st.sampled_from(["  ", "\t", " \t ", "\xa0"])), 1)
+    elif kind == "zeros":
+        lines[i] = re.sub(r"(?<= )(?=[0-9])", "0" * draw(st.integers(1, 17)), lines[i], count=1)
+    elif kind == "mark":  # a sign, separator, foreign digit or tag letter in a number
+        numbers = [m.start() for m in re.finditer(r"(?<![0-9])[0-9]", lines[i])] or [0]
+        k = draw(st.sampled_from(numbers))
+        mark = draw(st.sampled_from(["+", "-", "_", "\u0663", "e", "v"]))
+        lines[i] = lines[i][:k] + mark + lines[i][k:]
+    elif kind == "field":  # one field too many
+        lines[i] = lines[i].rstrip("\r\n") + f" {draw(st.integers(0, 9))}\n"
+    elif kind == "newline":
+        end = draw(st.sampled_from(["\r\n", "\r", "", "\v", "\f", "\x1c", "\x85"]))
+        return "".join(ln.replace("\n", end) for ln in lines)
+    elif kind == "char":  # inserted, or in place of the one at k
+        k = draw(st.integers(0, len(lines[i])))
+        lines[i] = (lines[i][:k] + draw(st.sampled_from(G2T_ALPHABET))
+                    + lines[i][k + draw(st.integers(0, 1)):])
+    else:
+        parts = lines[i].split(" ")
+        parts[draw(st.integers(0, len(parts) - 1))] = draw(st.text(G2T_ALPHABET, max_size=20))
+        lines[i] = " ".join(parts)
+    return "".join(lines)
+
+
+@st.composite
+def mutated_g2t_text(draw) -> str:
+    text = draw(st.sampled_from(G2T_BASES))
+    for _ in range(draw(st.integers(0, 3))):
+        text = _mutate_g2t(draw, text)
+    return text
+
+
+def _parse(parser, text):
+    try:
+        return parser(text)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=600, deadline=None)
+@given(mutated_g2t_text())
+@example(LOOPS_G2T.replace("v 1 0 1", "v 1 0 +1"))   # int() reads these labels,
+@example(LOOPS_G2T.replace("v 1 0 1", "v 1 0 1_0"))  # the grammar does not
+@example(LOOPS_G2T.replace("v 1 0 1", "v 1 0 1e"))   # a tag letter in a number
+@example(LOOPS_G2T.replace("e 2 5", "e 2 5 1"))      # one field too many
+def test_from_g2t_against_the_loop_parser(text):
+    """What from_g2t accepts, the loop parser accepts as the same graph; what
+    the loop parser accepts inside the grammar, from_g2t accepts; anything
+    else raises ValueError (another exception fails the test)."""
+    new, old = _parse(from_g2t, text), _parse(loop_from_g2t, text)
+    if new is not None:
+        assert new == old
+    elif in_grammar(text):
+        assert old is None
