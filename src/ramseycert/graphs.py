@@ -21,12 +21,15 @@ audit records the full codegree histogram; the load-bearing property is that
 the maximum codegree is at most t, i.e. the graph contains no K_{2,t+1}.
 
 Graphs serialize to a line-oriented ``g2t`` text format (see ``to_g2t``) that
-round-trips byte-identically.  Both directions are whole-array numpy kernels
-over 512 bitset rows at a time.  The writer unpacks each block's upper
-triangle; its nonzero entries are the block's edges in (u, v) order, and
-their ``e u v`` lines are written digit by digit into one byte array.  The
-parser classifies the bytes after the header a few MB at a time, cuts tokens
-and lines where the byte class changes, decodes each number by digit
+round-trips byte-identically when the header values and labels are unsigned
+decimals of at most 18 digits and the variant is printable ASCII with no
+space, as for every construction and sampler here; ``to_g2t`` writes any int
+label, and ``from_g2t`` refuses the rest.  Both directions are whole-array
+numpy kernels over 512 bitset rows at a time.  The writer unpacks each block's
+upper triangle; its nonzero entries are the block's edges in (u, v) order,
+and their ``e u v`` lines are written digit by digit into one byte array.
+The parser classifies the bytes after the header a few MB at a time, cuts
+tokens and lines where the byte class changes, decodes each number by digit
 position, makes every check an array predicate, and packs the rows from the
 edges sorted by row.
 """
@@ -394,7 +397,10 @@ def structural_audit(g: Graph) -> StructuralReport:
 # -- g2t serialization ----------------------------------------------------------
 
 _BLOCK = 512  # bitset rows unpacked (writer) or packed (parser) at a time
-_CHUNK = 1 << 21  # body bytes the parser classifies at a time, cut at a line end
+# body bytes the parser classifies at a time, cut at a line end; one pass over
+# the 56 MB body of plus(256, 2) lifts its round trip's peak RSS from 534 MB
+# to 1.16 GB, since the byte and token arrays grow with the piece
+_CHUNK = 1 << 21
 _MAX_DIGITS = 18  # a g2t number has at most 18 digits, so it fits an int64
 _POW10 = 10 ** np.arange(_MAX_DIGITS + 1, dtype=np.int64)  # 1, 10, ..., 10^18
 
@@ -560,7 +566,8 @@ def _decimals(a: np.ndarray, last: np.ndarray, width: np.ndarray) -> np.ndarray:
     """The unsigned decimals of ``width`` digits ending at ``last`` in ``a``."""
     value = np.zeros(len(last), dtype=np.int64)
     for k in range(int(width.max(initial=0))):
-        digit = a[last - k] - np.uint8(ord("0"))
+        # int64 before the product: NumPy 1.x would keep uint8 * 10^k in uint8
+        digit = a[last - k].astype(np.int64) - ord("0")
         digit[width <= k] = 0  # before the number
         value += digit * _POW10[k]
     return value

@@ -380,6 +380,17 @@ def test_fleet_g2t_equals_the_loop_oracles(variant, q, t):
     assert from_g2t(text) == loop_from_g2t(text) == g
 
 
+def test_from_g2t_decodes_every_digit_position():
+    """Labels of 1 to 18 nines and indices past 255 read back exactly: the
+    decoder's digit products must not stay in the bytes' uint8."""
+    n = 400
+    labels = tuple((10 ** (i % 18 + 1) - 1, 10 ** (17 - i % 18) * 9) for i in range(n))
+    rows = from_edges(n, [(0, 399), (255, 256), (299, 300), (398, 398)]).rows
+    g = Graph(rows=rows, labels=labels, meta=GraphMeta(variant="other", q=999, t=300))
+    text = to_g2t(g)
+    assert from_g2t(text) == loop_from_g2t(text) == g
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_to_g2t_equals_the_loop_writer_on_random_graphs(data):
