@@ -5,7 +5,7 @@ Layers, bottom up:
 
 - ``fields``       -- GF(p^a) arithmetic on int-encoded elements, subgroups, cosets
 - ``graphs``       -- the two coset graph constructions, structural audits, g2t files
-- ``spectral``     -- exact eigenvalue multiplicities via integer moments + characters
+- ``spectral``     -- exact eigenvalue multiplicities via integer moments; Gauss sums
 - ``independence`` -- exact max independent set search with budgets and witnesses
 - ``random_model`` -- G(n,p) recipe, counter-based sampling, Monte-Carlo checks
 - ``bounds``       -- closed-form bound arithmetic and certificate construction/replay

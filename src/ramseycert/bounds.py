@@ -80,13 +80,6 @@ def aks_alpha_lower(n: float, d: float, s_triangles: float, c: float) -> float:
     return (c * n / d) * (log(d) - 0.5 * log(s_triangles / n))
 
 
-def aks_alpha_lower_corollary(n: float, d: float, f: float, c: float) -> float:
-    """(c*n/(2d)) * log f: the form for neighborhoods spanning <= d^2/f edges."""
-    if d <= 1 or f <= 0 or c <= 0 or n <= 0:
-        raise ValueError("need n > 0, d > 1, f > 0, c > 0")
-    return (c * n / (2 * d)) * log(f)
-
-
 def prop1_upper(query: BoundQuery, c1: float) -> float:
     """c2 * m^2 t / log^2 m with c2 = 256 k^2 / c1^2 (c1 from the caller;
     it descends from an unspecified absolute constant and has no default)."""
@@ -166,14 +159,6 @@ def theorem5_hypothesis(n: float, d: float, m: float) -> tuple[float, bool]:
     """The clique-order hypothesis (2n/d) log n of the spectral inequality."""
     required = (2 * n / d) * log(n)
     return required, m >= required
-
-
-def appendix_exponent(k: int):
-    """The symbolic exponent on (nt) after the d = sqrt(nt), lam = (nt)^(1/4),
-    m = 2k sqrt(n/t) log n substitutions: 1/4 + k/4 - (k-1)/2, as a Fraction.
-    Non-positive iff k >= 3."""
-    from fractions import Fraction
-    return Fraction(1, 4) + Fraction(k, 4) - Fraction(k - 1, 2)
 
 
 # -- certificates -----------------------------------------------------------------

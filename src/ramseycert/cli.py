@@ -105,8 +105,6 @@ def _cmd_field(args) -> int:
 
 def _cmd_build(args) -> int:
     g = (build_g_plus if args.variant == "plus" else build_g_times)(args.q, args.t)
-    if not args.out:
-        raise ValueError("--out is required for build")
     write_g2t(g, args.out)
     _emit({"written": args.out, "variant": args.variant, "q": args.q, "t": args.t,
            "n": g.n, "edges": g.edge_count(), "loops": g.loop_count()}, args.json)
@@ -184,8 +182,6 @@ def _cmd_bounds_table(args) -> int:
 
 def _cmd_export(args) -> int:
     g = read_g2t(args.file)
-    if not args.out:
-        raise ValueError("--out is required for export")
     write_g2t(g, args.out)
     _emit({"written": args.out, "n": g.n, "edges": g.edge_count()}, args.json)
     return EXIT_OK

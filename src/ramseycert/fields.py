@@ -288,10 +288,11 @@ class Subgroup:
     """A subgroup H of (GF(q), +) or (GF(q)^*, ·) with its coset table.
 
     ``coset_id[e]`` maps every element of the ambient group to the index of its
-    coset; coset ids are assigned by ascending minimum representative, and
-    ``reps[cid]`` is that minimum.  Additive H of order p^b is the GF(p)-span
-    of the reduced monomials x^1..x^b; multiplicative H of order t is the group
-    generated by g^((q-1)/t).
+    coset, and 0 to -1 when the group is GF(q)^*; coset ids are assigned by
+    ascending minimum representative, and ``reps[cid]`` is that minimum.
+    Additive H of order p^b is the GF(p)-span of the reduced monomials
+    x^1..x^b; multiplicative H of order t is the group generated by
+    g^((q-1)/t).
     """
 
     field: Field
@@ -304,12 +305,6 @@ class Subgroup:
     @property
     def num_cosets(self) -> int:
         return len(self.reps)
-
-    def coset_of(self, e: int) -> int:
-        cid = self.coset_id[e]
-        if cid < 0:
-            raise ValueError(f"{e} is not in the ambient group of this {self.kind} subgroup")
-        return cid
 
 
 def _span_additive(field: Field, b: int) -> set[int]:

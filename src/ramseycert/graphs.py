@@ -23,8 +23,8 @@ the maximum codegree is at most t, i.e. the graph contains no K_{2,t+1}.
 Graphs serialize to a line-oriented ``g2t`` text format (see ``to_g2t``) that
 round-trips byte-identically when the header values and labels are unsigned
 decimals of at most 18 digits and the variant is printable ASCII with no
-space, as for every construction and sampler here; ``to_g2t`` writes any int
-label, and ``from_g2t`` refuses the rest.  Both directions are whole-array
+space, as for every construction and sampler here; ``to_g2t`` refuses the
+rest up front, as ``from_g2t`` would.  Both directions are whole-array
 numpy kernels over 512 bitset rows at a time.  The writer unpacks each block's
 upper triangle; its nonzero entries are the block's edges in (u, v) order,
 and their ``e u v`` lines are written digit by digit into one byte array.
@@ -81,9 +81,6 @@ class Graph:
     def degree(self, i: int) -> int:
         return self.rows[i].bit_count()
 
-    def has_loop(self, i: int) -> bool:
-        return bool(self.rows[i] >> i & 1)
-
     def loop_count(self) -> int:
         return sum(r >> i & 1 for i, r in enumerate(self.rows))
 
@@ -106,11 +103,6 @@ def _bits(x: int) -> list[int]:
         out.append(low.bit_length() - 1)
         x ^= low
     return out
-
-
-def common_neighbors(g: Graph, u: int, v: int) -> list[int]:
-    """Vertices adjacent to both u and v (inclusive: loops let u or v qualify)."""
-    return _bits(g.rows[u] & g.rows[v])
 
 
 def _physical_memory() -> int:
@@ -403,6 +395,7 @@ _BLOCK = 512  # bitset rows unpacked (writer) or packed (parser) at a time
 _CHUNK = 1 << 21
 _MAX_DIGITS = 18  # a g2t number has at most 18 digits, so it fits an int64
 _POW10 = 10 ** np.arange(_MAX_DIGITS + 1, dtype=np.int64)  # 1, 10, ..., 10^18
+_G2T_LIMIT = 10 ** _MAX_DIGITS  # every g2t number is below it
 
 # byte classes of the lines after the header; every other byte is refused
 _SPACE, _LF, _DIGIT, _TAG, _OTHER = range(5)
@@ -453,12 +446,26 @@ def to_g2t(g: Graph) -> str:
     ``v <index> <coset_id> <element>`` line per vertex in index order; one
     ``e <u> <v>`` line (u <= v) per edge in lexicographic order.
 
-    The n ``v`` lines are formatted by ``str``, since a label may be any int.
-    The edges are read 512 rows at a time: the rows' upper triangles are
-    unpacked, their nonzero entries are already in (u, v) order, and the
-    block's lines are written digit by digit into one byte array.
+    A graph ``from_g2t`` could not read back is refused with a ValueError
+    before anything is written: a variant that is not printable ASCII without
+    whitespace, or a p, a, q, t or label that is not an unsigned decimal of
+    at most 18 digits.
+
+    The n ``v`` lines are formatted by ``str``.  The edges are read 512 rows
+    at a time: the rows' upper triangles are unpacked, their nonzero entries
+    are already in (u, v) order, and the block's lines are written digit by
+    digit into one byte array.
     """
     m = g.meta
+    if not all("!" <= c <= "~" for c in m.variant):
+        raise ValueError(f"variant {m.variant!r} is not printable ASCII without whitespace")
+    header = (m.p, m.a, m.q, m.t)
+    if not 0 <= min(header) <= max(header) < _G2T_LIMIT:
+        raise ValueError(f"p, a, q, t = {header} are not all unsigned decimals "
+                         f"of at most {_MAX_DIGITS} digits")
+    if g.labels and not 0 <= min(map(min, g.labels)) <= max(map(max, g.labels)) < _G2T_LIMIT:
+        raise ValueError(f"a vertex label is not a pair of unsigned decimals "
+                         f"of at most {_MAX_DIGITS} digits")
     lines = [f"g2t v1 variant={m.variant} p={m.p} a={m.a} q={m.q} t={m.t} n={g.n}"]
     lines += [f"v {i} {cid} {x}" for i, (cid, x) in enumerate(g.labels)]
     parts = ["\n".join(lines) + "\n"]

@@ -4,7 +4,7 @@ The recipe n = c3 * m^2 t / log^2(mt), p = sqrt(t / (e^8 n)) makes the expected
 number of K_{2,t} copies n^2 * C(n,t) * p^(2t) <= n^2 e^(-7t), tiny for modest
 t, while the graph stays dense enough to bound independent sets.  This module
 evaluates those formulas, samples G(n,p) reproducibly (counter-based Philox
-streams, one stream per sample index), hunts for K_{2,t} witnesses, and runs
+streams, one stream per sample index), counts K_{2,t} copies, and runs
 Monte-Carlo checks of the first-moment and independence-number predictions.
 
 The asymptotic claims themselves are not desk-checkable; the Monte-Carlo
@@ -20,7 +20,7 @@ from math import comb, exp, lgamma, log, sqrt
 
 import numpy as np
 
-from .graphs import Graph, GraphMeta, common_neighbors
+from .graphs import Graph, GraphMeta
 from .independence import greedy_alpha, max_independent_set_exact
 
 E8 = math.exp(8.0)
@@ -125,15 +125,6 @@ def expected_k2t_log(n: int, p: float, t: int) -> tuple[float, float | None]:
     return value, chain
 
 
-@dataclass(frozen=True)
-class K2tWitness:
-    """A pair with >= t common neighbors, plus t of them."""
-
-    u: int
-    v: int
-    common: tuple[int, ...]
-
-
 def _codegree_counts(g: Graph) -> dict[tuple[int, int], int]:
     """Codegrees via common-neighbor accumulation; only pairs with >= 1 appear."""
     counts: dict[tuple[int, int], int] = {}
@@ -144,16 +135,6 @@ def _codegree_counts(g: Graph) -> dict[tuple[int, int], int]:
                 key = (u, v)
                 counts[key] = counts.get(key, 0) + 1
     return counts
-
-
-def find_k2t(g: Graph, t: int) -> K2tWitness | None:
-    """First vertex pair with >= t common neighbors (exhaustive), or None."""
-    if t < 2:
-        raise ValueError("t must be >= 2")
-    for (u, v), c in _codegree_counts(g).items():
-        if c >= t:
-            return K2tWitness(u=u, v=v, common=tuple(common_neighbors(g, u, v)[:t]))
-    return None
 
 
 def k2t_witness_count(g: Graph, t: int) -> int:

@@ -1,23 +1,22 @@
-"""Exact spectrum certification for the coset graphs, via two independent routes.
+"""Exact spectrum certification for the coset graphs, by integer arithmetic.
 
-Route 1 is exact integer arithmetic: the eigenvalues of both constructions lie
-in {q-1, +sqrt(q), -sqrt(q), +1, -1, 0}, so the six multiplicities are pinned
-by the power-sum moments tr(M^j) for j = 0..5.  The walk matrices M, M^2 and
-M^3 = M^2 M are formed in float32, exact because d^2 < 2^24 is asserted for
-the measured maximum degree d; float64 is used only for the trace sums
-(tr(M^5) = sum of M^3 o M^2, and so on) and the annihilator product, each
-under an asserted bound, so every number is an exact integer (see
-``graphs._exact_walks``).  The odd moments are solved for (mult of q-1,
-(m_+ - m_-)*sqrt(q), m_1 - m_-1) and the even ones for the paired sums, all
-over Fractions; sqrt(q) never appears as a float.  Independently, the
-annihilating identity M (M^2 - qI)(M^2 - I)(M - (q-1)I) = 0 is verified as an
-exact matrix product.
+The eigenvalues of both constructions lie in {q-1, +sqrt(q), -sqrt(q), +1,
+-1, 0}, so the six multiplicities are pinned by the power-sum moments
+tr(M^j) for j = 0..5.  The walk matrices M, M^2 and M^3 = M^2 M are formed
+in float32, exact because d^2 < 2^24 is asserted for the measured maximum
+degree d; float64 is used only for the trace sums (tr(M^5) = sum of
+M^3 o M^2, and so on) and the annihilator product, each under an asserted
+bound, so every number is an exact integer (see ``graphs._exact_walks``).
+The odd moments are solved for (mult of q-1, (m_+ - m_-)*sqrt(q),
+m_1 - m_-1) and the even ones for the paired sums, all over Fractions;
+sqrt(q) never appears as a float.  Independently, the annihilating identity
+M (M^2 - qI)(M^2 - I)(M - (q-1)I) = 0 is verified as an exact matrix product.
 
-Route 2 is a numeric cross-check of *why* the spectrum looks like that:
-characters of the two factor groups give an eigenbasis, with eigenvalue the
-character sum Gamma = sum over nonzero z of chi(z)*phi(z), and |Gamma| lands in
-{q-1, sqrt(q), 1, 0} according to which of chi, phi are principal (the Gauss
-sum bound covers the doubly non-principal case).
+The field's characters and their Gauss sums, |G| = sqrt(q) for a
+non-principal pair, are here too.  The numeric route that explains the
+spectrum (characters of the two factor groups give an eigenbasis, with
+eigenvalue the character sum Gamma = sum over nonzero z of chi(z)*phi(z)) is
+the oracle in ``tests/test_spectral.py``.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from math import isqrt
 
 import numpy as np
 
-from .fields import Field, Subgroup, make_field, subgroup
+from .fields import Field, Subgroup
 from .graphs import Graph, _check_construction, _exact_walks
 
 
@@ -53,19 +52,6 @@ def _moments(walks: list[np.ndarray], jmax: int) -> tuple[int, ...]:
         else:
             out.append(int(np.einsum("ij,ij->", high, walks[j // 2 - 1], dtype=f64)))
     return tuple(out)
-
-
-def eigen_moments(g: Graph, jmax: int = 5) -> tuple[int, ...]:
-    """Exact traces tr(M^j), j = 0..jmax (jmax <= 6), for the adjacency matrix.
-
-    tr(M^0) = n, tr(M) = loop count, tr(M^2) = n*degree on regular graphs.
-    Raises ValueError if the exactness bounds of ``graphs._exact_walks`` fail.
-    """
-    if not 0 <= jmax <= 6:
-        raise ValueError("jmax must be in 0..6")
-    if jmax == 0:
-        return (g.n,)
-    return _moments(_exact_walks(g, (jmax + 1) // 2, jmax=jmax), jmax)
 
 
 def _solve3(rows: list[list[Fraction]]) -> tuple[Fraction, Fraction, Fraction]:
@@ -190,18 +176,6 @@ def _annihilator(walks: list[np.ndarray], q: int) -> float:
     return worst
 
 
-def annihilator_residual(g: Graph) -> float:
-    """Max |entry| of M (M^2 - qI)(M^2 - I)(M - (q-1)I); exactly 0.0 on the constructions.
-
-    q comes from the construction metadata; the evaluation is exact (a zero
-    is an exact zero) or raises ValueError.
-    """
-    q = g.meta.q
-    if q <= 0:
-        raise ValueError("annihilator check needs construction metadata (q)")
-    return _annihilator(_exact_walks(g, 3, q=q), q)
-
-
 @dataclass(frozen=True)
 class SpectrumReport:
     """Exact multiplicities plus every identity that was checked.
@@ -295,91 +269,42 @@ def verify_spectrum(g: Graph) -> SpectrumReport:
     )
 
 
-# -- characters and Gauss/Gamma sums --------------------------------------------
-
-CHARACTER_KINDS = (
-    "additive-on-field",
-    "multiplicative-on-field",
-    "additive-on-quotient",
-    "multiplicative-on-quotient",
-)
-
-
-def h_perp(field: Field, H: Subgroup) -> list[int]:
-    """The c with Tr(c*h) = 0 for all h in H: parameters of the quotient's characters."""
-    basis = [h for h in H.elements if h]
-    return sorted(c for c in field.elements()
-                  if all(field.trace(field.mul(c, h)) == 0 for h in basis))
+# -- characters and Gauss sums ----------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Character:
-    """A character of one of the four groups in play, evaluated via exp/Tr/log.
+    """A character of GF(q)'s additive or multiplicative group, evaluated via
+    exp/Tr/log; ``index`` enumerates the group, 0 being the principal one.
 
-    Additive characters: x -> exp(2*pi*i * Tr(c*x) / p); quotient versions
-    restrict c to the trace-annihilator of H so they are constant on cosets.
-    Multiplicative characters: x -> exp(2*pi*i * j * log(x) / (q-1)); quotient
-    versions use j a multiple of t.  ``index`` enumerates the character group
-    (0 = principal); ``param`` is the realized c or j.
+    Additive (index c, an element): x -> exp(2*pi*i * Tr(c*x) / p).
+    Multiplicative (index j): x -> exp(2*pi*i * j * log(x) / (q-1)).
     """
 
     field: Field
     kind: str
     index: int
-    param: int
-    group_order: int
-
-    @property
-    def is_principal(self) -> bool:
-        return self.index == 0
 
     def __call__(self, x: int) -> complex:
         f = self.field
-        if self.kind.startswith("additive"):
-            tr = f.trace(f.mul(self.param, x))
+        if self.kind == "additive-on-field":
+            tr = f.trace(f.mul(self.index, x))
             return cmath.exp(2j * cmath.pi * tr / f.p)
         if x == 0:
             raise ValueError("multiplicative character undefined at 0")
-        return cmath.exp(2j * cmath.pi * self.param * f.log[x] / (f.q - 1))
-
-    def conjugate_index(self) -> int:
-        """Index of the complex-conjugate character within the same group."""
-        if self.index == 0:
-            return 0
-        return self.group_order - self.index
+        return cmath.exp(2j * cmath.pi * self.index * f.log[x] / (f.q - 1))
 
 
 def make_character(field: Field, sub: Subgroup | None, kind: str, index: int) -> Character:
-    """Build a character by kind and index; quotient kinds need the subgroup."""
-    if kind not in CHARACTER_KINDS:
+    """The index-th character of kind "additive-on-field" (q of them) or
+    "multiplicative-on-field" (q - 1); ``sub`` is not read, since a character
+    of the whole field needs no subgroup."""
+    orders = {"additive-on-field": field.q, "multiplicative-on-field": field.q - 1}
+    if kind not in orders:
         raise ValueError(f"unknown character kind {kind!r}")
-    q = field.q
-    if kind == "additive-on-field":
-        order = q
-        if not 0 <= index < order:
-            raise ValueError(f"index {index} out of range for group order {order}")
-        param = index  # elements are 0..q-1, so the index doubles as c
-    elif kind == "multiplicative-on-field":
-        order = q - 1
-        if not 0 <= index < order:
-            raise ValueError(f"index {index} out of range for group order {order}")
-        param = index
-    elif kind == "additive-on-quotient":
-        if sub is None or sub.kind != "additive":
-            raise ValueError("additive-on-quotient needs the additive subgroup")
-        annihilator = h_perp(field, sub)
-        order = len(annihilator)
-        if not 0 <= index < order:
-            raise ValueError(f"index {index} out of range for group order {order}")
-        param = annihilator[index]
-    else:  # multiplicative-on-quotient
-        if sub is None or sub.kind != "multiplicative":
-            raise ValueError("multiplicative-on-quotient needs the multiplicative subgroup")
-        order = (q - 1) // sub.order
-        if not 0 <= index < order:
-            raise ValueError(f"index {index} out of range for group order {order}")
-        param = index * sub.order
-    return Character(field=field, kind=kind, index=index, param=param, group_order=order)
+    if not 0 <= index < orders[kind]:
+        raise ValueError(f"index {index} out of range for group order {orders[kind]}")
+    return Character(field=field, kind=kind, index=index)
 
 
 def gauss_sum(chi_additive: Character, phi_multiplicative: Character) -> complex:
@@ -392,45 +317,3 @@ def gauss_sum(chi_additive: Character, phi_multiplicative: Character) -> complex
         raise ValueError("gauss_sum takes full-field additive and multiplicative characters")
     f = chi_additive.field
     return sum(chi_additive(x) * phi_multiplicative(x) for x in f.units())
-
-
-def gamma_sum(chi: Character, phi: Character, variant: str) -> complex:
-    """The eigenvalue sum Gamma = sum over nonzero z of chi(z)phi(z) for a variant.
-
-    plus:  chi on the additive quotient, phi on the units.
-    times: chi on the unit-group quotient, phi additive on the field.
-    |Gamma| is q-1 (both principal), 0 / -1 (one principal, per side), or
-    sqrt(q) (both non-principal, the Gauss-sum case).
-    """
-    if variant == "plus":
-        want = ("additive-on-quotient", "multiplicative-on-field")
-    elif variant == "times":
-        want = ("multiplicative-on-quotient", "additive-on-field")
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    if (chi.kind, phi.kind) != want:
-        raise ValueError(f"variant {variant} needs character kinds {want}, got ({chi.kind}, {phi.kind})")
-    f = chi.field
-    return sum(chi(z) * phi(z) for z in f.units())
-
-
-def construction_parts(g: Graph) -> tuple[Field, Subgroup]:
-    """Rebuild the field and subgroup behind a constructed graph's labels."""
-    if g.meta.variant not in ("plus", "times"):
-        raise ValueError("not a constructed graph")
-    F = make_field(g.meta.p, g.meta.a)
-    return F, subgroup(F, "additive" if g.meta.variant == "plus" else "multiplicative", g.meta.t)
-
-
-def character_vector(g: Graph, chi: Character, phi: Character) -> np.ndarray:
-    """The vector v[(coset, x)] = chi(coset rep) * phi(x): an eigenvector of M.
-
-    M v equals gamma_sum(chi, phi) times the vector of the conjugate pair
-    (numeric identity used as a cross-check of the exact route).
-    """
-    _, H = construction_parts(g)
-    reps = H.reps
-    out = np.empty(g.n, dtype=np.complex128)
-    for i, (cid, x) in enumerate(g.labels):
-        out[i] = chi(reps[cid]) * phi(x)
-    return out

@@ -1,4 +1,5 @@
-"""Shared fixtures: a session-wide graph cache and the desk-scale case lists.
+"""Shared fixtures: a session-wide graph cache, the desk-scale case lists and
+the common-neighbour oracle.
 
 Graphs are immutable, so one instance per (variant, q, t) is safe to share
 across the whole run; the big q=121/128 builds are only paid once.
@@ -21,6 +22,12 @@ def cached_graph(variant, q, t):
         build = build_g_plus if variant == "plus" else build_g_times
         _CACHE[key] = build(q, t)
     return _CACHE[key]
+
+
+def common_neighbors(g, u, v):
+    """Vertices adjacent to both u and v (inclusive: loops let u or v qualify)."""
+    both = g.rows[u] & g.rows[v]
+    return [w for w in range(both.bit_length()) if both >> w & 1]
 
 
 @pytest.fixture(scope="session")

