@@ -6,8 +6,10 @@ d = q - 1, lambda = sqrt(q)), and check the two steps that turn the spectral
 inequality into r_k(K_{2,t}; K_m) > n — a threshold clique order m' <= m
 (step 1) and a negative log left-hand side of the product-of-terms inequality
 (step 2).  Everything an auditor needs to replay the arithmetic is recorded in
-the certificate; ``replay_certificate`` re-derives each check with 50-digit
-mpmath arithmetic.
+the certificate.  Each formula of the recipe is written once, with the
+arithmetic passed in: ``certify`` evaluates it in floats (``math``), and
+``replay_certificate`` re-derives each check in 50-digit ``mpmath`` (with mpf
+operands wherever an int quotient would round).
 
 Inequality evaluation is in log space throughout (the raw terms overflow
 doubles at realistic m); when a log-LHS lands within 1e-6 of zero the sign is
@@ -18,13 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from math import ceil, floor, log, sqrt
-from typing import TYPE_CHECKING
+from math import log, sqrt
 
 from .fields import is_prime_power
-
-if TYPE_CHECKING:
-    import mpmath
 
 _REPLAY_DPS = 50
 _SIGN_GUARD = 1e-6
@@ -125,6 +123,15 @@ def find_prime_power(t: int, congruence: str, lo: int, hi: int) -> int | None:
 # -- the spectral-inequality left-hand side ----------------------------------------
 
 
+def _log_lhs(ar, n, d, lam, k, m):
+    """The expression of ``alon_rodl_log_lhs`` in the arithmetic ``ar``."""
+    ln_n = ar.log(n)
+    term1 = (2 * k * n * ln_n / d) * ar.log(ar.e * m * d * d / (4 * lam * n * ln_n))
+    term2 = k * m * ar.log(2 * ar.e * lam * n / (m * d))
+    term3 = m * (k - 1) * ar.log(m / n)
+    return term1 + term2 + term3
+
+
 def alon_rodl_log_lhs(n: float, d: float, lam: float, k: int, m: float) -> float:
     """Natural log of the product bounding the failure probability:
     (2kn log n / d) log(e m d^2 / (4 lam n log n)) + k m log(2 e lam n / (m d))
@@ -135,24 +142,7 @@ def alon_rodl_log_lhs(n: float, d: float, lam: float, k: int, m: float) -> float
     """
     if min(n, d, lam, k, m) <= 0:
         raise ValueError("all parameters must be positive")
-    ln_n = log(n)
-    term1 = (2 * k * n * ln_n / d) * log(math.e * m * d * d / (4 * lam * n * ln_n))
-    term2 = k * m * log(2 * math.e * lam * n / (m * d))
-    term3 = m * (k - 1) * log(m / n)
-    return term1 + term2 + term3
-
-
-def alon_rodl_log_lhs_mp(n, d, lam, k, m) -> mpmath.mpf:
-    """The same expression in extended precision (independent evaluation path)."""
-    import mpmath  # loaded on first use: most commands never need it
-
-    with mpmath.workdps(_REPLAY_DPS):
-        n, d, lam, m = mpmath.mpf(n), mpmath.mpf(d), mpmath.mpf(lam), mpmath.mpf(m)
-        ln_n = mpmath.log(n)
-        term1 = (2 * k * n * ln_n / d) * mpmath.log(mpmath.e * m * d * d / (4 * lam * n * ln_n))
-        term2 = k * m * mpmath.log(2 * mpmath.e * lam * n / (m * d))
-        term3 = m * (k - 1) * mpmath.log(m / n)
-        return term1 + term2 + term3
+    return _log_lhs(math, n, d, lam, k, m)
 
 
 def theorem5_hypothesis(n: float, d: float, m: float) -> tuple[float, bool]:
@@ -206,6 +196,33 @@ class Certificate:
         return doc
 
 
+def _recipe(k: int) -> tuple[str, int, int]:
+    """(variant, s, L) of the recipe for k bipartite colours."""
+    if k == 2:
+        return "k2", 2, 8
+    if k >= 3:
+        return "k3plus", 1, 4 * k
+    raise ValueError("the certification recipe needs k >= 2")
+
+
+def _window(ar, m: int, t: int, s: int, L: int) -> tuple[int, int]:
+    """(lo, hi) = (ceil(ell t / 2), floor(ell t)), ell = m / (L log^s(mt))."""
+    ell = m / (L * ar.log(m * t) ** s)
+    return int(ar.ceil(ell * t / 2)), int(ar.floor(ell * t))
+
+
+def _m_prime(ar, variant: str, k: int, n, d: int):
+    """The threshold clique order m': (n/d) log^2 n for k2, 2k (n/d) log n else."""
+    if variant == "k2":
+        return (n / d) * ar.log(n) ** 2
+    return 2 * k * (n / d) * ar.log(n)
+
+
+def _ratio(ar, n: int, m: int, t: int, s: int):
+    """The achieved ratio n log^(2s)(mt) / (m^2 t)."""
+    return n * ar.log(m * t) ** (2 * s) / (m * m * t)
+
+
 def certify(query: BoundQuery) -> Certificate:
     """Run the two-step pipeline for a query and record every intermediate.
 
@@ -216,24 +233,14 @@ def certify(query: BoundQuery) -> Certificate:
     ``failure`` set); only a violated entry hypothesis refuses outright.
     """
     k, t, m = query.k, query.t, query.m
-    if k == 2:
-        if m < 128 * log(t) ** 2:
-            raise HypothesisViolation(
-                f"m = {m} < 128 log^2 t = {128 * log(t) ** 2:.3f}")
-        variant, s, L = "k2", 2, 8
-    elif k >= 3:
-        if m < 16 * k * log(t):
-            raise HypothesisViolation(
-                f"m = {m} < 16 k log t = {16 * k * log(t):.3f}")
-        variant, s, L = "k3plus", 1, 4 * k
-    else:
-        raise ValueError("the certification recipe needs k >= 2")
+    variant, s, L = _recipe(k)
+    need, rule = ((128 * log(t) ** 2, "128 log^2 t") if variant == "k2"
+                  else (16 * k * log(t), "16 k log t"))
+    if m < need:
+        raise HypothesisViolation(f"m = {m} < {rule} = {need:.3f}")
 
-    ell = m / (L * log(m * t) ** s)
-    hi = floor(ell * t)
-    lo = ceil(ell * t / 2)
+    lo, hi = _window(math, m, t, s, L)
     q = find_prime_power(t, "one", lo, hi) if hi >= lo else None
-    ratio = None
     if q is None:
         return Certificate(
             query=query, variant=variant, s=s, L=L, window_lo=lo, window_hi=hi,
@@ -245,28 +252,23 @@ def certify(query: BoundQuery) -> Certificate:
 
     n = q * (q - 1) // t
     d = q - 1
-    lam = sqrt(q)
-    if variant == "k2":
-        m_prime = (n / d) * log(n) ** 2
-    else:
-        m_prime = 2 * k * (n / d) * log(n)
+    m_prime = _m_prime(math, variant, k, n, d)
     step1_ok = m >= m_prime
-    log_lhs = alon_rodl_log_lhs(n, d, lam, k, m_prime)
-    if abs(log_lhs) < _SIGN_GUARD:
+    log_lhs = alon_rodl_log_lhs(n, d, sqrt(q), k, m_prime)
+    if abs(log_lhs) < _SIGN_GUARD:  # too near 0 to trust the float's sign
         import mpmath
 
         with mpmath.workdps(_REPLAY_DPS):
-            log_lhs = float(alon_rodl_log_lhs_mp(n, d, mpmath.sqrt(q), k, m_prime))
+            log_lhs = float(_log_lhs(mpmath, n, d, mpmath.sqrt(q), k, mpmath.mpf(m_prime)))
     ineq_ok = log_lhs < 0
     required, t5_ok = theorem5_hypothesis(n, d, m_prime)
-    ratio = n * log(m * t) ** (2 * s) / (m * m * t)
     ok = step1_ok and ineq_ok
     failure = None if ok else ("step1" if not step1_ok else "inequality")
     return Certificate(
         query=query, variant=variant, s=s, L=L, window_lo=lo, window_hi=hi,
         q=q, n=n, d=d, m_prime=m_prime, step1_ok=step1_ok,
         ineq_log_lhs=log_lhs, ineq_ok=ineq_ok,
-        certified_n=n if ok else None, achieved_ratio=ratio,
+        certified_n=n if ok else None, achieved_ratio=_ratio(math, n, m, t, s),
         theorem5_required=required, theorem5_ok=t5_ok, failure=failure,
     )
 
@@ -282,58 +284,41 @@ def replay_certificate(cert: dict) -> dict:
 
     checks: dict[str, dict] = {}
 
-    def add(name: str, recorded, replayed, ok: bool) -> None:
+    def add(name: str, recorded, replayed, ok: bool | None = None) -> None:
+        ok = recorded == replayed if ok is None else ok
         checks[name] = {"recorded": recorded, "replayed": replayed, "ok": bool(ok)}
 
-    def close(a, b) -> bool:
-        a, b = float(a), float(b)
-        if a == b:
-            return True
-        return abs(a - b) <= 1e-9 * max(abs(a), abs(b))
+    def add_real(name: str, recorded, replayed) -> None:
+        replayed = float(replayed)
+        add(name, recorded, replayed, math.isclose(float(recorded), replayed, rel_tol=1e-9))
 
-    k = cert["query"]["k"]
-    t = cert["query"]["t"]
-    m = cert["query"]["m"]
-    variant = cert["variant"]
-    s, L = cert["s"], cert["L"]
-    add("recipe-constants", (s, L), (2, 8) if variant == "k2" else (1, 4 * k),
-        (s, L) == ((2, 8) if variant == "k2" else (1, 4 * k)))
-
+    k, t, m = (cert["query"][key] for key in "ktm")
+    variant, s, L = cert["variant"], cert["s"], cert["L"]
+    recipe = _recipe(k) if k >= 2 else None  # the variant follows from k
+    add("recipe-constants", (s, L), recipe and recipe[1:], (variant, s, L) == recipe)
     with mpmath.workdps(_REPLAY_DPS):
-        ell = mpmath.mpf(m) / (L * mpmath.log(mpmath.mpf(m) * t) ** s)
-        hi = int(mpmath.floor(ell * t))
-        lo = int(mpmath.ceil(ell * t / 2))
-    add("window", (cert["window"]["lo"], cert["window"]["hi"]), (lo, hi),
-        (cert["window"]["lo"], cert["window"]["hi"]) == (lo, hi))
+        add("window", (cert["window"]["lo"], cert["window"]["hi"]), _window(mpmath, m, t, s, L))
 
     q = cert.get("q")
     if q is None:
         ok_all = all(c["ok"] for c in checks.values()) and cert["certified_n"] is None
         return {"ok": bool(ok_all), "checks": checks}
 
-    add("q-congruence", q % t, 1, q % t == 1)
+    add("q-congruence", q % t, 1)
     pp = is_prime_power(q)
     add("q-prime-power", q, pp, pp is not None)
     n = q * (q - 1) // t
-    add("n-formula", cert["n"], n, cert["n"] == n)
-    add("d-formula", cert["d"], q - 1, cert["d"] == q - 1)
+    add("n-formula", cert["n"], n)
+    add("d-formula", cert["d"], q - 1)
     with mpmath.workdps(_REPLAY_DPS):
-        nn = mpmath.mpf(n)
-        if variant == "k2":
-            m_prime = (nn / (q - 1)) * mpmath.log(nn) ** 2
-        else:
-            m_prime = 2 * k * (nn / (q - 1)) * mpmath.log(nn)
-        add("m-prime", cert["m_prime"], float(m_prime), close(cert["m_prime"], m_prime))
-        add("step1", cert["step1_ok"], bool(m >= m_prime), cert["step1_ok"] == (m >= m_prime))
-        log_lhs = alon_rodl_log_lhs_mp(n, q - 1, mpmath.sqrt(q), k, m_prime)
-        add("ineq-log-lhs", cert["ineq_log_lhs"], float(log_lhs),
-            close(cert["ineq_log_lhs"], log_lhs))
-        add("ineq-sign", cert["ineq_ok"], bool(log_lhs < 0), cert["ineq_ok"] == (log_lhs < 0))
-        ratio = float(nn * mpmath.log(mpmath.mpf(m) * t) ** (2 * s) / (mpmath.mpf(m) ** 2 * t))
-        add("achieved-ratio", cert["achieved_ratio"], ratio, close(cert["achieved_ratio"], ratio))
-    expect_certified = cert["step1_ok"] and cert["ineq_ok"]
-    add("certified-n", cert["certified_n"], n if expect_certified else None,
-        cert["certified_n"] == (n if expect_certified else None))
+        m_prime = _m_prime(mpmath, variant, k, mpmath.mpf(n), q - 1)
+        add_real("m-prime", cert["m_prime"], m_prime)
+        add("step1", cert["step1_ok"], bool(m >= m_prime))
+        log_lhs = _log_lhs(mpmath, n, q - 1, mpmath.sqrt(q), k, m_prime)
+        add_real("ineq-log-lhs", cert["ineq_log_lhs"], log_lhs)
+        add("ineq-sign", cert["ineq_ok"], bool(log_lhs < 0))
+        add_real("achieved-ratio", cert["achieved_ratio"], _ratio(mpmath, n, m, t, s))
+    add("certified-n", cert["certified_n"], n if cert["step1_ok"] and cert["ineq_ok"] else None)
     ok_all = all(c["ok"] for c in checks.values())
     return {"ok": bool(ok_all), "checks": checks}
 

@@ -11,6 +11,10 @@ the ring is a field.  The canonical generator is the reduction of x itself (for
 a = 1 the modulus is x + k and x reduces to -k).  Pinning primitivity into the
 modulus keeps downstream constructions that exponentiate the generator
 (powers, quadratic residues, multiplicative subgroups) canonical.
+
+Arithmetic modulo the modulus is one int64 matrix C, multiplication by x:
+row 0 of C^e is x^e, read by repeated squaring in the primitivity test and by
+doubling for the exp table; the generator is row 0 of C.
 """
 
 from __future__ import annotations
@@ -81,7 +85,7 @@ def is_prime_power(n: int) -> tuple[int, int] | None:
     return None
 
 
-# -- polynomial helpers on little-endian coefficient tuples over GF(p) --------
+# -- polynomials over GF(p): little-endian coefficient tuples, companion matrix
 
 
 def _encode(coeffs: tuple[int, ...], p: int) -> int:
@@ -99,45 +103,23 @@ def _decode(v: int, p: int, length: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _poly_mulmod(u: tuple[int, ...], v: tuple[int, ...], tail: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """(u * v) mod (x^a + tail), all operands little-endian of length a."""
-    a = len(tail)
-    prod = [0] * (2 * a - 1)
-    for i, ui in enumerate(u):
-        if ui:
-            for j, vj in enumerate(v):
-                prod[i + j] = (prod[i + j] + ui * vj) % p
-    # reduce: x^k = -tail * x^(k-a) for k from high down to a
-    for k in range(2 * a - 2, a - 1, -1):
-        c = prod[k]
-        if c:
-            prod[k] = 0
-            for j, tj in enumerate(tail):
-                prod[k - a + j] = (prod[k - a + j] - c * tj) % p
-    return tuple(prod[:a])
+def _is_primitive(c: np.ndarray, p: int, q: int) -> bool:
+    """Has x order q - 1 modulo the modulus of companion matrix c?  Checks
+    x^(q-1) = 1 and x^((q-1)/r) != 1 for each prime r | q - 1; x^e is row 0
+    of c^e mod p, by repeated squaring (a product sum is < a p^2 <= 2^40)."""
+    one = np.eye(1, len(c), dtype=np.int64)[0]
 
-
-def _times_x(v: tuple[int, ...], tail: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """v * x mod (x^a + tail): shift v up one degree, then x^a = -tail."""
-    lead = v[-1]
-    return tuple((s - lead * c) % p for s, c in zip((0,) + v[:-1], tail))
-
-
-def _is_primitive(elem: tuple[int, ...], tail: tuple[int, ...], p: int, q: int) -> bool:
-    """Has elem multiplicative order q - 1 modulo x^a + tail?  Checks
-    elem^(q-1) = 1 and elem^((q-1)/r) != 1 for each prime r | q - 1."""
-    one = (1,) + (0,) * (len(tail) - 1)
-
-    def pw(e: int) -> tuple[int, ...]:
-        r, b = one, elem
+    def x_to(e: int) -> np.ndarray:
+        r, b = one, c
         while e:
             if e & 1:
-                r = _poly_mulmod(r, b, tail, p)
-            b = _poly_mulmod(b, b, tail, p)
+                r = r @ b % p
+            b = b @ b % p
             e >>= 1
         return r
 
-    return pw(q - 1) == one and all(pw((q - 1) // r) != one for r in factorize(q - 1))
+    return ((x_to(q - 1) == one).all()
+            and all((x_to((q - 1) // r) != one).any() for r in factorize(q - 1)))
 
 
 @dataclass(frozen=True)
@@ -233,17 +215,18 @@ def field_ops(field: Field, op: str, x: int, y: int | None = None) -> int:
     raise ValueError(f"unknown field operation {op!r}")
 
 
-def _powers_of_x(tail: tuple[int, ...], p: int, q: int) -> np.ndarray:
-    """Encoded x^0..x^(q-2) modulo x^a + tail, by doubling: coefficient rows
-    k..2k-1 are rows 0..k-1 times x^k, whose matrix ``mul`` (row j = x^j * x^k)
-    squares as k doubles.  Rows take the narrowest signed type holding a product
-    entry, at most a * (p-1)^2: one byte a coefficient for GF(2^20)."""
-    a = len(tail)
+def _powers_of_x(c: np.ndarray, p: int, q: int) -> np.ndarray:
+    """Encoded x^0..x^(q-2) modulo the modulus of companion matrix c, by
+    doubling: coefficient rows k..2k-1 are rows 0..k-1 times x^k, whose matrix
+    ``mul`` (row j = x^j * x^k, c^k) squares as k doubles.  Rows take the
+    narrowest signed type holding a product entry, at most a * (p-1)^2: one
+    byte a coefficient for GF(2^20)."""
+    a = len(c)
     dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
                  if np.iinfo(t).max >= a * (p - 1) ** 2)
     rows = np.zeros((q - 1, a), dtype=dtype)
     rows[0, 0] = 1
-    mul = np.array([_times_x(tuple(r), tail, p) for r in np.eye(a, dtype=int).tolist()], dtype=dtype)
+    mul = c.astype(dtype)
     k = 1
     while k < q - 1:
         m = min(k, q - 1 - k)
@@ -263,20 +246,21 @@ def make_field(p: int, a: int) -> Field:
     if q > MAX_Q:
         raise ValueError(f"q = {q} exceeds the desk-scale limit {MAX_Q}")
 
-    one = (1,) + (0,) * (a - 1)
     for enc in range(1, q):
         tail = _decode(enc, p, a)
-        x = _times_x(one, tail, p)  # the monomial x reduced: -tail[0] when a = 1
-        if _is_primitive(x, tail, p, q):
+        c = np.eye(a, k=1, dtype=np.int64)  # the companion matrix: row j is x^(j+1)
+        c[-1] = [-v % p for v in tail]  # x^a = -tail
+        if _is_primitive(c, p, q):
             break
     else:  # pragma: no cover - primitive polynomials always exist
         raise AssertionError("no primitive-monomial modulus found")
 
-    powers = _powers_of_x(tail, p, q)
+    powers = _powers_of_x(c, p, q)
     log = np.full(q, -1)
     log[powers] = np.arange(q - 1)
     assert (log[1:] >= 0).all(), "generator is not primitive"
-    return Field(p=p, a=a, q=q, modulus=tail + (1,), generator=_encode(x, p),
+    # row 0 of c is the monomial x reduced: -tail[0] when a = 1
+    return Field(p=p, a=a, q=q, modulus=tail + (1,), generator=_encode(tuple(c[0].tolist()), p),
                  exp=tuple(powers.tolist()), log=tuple(log.tolist()))
 
 

@@ -22,12 +22,14 @@ the maximum codegree is at most t, i.e. the graph contains no K_{2,t+1}.
 
 Graphs serialize to a line-oriented ``g2t`` text format (see ``to_g2t``) that
 round-trips byte-identically when the header values and labels are unsigned
-decimals of at most 18 digits and the variant is printable ASCII with no
-space, as for every construction and sampler here; ``to_g2t`` refuses the
-rest up front, as ``from_g2t`` would.  Both directions are whole-array
-numpy kernels over 512 bitset rows at a time.  The writer unpacks each block's
-upper triangle; its nonzero entries are the block's edges in (u, v) order,
-and their ``e u v`` lines are written digit by digit into one byte array.
+decimals of at most 18 digits, the variant is printable ASCII with no space,
+and a plus/times graph carries its construction's metadata and labels, as for
+every construction and sampler here; ``to_g2t`` refuses the rest up front by
+the checks ``from_g2t`` makes (``_check_g2t``).  Both directions are
+whole-array numpy kernels over 512 bitset rows at a time.  The writer unpacks
+each block's upper triangle; its nonzero entries are the block's edges in
+(u, v) order, and their ``e u v`` lines are written digit by digit into one
+byte array.
 The parser classifies the bytes after the header a few MB at a time, cuts
 tokens and lines where the byte class changes, decodes each number by digit
 position, makes every check an array predicate, and packs the rows from the
@@ -39,7 +41,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import asdict, dataclass, field as dc_field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -229,20 +231,6 @@ def fleet(q_max: int = 128) -> Iterator[tuple[str, int, int]]:
         for t in range(2, q):
             if (q - 1) % t == 0:
                 yield "times", q, t
-
-
-def from_edges(n: int, edges: Iterable[tuple[int, int]], t: int = 0,
-               meta: GraphMeta | None = None) -> Graph:
-    """Assemble a Graph from an edge list; (i, i) pairs become loops."""
-    rows = [0] * n
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range for n = {n}")
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    if meta is None:
-        meta = GraphMeta(variant="other", t=t)
-    return Graph(rows=tuple(rows), labels=tuple((0, i) for i in range(n)), meta=meta)
 
 
 # -- structural audit ----------------------------------------------------------
@@ -447,9 +435,7 @@ def to_g2t(g: Graph) -> str:
     ``e <u> <v>`` line (u <= v) per edge in lexicographic order.
 
     A graph ``from_g2t`` could not read back is refused with a ValueError
-    before anything is written: a variant that is not printable ASCII without
-    whitespace, or a p, a, q, t or label that is not an unsigned decimal of
-    at most 18 digits.
+    before anything is written (see ``_check_g2t``).
 
     The n ``v`` lines are formatted by ``str``.  The edges are read 512 rows
     at a time: the rows' upper triangles are unpacked, their nonzero entries
@@ -457,15 +443,7 @@ def to_g2t(g: Graph) -> str:
     digit into one byte array.
     """
     m = g.meta
-    if not all("!" <= c <= "~" for c in m.variant):
-        raise ValueError(f"variant {m.variant!r} is not printable ASCII without whitespace")
-    header = (m.p, m.a, m.q, m.t)
-    if not 0 <= min(header) <= max(header) < _G2T_LIMIT:
-        raise ValueError(f"p, a, q, t = {header} are not all unsigned decimals "
-                         f"of at most {_MAX_DIGITS} digits")
-    if g.labels and not 0 <= min(map(min, g.labels)) <= max(map(max, g.labels)) < _G2T_LIMIT:
-        raise ValueError(f"a vertex label is not a pair of unsigned decimals "
-                         f"of at most {_MAX_DIGITS} digits")
+    _check_g2t(m, g.labels)
     lines = [f"g2t v1 variant={m.variant} p={m.p} a={m.a} q={m.q} t={m.t} n={g.n}"]
     lines += [f"v {i} {cid} {x}" for i, (cid, x) in enumerate(g.labels)]
     parts = ["\n".join(lines) + "\n"]
@@ -484,7 +462,7 @@ def _g2t_header(line: str, max_n: int) -> tuple[GraphMeta, int]:
     """Parse and cross-check a g2t header; every defect is a ValueError.
 
     ``max_n`` is the number of lines after the header: n may not exceed it,
-    which is checked before anything of size n (or q <= n + 1) is touched.
+    which is checked before anything of size n is touched.
     """
     if not line.replace("\t", " ").isprintable():
         raise ValueError("the g2t header holds a control character")
@@ -504,10 +482,40 @@ def _g2t_header(line: str, max_n: int) -> tuple[GraphMeta, int]:
     p, a, q, t, n = (int(fields[k]) for k in _G2T_HEADER_KEYS[1:])
     if n > max_n:
         raise ValueError(f"header says n = {n} but only {max_n} lines follow it")
-    meta = GraphMeta(variant=fields["variant"], p=p, a=a, q=q, t=t)
+    return GraphMeta(variant=fields["variant"], p=p, a=a, q=q, t=t), n
+
+
+def _check_g2t(meta: GraphMeta, labels) -> None:
+    """Raise ValueError unless a g2t file of this header and these n vertex
+    labels, (cid, x) pairs, reads back as written: the variant is printable
+    ASCII without whitespace, p, a, q, t and the labels are unsigned decimals
+    of at most 18 digits, and a plus/times graph has the construction's
+    metadata and the label it gives each index.  O(n), in numpy; ``to_g2t``
+    calls it before writing, ``from_g2t`` once the labels are read."""
+    if not all("!" <= c <= "~" for c in meta.variant):
+        raise ValueError(f"variant {meta.variant!r} is not printable ASCII without whitespace")
+    header = (meta.p, meta.a, meta.q, meta.t)
+    if not 0 <= min(header) <= max(header) < _G2T_LIMIT:
+        raise ValueError(f"p, a, q, t = {header} are not all unsigned decimals "
+                         f"of at most {_MAX_DIGITS} digits")
+    try:
+        labels = np.asarray(labels, dtype=np.int64).reshape(-1, 2)
+        readable = not len(labels) or 0 <= labels.min() <= labels.max() < _G2T_LIMIT
+    except OverflowError:  # a label past int64
+        readable = False
+    if not readable:
+        raise ValueError(f"a vertex label is not a pair of unsigned decimals "
+                         f"of at most {_MAX_DIGITS} digits")
     if meta.variant in ("plus", "times"):
+        n = len(labels)
         _check_construction(meta, n)
-    return meta, n
+        width, first = _layout(meta.variant, meta.q)
+        index = np.arange(n)
+        bad = np.flatnonzero((labels[:, 0] != index // width) | (labels[:, 1] != index % width + first))
+        if len(bad):
+            k = int(bad[0])
+            raise ValueError(f"vertex {k} has label {tuple(labels[k].tolist())}, not the "
+                             f"{meta.variant} construction's {(k // width, k % width + first)}")
 
 
 def _check_construction(meta: GraphMeta, n: int) -> None:
@@ -657,14 +665,7 @@ def from_g2t(text: str) -> Graph:
         raise ValueError(f"expected {n} vertex lines, saw {len(i)}")
     labels = np.empty((n, 2), dtype=np.int64)
     labels[i] = np.stack([cid, x], axis=1)
-    if meta.variant in ("plus", "times"):
-        width, first = _layout(meta.variant, meta.q)
-        index = np.arange(n)
-        bad = np.flatnonzero((labels[:, 0] != index // width) | (labels[:, 1] != index % width + first))
-        if len(bad):
-            k = int(bad[0])
-            raise ValueError(f"vertex {k} has label {tuple(labels[k].tolist())}, not the "
-                             f"{meta.variant} construction's {(k // width, k % width + first)}")
+    _check_g2t(meta, labels)
     return Graph(rows=tuple(_rows_from_edges(n, u, v)),
                  labels=tuple(map(tuple, labels.tolist())), meta=meta)
 

@@ -9,12 +9,12 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from ramseycert import bounds
 from ramseycert.bounds import (
     BoundQuery,
     HypothesisViolation,
     aks_alpha_lower,
     alon_rodl_log_lhs,
-    alon_rodl_log_lhs_mp,
     bounds_table,
     certify,
     find_prime_power,
@@ -204,12 +204,23 @@ def test_find_prime_power_zero_matches_scan(t, lo, width):
 # -- inequality evaluation ----------------------------------------------------------
 
 
+def _mp_log_lhs(n, d, lam, k, m):
+    """Independent transcription of the log-LHS in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        n, d, lam, m = mpmath.mpf(n), mpmath.mpf(d), mpmath.mpf(lam), mpmath.mpf(m)
+        ln_n = mpmath.log(n)
+        term1 = (2 * k * n * ln_n / d) * mpmath.log(mpmath.e * m * d * d / (4 * lam * n * ln_n))
+        term2 = k * m * mpmath.log(2 * mpmath.e * lam * n / (m * d))
+        term3 = m * (k - 1) * mpmath.log(m / n)
+        return term1 + term2 + term3
+
+
 def test_log_lhs_paths_agree():
     for n, d, lam, k, m in ((10**6, 10**3, 31.6, 3, 10**4),
                             (2304480, 4800, math.sqrt(4801), 2, 103045.4),
                             (10**8, 10**4, 100.0, 5, 10**5)):
         a = alon_rodl_log_lhs(n, d, lam, k, m)
-        b = float(alon_rodl_log_lhs_mp(n, d, lam, k, m))
+        b = float(_mp_log_lhs(n, d, lam, k, m))
         assert a == pytest.approx(b, rel=1e-9)
     with pytest.raises(ValueError):
         alon_rodl_log_lhs(10, 0, 1, 2, 5)
@@ -288,6 +299,21 @@ def test_replay_detects_tampering(field, mutate):
     rep = replay_certificate(cert)
     assert not rep["ok"]
     assert any(not c["ok"] for c in rep["checks"].values())
+
+
+@pytest.mark.parametrize("k,t,m", [(2, 10, 10**6), (3, 10, 10**6), (2, 2, 679), (4, 16, 10**7),
+                                   (2, 3, 10**12), (6, 3, 10**5), (2, 2, 62)])
+def test_sign_guard_branch_keeps_the_verdicts(monkeypatch, k, t, m):
+    # every log-LHS through the 50-digit branch: the same verdicts, a value
+    # within 1e-9 of the float one, and a certificate that replays
+    plain = certify(BoundQuery(k, t, m))
+    monkeypatch.setattr(bounds, "_SIGN_GUARD", math.inf)
+    guarded = certify(BoundQuery(k, t, m))
+    keep = ("q", "n", "m_prime", "step1_ok", "ineq_ok", "certified_n", "failure")
+    assert [getattr(guarded, f) for f in keep] == [getattr(plain, f) for f in keep]
+    if plain.q is not None:
+        assert guarded.ineq_log_lhs == pytest.approx(plain.ineq_log_lhs, rel=1e-9)
+    assert replay_certificate(guarded.to_dict())["ok"]
 
 
 def test_replay_tolerates_float_noise():

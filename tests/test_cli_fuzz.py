@@ -17,8 +17,8 @@ import io
 from hypothesis import given, settings, strategies as st
 
 from ramseycert.cli import main
-from ramseycert.graphs import from_edges, to_g2t
-from conftest import cached_graph
+from ramseycert.graphs import to_g2t
+from conftest import cached_graph, from_edges
 
 EXIT_CODES = {0, 1, 2, 3}
 

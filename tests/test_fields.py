@@ -32,6 +32,12 @@ FROZEN = {
     (5, 2): ((2, 1, 1), 5),         # x^2 + x + 2
     (7, 1): ((2, 1), 5),
     (11, 1): ((3, 1), 8),
+    # at scale, recorded before the companion-matrix rewrite
+    (2, 20): ((1, 0, 0, 1) + (0,) * 16 + (1,), 2),             # x^20 + x^3 + 1
+    (3, 12): ((2, 2, 2, 1, 2) + (0,) * 7 + (1,), 3),
+    (5, 8): ((3, 2, 1, 0, 0, 0, 0, 0, 1), 5),
+    (1021, 1): ((10, 1), 1011),
+    (65537, 1): ((3, 1), 65534),
 }
 
 
@@ -101,8 +107,9 @@ def test_generator_is_primitive(p, a):
 
 @pytest.mark.parametrize("p,a", sorted(FROZEN))
 def test_frozen_modulus_and_generator(p, a):
-    F = make_field(p, a)
+    F = make_field.__wrapped__(p, a)  # uncached: GF(2^20)'s tables hold 2M ints
     assert (F.modulus, F.generator) == FROZEN[(p, a)]
+    assert F.exp[1] == F.generator and F.log[F.generator] == 1
 
 
 def _is_primitive_modulus(tail, p):

@@ -1,5 +1,6 @@
 """Construction audits against frozen histograms and the g2t format round trip."""
 
+import dataclasses
 import math
 import re
 from collections import Counter
@@ -19,13 +20,12 @@ from ramseycert.graphs import (
     build_g_plus,
     build_g_times,
     codegree_histogram,
-    from_edges,
     from_g2t,
     structural_audit,
     to_g2t,
 )
 from ramseycert.spectral import verify_spectrum
-from conftest import ALL_CASES, cached_graph, common_neighbors
+from conftest import ALL_CASES, cached_graph, common_neighbors, from_edges
 
 SMALL_CASES = [c for c in ALL_CASES if c[1] <= 64]
 
@@ -425,6 +425,38 @@ def test_to_g2t_equals_the_loop_writer_on_random_graphs(data):
         variant = "other" if wild != "variant" else data.draw(
             st.text(max_size=4).filter(lambda v: v not in ("plus", "times")))
         g = Graph(rows=g.rows, labels=tuple(labels), meta=GraphMeta(variant, *header))
+    text = loop_to_g2t(g)
+    if _parse(from_g2t, text) == g:
+        assert to_g2t(g) == text
+    else:
+        with pytest.raises(ValueError):
+            to_g2t(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_to_g2t_round_trips_or_refuses_perturbed_constructions(data):
+    """The same rule on plus/times graphs with a relabelled vertex, a header
+    value drawn anew, the other variant's name, or an edge toggled: the
+    label and metadata checks are the ones from_g2t makes."""
+    g = cached_graph(*data.draw(st.sampled_from(
+        [("plus", 4, 2), ("plus", 8, 4), ("plus", 9, 3), ("times", 5, 2), ("times", 7, 3)])))
+    kind = data.draw(st.sampled_from(["label", "header", "variant", "edge"]))
+    labels, meta, rows = list(g.labels), g.meta, list(g.rows)
+    k = data.draw(st.integers(0, g.n - 1))
+    if kind == "label":
+        labels[k] = data.draw(st.tuples(st.integers(0, 10), st.integers(0, 10)))
+    elif kind == "header":
+        key = data.draw(st.sampled_from(["p", "a", "q", "t"]))
+        meta = dataclasses.replace(meta, **{key: data.draw(st.integers(0, 130))})
+    elif kind == "variant":
+        meta = dataclasses.replace(meta, variant="times" if meta.variant == "plus" else "plus")
+    else:
+        j = data.draw(st.integers(0, g.n - 1))
+        rows[k] ^= 1 << j
+        if j != k:
+            rows[j] ^= 1 << k
+    g = Graph(rows=tuple(rows), labels=tuple(labels), meta=meta)
     text = loop_to_g2t(g)
     if _parse(from_g2t, text) == g:
         assert to_g2t(g) == text

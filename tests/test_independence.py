@@ -5,7 +5,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramseycert.graphs import from_edges
 from ramseycert.random_model import lemma_parameters, sample_gnp
 from ramseycert.independence import (
     KNOWN_EVEN_CHAR_ALPHA,
@@ -17,7 +16,7 @@ from ramseycert.independence import (
     max_independent_set_exact,
     verify_independent,
 )
-from conftest import cached_graph
+from conftest import cached_graph, from_edges
 
 
 def small_graphs(max_n=14, max_edges=40):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramseycert.graphs import from_edges
 from ramseycert.random_model import (
     C3_DEFAULT,
     E8,
@@ -21,7 +20,7 @@ from ramseycert.random_model import (
     monte_carlo_check,
     sample_gnp,
 )
-from conftest import cached_graph, common_neighbors
+from conftest import cached_graph, common_neighbors, from_edges
 
 
 # -- recipe -----------------------------------------------------------------------

@@ -5,7 +5,8 @@ import cmath
 import dataclasses
 import random
 from collections import Counter
-from math import sqrt
+from fractions import Fraction
+from math import isqrt, sqrt
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from ramseycert.graphs import (
     _exact_walks,
     build_g_plus,
     codegree_histogram,
-    from_edges,
     from_g2t,
     to_g2t,
 )
@@ -35,7 +35,7 @@ from ramseycert.spectral import (
     solve_multiplicities,
     verify_spectrum,
 )
-from conftest import ALL_CASES, cached_graph, common_neighbors
+from conftest import ALL_CASES, cached_graph, common_neighbors, from_edges
 
 ODD_SMALL = [c for c in ALL_CASES if c[1] % 2 == 1 and c[1] <= 49]
 
@@ -184,6 +184,106 @@ def test_exactness_bounds_refuse():
 
 def test_solve_multiplicities_oracle():
     assert solve_multiplicities(PLUS_9_3_MOMENTS, 9, 24) == PLUS_9_3_MULT
+
+
+def _solve3(rows: list[list[Fraction]]) -> tuple[Fraction, Fraction, Fraction]:
+    """Solve a 3x3 fractional system [A | b] by Gaussian elimination."""
+    m = [r[:] for r in rows]
+    for col in range(3):
+        piv = next((r for r in range(col, 3) if m[r][col] != 0), None)
+        if piv is None:
+            raise SpectralSolveError("singular moment system")
+        m[col], m[piv] = m[piv], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [v * inv for v in m[col]]
+        for r in range(3):
+            if r != col and m[r][col]:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return m[0][3], m[1][3], m[2][3]
+
+
+def _solve_multiplicities_gauss(moments, q, n):
+    """The multiplicity solve with its odd rows put through ``_solve3``."""
+    c0, c1, c2, c3, c4, c5 = (Fraction(x) for x in moments[:6])
+    d = q - 1
+    A, V, E = _solve3([
+        [Fraction(d), Fraction(1), Fraction(1), c1],
+        [Fraction(d**3), Fraction(q), Fraction(1), c3],
+        [Fraction(d**5), Fraction(q * q), Fraction(1), c5],
+    ])
+    r2 = c2 - A * d * d
+    r4 = c4 - A * d**4
+    S = (r4 - r2) / (q * q - q)
+    T = r2 - S * q
+    Z = c0 - A - S - T
+    root = isqrt(q)
+    if root * root == q:
+        W = V / root
+    else:
+        if V != 0:
+            raise SpectralSolveError(f"irrational moment component V = {V} with non-square q = {q}")
+        W = Fraction(0)
+    vals = {"q-1": A, "+sqrt(q)": (S + W) / 2, "-sqrt(q)": (S - W) / 2,
+            "+1": (T + E) / 2, "-1": (T - E) / 2, "0": Z}
+    out = {}
+    for name, v in vals.items():
+        if v.denominator != 1 or v < 0:
+            raise SpectralSolveError(f"multiplicity of {name} solved to {v}, not a non-negative integer")
+        out[name] = int(v)
+    if sum(out.values()) != n:
+        raise SpectralSolveError("multiplicities do not sum to n")
+    return out
+
+
+def _moment_identities(mult, moments, q, n) -> bool:
+    """tr(M) and tr(M^2) from the multiplicities, sqrt(q) kept symbolic, and
+    the multiplicities summing to n."""
+    rational1 = mult["q-1"] * (q - 1) + mult["+1"] - mult["-1"]
+    irrational1 = mult["+sqrt(q)"] - mult["-sqrt(q)"]
+    root = isqrt(q)
+    if root * root == q:
+        ok1 = rational1 + irrational1 * root == moments[1]
+    else:
+        ok1 = rational1 == moments[1] and irrational1 == 0
+    ok2 = (mult["q-1"] * (q - 1) ** 2 + (mult["+sqrt(q)"] + mult["-sqrt(q)"]) * q
+           + mult["+1"] + mult["-1"]) == moments[2]
+    return ok1 and ok2 and sum(mult.values()) == n
+
+
+def _outcome(solve, moments, q, n):
+    try:
+        return solve(moments, q, n)
+    except SpectralSolveError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_closed_form_solve_matches_gaussian_elimination(data):
+    """Same multiplicities or the same refusal as the Gaussian oracle, over
+    square and non-square q, on moments of a multiplicity table (n off by
+    up to one) and on random moments; a solve that succeeds meets the first
+    and second moment identities and sums to n."""
+    q = data.draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 81, 121, 128]))
+    root = isqrt(q)
+    if data.draw(st.booleans()):
+        a, plus, minus, one, neg, zero = data.draw(st.lists(st.integers(0, 60), min_size=6, max_size=6))
+        if root * root != q:
+            minus = plus  # the sqrt(q) parts of odd moments cancel
+            sq = [q ** (j // 2) * (plus + minus) if j % 2 == 0 else 0 for j in range(6)]
+        else:
+            sq = [plus * root**j + minus * (-root) ** j for j in range(6)]
+        moments = tuple(a * (q - 1) ** j + sq[j] + one + neg * (-1) ** j + zero * (j == 0)
+                        for j in range(6))
+        n = moments[0] + data.draw(st.integers(-1, 1))
+    else:
+        moments = tuple(data.draw(st.lists(st.integers(-10**6, 10**6), min_size=6, max_size=6)))
+        n = data.draw(st.integers(0, 10**6))
+    got = _outcome(solve_multiplicities, moments, q, n)
+    assert got == _outcome(_solve_multiplicities_gauss, moments, q, n)
+    if isinstance(got, dict):
+        assert _moment_identities(got, moments, q, n)
 
 
 def test_solve_rejects_wrong_shape_moments():
