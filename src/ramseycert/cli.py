@@ -318,6 +318,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except MemoryError as exc:  # the estimates see physical memory, not the process's limit
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -275,8 +275,12 @@ class Subgroup:
     coset, and 0 to -1 when the group is GF(q)^*; coset ids are assigned by
     ascending minimum representative, and ``reps[cid]`` is that minimum.
     Additive H of order p^b is the GF(p)-span of the reduced monomials
-    x^1..x^b; multiplicative H of order t is the group generated by
-    g^((q-1)/t).
+    x^1..x^b, grown as p shifted copies per monomial by the elementwise
+    ``Field.add``; multiplicative H of order t is exp[k (q-1)/t], the group
+    generated by g^((q-1)/t).  H is an int array: for t <= 2048 closure is
+    checked by one ``np.isin`` over the t x t table of products, and the
+    ascending scan of the ambient group writes each new coset e·H in one
+    indexed assignment.
     """
 
     field: Field
@@ -291,21 +295,6 @@ class Subgroup:
         return len(self.reps)
 
 
-def _span_additive(field: Field, b: int) -> set[int]:
-    """GF(p)-span of the reduced monomials x, x^2, ..., x^b."""
-    basis = [field.power(field.generator, i) for i in range(1, b + 1)]
-    span = {0}
-    for v in basis:
-        new = set()
-        for s in span:
-            cur = s
-            for _ in range(field.p - 1):
-                cur = field.add(cur, v)
-                new.add(cur)
-        span |= new
-    return span
-
-
 def subgroup(field: Field, kind: str, order: int) -> Subgroup:
     """Build the canonical subgroup of the given order with its coset table."""
     q, p = field.q, field.p
@@ -318,40 +307,41 @@ def subgroup(field: Field, kind: str, order: int) -> Subgroup:
             b += 1
         if o != 1 or order > q:
             raise ValueError(f"additive subgroup order {order} is not a power of p = {p} dividing q")
-        elems = _span_additive(field, b)
-        if len(elems) != order:
+        H = np.zeros(1, dtype=np.int64)
+        for v in (field.exp[i % (q - 1)] for i in range(1, b + 1)):  # x^1..x^b
+            shifts = [H]  # H + j v for j = 0..p-1
+            for _ in range(p - 1):
+                shifts.append(field.add(shifts[-1], v))
+            H = np.concatenate(shifts)
+        elements = frozenset(H.tolist())
+        if len(elements) != order:
             raise AssertionError("monomial span has unexpected size")
         ambient: range = field.elements()
         combine = field.add
     elif kind == "multiplicative":
         if order < 1 or (q - 1) % order != 0:
             raise ValueError(f"multiplicative subgroup order {order} does not divide q - 1 = {q - 1}")
-        h = field.power(field.generator, (q - 1) // order)
-        elems = {1}
-        cur = 1
-        for _ in range(order - 1):
-            cur = field.mul(cur, h)
-            elems.add(cur)
-        if len(elems) != order:
+        H = np.array(field.exp[::(q - 1) // order])
+        elements = frozenset(H.tolist())
+        if len(elements) != order:
             raise AssertionError("generated subgroup has unexpected size")
         ambient = field.units()
-        combine = field.mul
+        exp, log = np.array(field.exp), np.array(field.log)
+
+        def combine(x, y):
+            return exp[(log[x] + log[y]) % (q - 1)]
     else:
         raise ValueError(f"unknown subgroup kind {kind!r}")
 
     if order <= 2048:  # closure is cheap to certify exhaustively at desk scale
-        for ei in elems:
-            for ej in elems:
-                assert combine(ei, ej) in elems, "subgroup not closed"
+        assert np.isin(combine(H[:, None], H), H).all(), "subgroup not closed"
 
-    coset_id = [-1] * q
+    coset_id = np.full(q, -1)
     reps = []
     for e in ambient:
-        if coset_id[e] == -1:
-            cid = len(reps)
-            reps.append(e)  # ascending scan => first unseen element is the min rep
-            for h in elems:
-                coset_id[combine(e, h)] = cid
+        if coset_id[e] < 0:  # ascending scan => first unseen element is the min rep
+            coset_id[combine(e, H)] = len(reps)
+            reps.append(e)
     assert len(reps) * order == len(ambient)
-    return Subgroup(field=field, kind=kind, order=order, elements=frozenset(elems),
-                    coset_id=tuple(coset_id), reps=tuple(reps))
+    return Subgroup(field=field, kind=kind, order=order, elements=elements,
+                    coset_id=tuple(coset_id.tolist()), reps=tuple(reps))

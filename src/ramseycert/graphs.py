@@ -40,12 +40,12 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .fields import Field, Subgroup, is_prime_power, make_field, subgroup
+from .fields import is_prime_power, make_field, subgroup
 
 # integers are exact in float32 below 2^24 and in float64 below 2^53
 _FLOAT32_EXACT = 1 << 24

@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .fields import is_prime, make_field
-from .graphs import Graph, _bits, _layout, _pack_rows, build_g_plus
+from .graphs import Graph, _bits, _layout, _pack_rows, _unpack_rows, build_g_plus
 
 SEMANTICS = ("ignore-loops", "exclude-looped")
 
@@ -88,15 +88,20 @@ def _complement_rows(g: Graph, semantics: str) -> tuple[list[int], list[int]]:
 
     Returns the rows in the new numbering and ``order``, where ``order[k]`` is
     the original index of new vertex k.  The permutation is applied to the
-    unpacked 0/1 matrix and packed back, so no per-bit Python loop runs.
+    unpacked 0/1 rows 512 at a time and packed back, so no per-bit Python
+    loop runs and no n x n matrix is formed.
     """
     mask = _allowed(g, semantics)
     # fewest allowed neighbours first; sorted() is stable, so ties keep index order
     order = sorted(_bits(mask), key=lambda v: (g.rows[v] & mask & ~(1 << v)).bit_count())
-    comp_bits = g.adjacency_matrix(dtype=np.bool_)[np.ix_(order, order)]
-    np.logical_not(comp_bits, out=comp_bits)
-    np.fill_diagonal(comp_bits, False)  # a vertex is not its own complement neighbour
-    return _pack_rows(comp_bits), order
+    cols = np.array(order, dtype=np.intp)
+    comp: list[int] = []
+    for s in range(0, len(order), 512):
+        block = np.logical_not(_unpack_rows([g.rows[v] for v in order[s:s + 512]], g.n)[:, cols])
+        k = np.arange(len(block))
+        block[k, s + k] = False  # a vertex is not its own complement neighbour
+        comp += _pack_rows(block)
+    return comp, order
 
 
 def verify_independent(g: Graph, vertices, semantics: str = "ignore-loops") -> bool:
@@ -337,7 +342,7 @@ def explicit_qr_set(p: int, g: Graph | None = None) -> tuple[int, ...]:
     if (g.meta.variant, g.meta.q, g.meta.t) != ("plus", q, p):
         raise ValueError("graph is not the plus construction on (p^2, p)")
     F = make_field(p, 2)
-    residues = sorted(F.exp[2 * k] for k in range((q - 1) // 2))
+    residues = sorted(F.exp[::2])
     _, first = _layout("plus", q)
     return tuple(y - first for y in residues)  # vertex (coset 0, y) has index y - first
 

@@ -29,7 +29,7 @@ from math import isqrt
 
 import numpy as np
 
-from .fields import Field, Subgroup
+from .fields import Field
 from .graphs import Graph, _check_construction, _exact_walks
 
 
@@ -273,10 +273,9 @@ class Character:
         return cmath.exp(2j * cmath.pi * self.index * f.log[x] / (f.q - 1))
 
 
-def make_character(field: Field, sub: Subgroup | None, kind: str, index: int) -> Character:
+def make_character(field: Field, kind: str, index: int) -> Character:
     """The index-th character of kind "additive-on-field" (q of them) or
-    "multiplicative-on-field" (q - 1); ``sub`` is not read, since a character
-    of the whole field needs no subgroup."""
+    "multiplicative-on-field" (q - 1)."""
     orders = {"additive-on-field": field.q, "multiplicative-on-field": field.q - 1}
     if kind not in orders:
         raise ValueError(f"unknown character kind {kind!r}")

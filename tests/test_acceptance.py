@@ -114,9 +114,9 @@ def test_03_gauss_sums(announce):
         F = make_field(p, a)
         root = math.sqrt(q)
         for i in range(q):
-            chi = make_character(F, None, "additive-on-field", i)
+            chi = make_character(F, "additive-on-field", i)
             for j in range(q - 1):
-                phi = make_character(F, None, "multiplicative-on-field", j)
+                phi = make_character(F, "multiplicative-on-field", j)
                 s = gauss_sum(chi, phi)
                 if i == 0 and j == 0:
                     ok = abs(s - (q - 1)) <= 1e-9

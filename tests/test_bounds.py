@@ -265,6 +265,21 @@ def test_certify_empty_window():
     assert replay_certificate(cert.to_dict())["ok"]
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 6), st.integers(2, 40), st.floats(1.5, 7.0))
+def test_step1_holds_whenever_the_window_has_a_q(k, t, log10_m):
+    """The window caps q at ell t, so n = q(q-1)/t < (mt)^2 and m' < m/2 for
+    k = 2, m' < m for k >= 3: no query can end in failure "step1"."""
+    m = int(10**log10_m)
+    try:
+        cert = certify(BoundQuery(k, t, m))
+    except HypothesisViolation:
+        return
+    if cert.q is not None:
+        assert cert.step1_ok and cert.failure != "step1"
+        assert cert.m_prime < (m / 2 if k == 2 else m)
+
+
 def test_certify_hypothesis_gates():
     with pytest.raises(HypothesisViolation):
         certify(BoundQuery(2, 10, 678))  # 128 log^2 10 = 678.64

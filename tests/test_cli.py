@@ -142,6 +142,21 @@ def test_exit_2_on_invalid_input(argv, capsys):
     assert time.monotonic() - start < 1.0
 
 
+@pytest.mark.parametrize("exc,line", [
+    (MemoryError(), "error: out of memory"),
+    (MemoryError("Unable to allocate 3.35 GiB"), "error: Unable to allocate 3.35 GiB")])
+def test_memory_error_exits_2_with_one_line(exc, line, plus93_file, monkeypatch, capsys):
+    """An allocation that fails past the up-front estimates (a process limit
+    below physical memory) ends in one error line and exit 2."""
+    def report(g):
+        raise exc
+
+    monkeypatch.setattr(cli, "structural_audit", report)
+    code = main(["audit", plus93_file])
+    err = capsys.readouterr().err
+    assert (code, err) == (2, line + "\n")
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--budget-nodes", "-1"), ("--budget-secs", "-1"), ("--budget-secs", "nan")])
 @pytest.mark.parametrize("sub", ["alpha", "conjecture"])

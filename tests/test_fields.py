@@ -8,12 +8,15 @@ from hypothesis import given, settings, strategies as st
 from ramseycert.fields import (
     MAX_Q,
     Field,
+    Subgroup,
     factorize,
     field_ops,
     is_prime,
+    is_prime_power,
     make_field,
     subgroup,
 )
+from ramseycert.graphs import fleet
 
 # the fields every construction in the acceptance fleet lives in
 FLEET_PA = [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7),
@@ -309,3 +312,99 @@ def test_subgroup_rejects_bad_orders():
         subgroup(F, "multiplicative", 3)  # 3 does not divide 8
     with pytest.raises(ValueError):
         subgroup(F, "dihedral", 2)
+
+
+# the scalar construction the array path replaced, kept as its oracle
+
+
+def _span_additive(field: Field, b: int) -> set[int]:
+    """GF(p)-span of the reduced monomials x, x^2, ..., x^b."""
+    basis = [field.power(field.generator, i) for i in range(1, b + 1)]
+    span = {0}
+    for v in basis:
+        new = set()
+        for s in span:
+            cur = s
+            for _ in range(field.p - 1):
+                cur = field.add(cur, v)
+                new.add(cur)
+        span |= new
+    return span
+
+
+def _subgroup_oracle(field: Field, kind: str, order: int) -> Subgroup:
+    q, p = field.q, field.p
+    if kind == "additive":
+        b = 0
+        o = order
+        while o > 1 and o % p == 0:
+            o //= p
+            b += 1
+        assert o == 1 and order <= q
+        elems = _span_additive(field, b)
+        ambient: range = field.elements()
+        combine = field.add
+    else:
+        h = field.power(field.generator, (q - 1) // order)
+        elems = {1}
+        cur = 1
+        for _ in range(order - 1):
+            cur = field.mul(cur, h)
+            elems.add(cur)
+        ambient = field.units()
+        combine = field.mul
+    assert len(elems) == order
+    if order <= 2048:
+        for ei in elems:
+            for ej in elems:
+                assert combine(ei, ej) in elems, "subgroup not closed"
+    coset_id = [-1] * q
+    reps = []
+    for e in ambient:
+        if coset_id[e] == -1:
+            cid = len(reps)
+            reps.append(e)
+            for h in elems:
+                coset_id[combine(e, h)] = cid
+    assert len(reps) * order == len(ambient)
+    return Subgroup(field=field, kind=kind, order=order, elements=frozenset(elems),
+                    coset_id=tuple(coset_id), reps=tuple(reps))
+
+
+def _subgroup_orders(p: int, a: int):
+    q = p**a
+    for b in range(a + 1):
+        yield "additive", p**b
+    for t in range(1, q):
+        if (q - 1) % t == 0:
+            yield "multiplicative", t
+
+
+def _assert_matches_oracle(F: Field, kind: str, order: int):
+    H = subgroup(F, kind, order)
+    assert H == _subgroup_oracle(F, kind, order), (F.q, kind, order)
+    for values in (H.elements, H.coset_id, H.reps):
+        assert all(type(v) is int for v in values)
+
+
+@pytest.mark.parametrize("pa", [pa for q in range(2, 256) if (pa := is_prime_power(q))],
+                         ids="{0[0]}^{0[1]}".format)
+def test_subgroup_matches_scalar_oracle_below_256(pa):
+    """Every subgroup of every field with q < 256, each order p^b (b >= 0) and
+    each divisor of q - 1, equals the scalar construction's, field for field."""
+    F = make_field(*pa)
+    for kind, order in _subgroup_orders(*pa):
+        _assert_matches_oracle(F, kind, order)
+
+
+def test_subgroup_matches_scalar_oracle_on_the_fleet():
+    for variant, q, t in fleet():
+        F = make_field(*is_prime_power(q))
+        _assert_matches_oracle(F, "additive" if variant == "plus" else "multiplicative", t)
+
+
+def test_subgroup_matches_scalar_oracle_at_the_closure_gate():
+    """GF(4096)'s additive subgroup of order 2048, the largest whose closure
+    is checked (the search graph of ``conjecture --a 12``)."""
+    _assert_matches_oracle(make_field(2, 12), "additive", 2048)
+

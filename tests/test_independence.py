@@ -1,14 +1,19 @@
 """Exact independence search: known values, oracle equivalence, budget behavior."""
 
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ramseycert.graphs import _bits, _pack_rows
 from ramseycert.random_model import lemma_parameters, sample_gnp
 from ramseycert.independence import (
     KNOWN_EVEN_CHAR_ALPHA,
     SEMANTICS,
+    _allowed,
+    _complement_rows,
     alpha_bruteforce,
     conjecture_check,
     explicit_qr_set,
@@ -238,6 +243,62 @@ def test_complete_search_node_counts(kind, a, b, c, expected):
     res = max_independent_set_exact(g, semantics=sem)
     assert (res.lower, res.exact, res.nodes_explored) == expected
     assert verify_independent(g, res.witness, sem)
+
+
+def _complement_rows_whole_matrix(g, semantics):
+    """The whole-matrix permutation that the blockwise ``_complement_rows``
+    replaced: n x n unpacked, copied to bool and copied again by np.ix_."""
+    mask = _allowed(g, semantics)
+    order = sorted(_bits(mask), key=lambda v: (g.rows[v] & mask & ~(1 << v)).bit_count())
+    comp_bits = g.adjacency_matrix(dtype=np.bool_)[np.ix_(order, order)]
+    np.logical_not(comp_bits, out=comp_bits)
+    np.fill_diagonal(comp_bits, False)
+    return _pack_rows(comp_bits), order
+
+
+def _looped_gnp(n, p, seed):
+    """G(n, p) plus a loop at every seventh vertex, so exclude-looped drops some."""
+    rng = random.Random(seed)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return from_edges(n, edges + [(v, v) for v in range(0, n, 7)])
+
+
+@pytest.mark.parametrize("sem", SEMANTICS)
+@pytest.mark.parametrize("make", [
+    lambda: cached_graph("plus", 9, 3),
+    lambda: cached_graph("plus", 32, 2),  # n = 496
+    lambda: cached_graph("plus", 64, 4),  # n = 1008, two blocks
+    lambda: cached_graph("times", 25, 2),
+    lambda: cached_graph("times", 49, 3),  # n = 784
+    lambda: _looped_gnp(1100, 0.01, 1),  # three blocks
+    lambda: _looped_gnp(600, 0.5, 2),
+    lambda: from_edges(513, [(0, 512), (512, 512)]),
+], ids=["plus9-3", "plus32-2", "plus64-4", "times25-2", "times49-3", "gnp1100", "gnp600",
+        "n513"])
+def test_complement_rows_match_whole_matrix_oracle(make, sem):
+    g = make()
+    assert _complement_rows(g, sem) == _complement_rows_whole_matrix(g, sem)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs(), st.sampled_from(SEMANTICS))
+def test_complement_rows_match_whole_matrix_oracle_on_small_graphs(g, sem):
+    assert _complement_rows(g, sem) == _complement_rows_whole_matrix(g, sem)
+
+
+def test_complement_rows_peak_stays_below_n_squared_bytes():
+    """The complement is permuted 512 rows at a time: on a sparse n = 3000
+    graph the traced peak stays under the n^2 bytes of one unpacked matrix."""
+    n = 3000
+    rng = random.Random(5)
+    g = from_edges(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(3 * n)])
+    tracemalloc.start()
+    try:
+        _complement_rows(g, "ignore-loops")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n
 
 
 def test_time_budget_returns_bracket():

@@ -399,8 +399,8 @@ def quotient_character(F: Field, H: Subgroup, index: int) -> Character:
     that is constant on H's cosets: additive with c = h_perp(F, H)[index], or
     multiplicative with j = index * |H|.  Index 0 stays the principal one."""
     if H.kind == "additive":
-        return make_character(F, None, "additive-on-field", h_perp(F, H)[index])
-    return make_character(F, None, "multiplicative-on-field", index * H.order)
+        return make_character(F, "additive-on-field", h_perp(F, H)[index])
+    return make_character(F, "multiplicative-on-field", index * H.order)
 
 
 def gamma_sum(chi: Character, phi: Character) -> complex:
@@ -447,7 +447,7 @@ def test_character_orthogonality():
     F = make_field(5, 1)
     for kind, domain, order in (("additive-on-field", F.elements(), 5),
                                 ("multiplicative-on-field", F.units(), 4)):
-        chars = [make_character(F, None, kind, i) for i in range(order)]
+        chars = [make_character(F, kind, i) for i in range(order)]
         for ci in chars:
             for cj in chars:
                 s = sum(ci(x) * cj(x).conjugate() for x in domain)
@@ -457,23 +457,22 @@ def test_character_orthogonality():
 
 def test_conjugate_index_gives_conjugate_values():
     F = make_field(7, 1)
-    chi = make_character(F, None, "multiplicative-on-field", 2)
-    bar = make_character(F, None, "multiplicative-on-field", -chi.index % (F.q - 1))
+    chi = make_character(F, "multiplicative-on-field", 2)
+    bar = make_character(F, "multiplicative-on-field", -chi.index % (F.q - 1))
     for x in F.units():
         assert cmath.isclose(bar(x), chi(x).conjugate(), abs_tol=1e-12)
 
 
 def test_make_character_validation():
     F = make_field(3, 2)
-    H = subgroup(F, "additive", 3)
     with pytest.raises(ValueError):
-        make_character(F, None, "legendre", 0)
+        make_character(F, "legendre", 0)
     for kind in ("additive-on-quotient", "multiplicative-on-quotient"):
         with pytest.raises(ValueError, match="unknown character kind"):
-            make_character(F, H, kind, 0)
+            make_character(F, kind, 0)
     with pytest.raises(ValueError):
-        make_character(F, None, "additive-on-field", 9)  # the group has order 9
-    chi = make_character(F, None, "multiplicative-on-field", 1)
+        make_character(F, "additive-on-field", 9)  # the group has order 9
+    chi = make_character(F, "multiplicative-on-field", 1)
     with pytest.raises(ValueError):
         chi(0)
 
@@ -481,7 +480,7 @@ def test_make_character_validation():
 def test_legendre_character_squares():
     # index (q-1)/2 is the quadratic character: +1 on squares, -1 on nonsquares
     F = make_field(7, 1)
-    leg = make_character(F, None, "multiplicative-on-field", 3)
+    leg = make_character(F, "multiplicative-on-field", 3)
     squares = {F.mul(x, x) for x in F.units()}
     for x in F.units():
         want = 1.0 if x in squares else -1.0
@@ -495,9 +494,9 @@ def test_gauss_sum_magnitudes(q):
     F = make_field(p, a)
     root = sqrt(q)
     for i in range(q):
-        chi = make_character(F, None, "additive-on-field", i)
+        chi = make_character(F, "additive-on-field", i)
         for j in range(q - 1):
-            phi = make_character(F, None, "multiplicative-on-field", j)
+            phi = make_character(F, "multiplicative-on-field", j)
             s = gauss_sum(chi, phi)
             if i == 0 and j == 0:
                 assert abs(s - (q - 1)) < 1e-9
@@ -511,7 +510,7 @@ def test_gauss_sum_magnitudes(q):
 
 def test_gauss_sum_rejects_wrong_kinds():
     F = make_field(5, 1)
-    chi = make_character(F, None, "additive-on-field", 1)
+    chi = make_character(F, "additive-on-field", 1)
     with pytest.raises(ValueError):
         gauss_sum(chi, chi)
 
@@ -526,7 +525,7 @@ def _character_pairs(g: Graph):
     for i in range(H.num_cosets):
         chi = quotient_character(F, H, i)
         for j in range(phi_order):
-            yield chi, make_character(F, None, phi_kind, j)
+            yield chi, make_character(F, phi_kind, j)
 
 
 @pytest.mark.parametrize("variant,q,t", [("plus", 9, 3), ("times", 7, 3), ("times", 13, 3)])
