@@ -5,12 +5,17 @@ node/time budgets: bitset adjacency renumbered by non-increasing complement
 degree (the MCQ order of Tomita & Seki), an incumbent seeded by the
 min-degree greedy, and greedy-coloring upper bounds whose classes below
 ``kmin = best - size + 1`` are colored but never branched on (BBMC, San
-Segundo et al.).  The search is one loop over an explicit path of open
-nodes, root first, so its depth is bounded by memory rather than by the
-interpreter's recursion limit.  On completion the result is the exact
+Segundo et al.).  The coloring reads one class row per vertex, v's allowed
+neighbours in G without v: a class takes v and keeps only the candidates in
+that row, one AND, and the classes below ``kmin`` run in a loop of their
+own that records nothing.  The search is one loop over an explicit path of
+open nodes, root first, so its depth is bounded by memory rather than by
+the interpreter's recursion limit.  On completion the result is the exact
 independence number with a witness in the original numbering; otherwise it
 is a certified bracket: lower is the incumbent, upper the largest coloring
-bound still open on the path.
+bound still open on the path.  The time budget is also read between the
+512-row blocks of the complement build, which is Theta(n^2) whatever the
+edge count.
 
 ``greedy_alpha`` is the cheap lower bound the Monte-Carlo check uses on large
 samples: it repeatedly takes the live vertex of least residual degree, lowest
@@ -30,6 +35,7 @@ alpha values.
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from dataclasses import asdict, dataclass
 
@@ -82,14 +88,17 @@ def _allowed(g: Graph, semantics: str) -> int:
     return mask
 
 
-def _complement_rows(g: Graph, semantics: str) -> tuple[list[int], list[int]]:
+def _complement_rows(g: Graph, semantics: str,
+                     deadline: float = math.inf) -> tuple[list[int], list[int]]:
     """Complement adjacency bitsets (loops dropped) on the allowed vertices,
     renumbered by non-increasing complement degree, lower index on ties.
 
     Returns the rows in the new numbering and ``order``, where ``order[k]`` is
     the original index of new vertex k.  The permutation is applied to the
     unpacked 0/1 rows 512 at a time and packed back, so no per-bit Python
-    loop runs and no n x n matrix is formed.
+    loop runs and no n x n matrix is formed.  The clock is read between
+    blocks: once ``time.monotonic()`` is past ``deadline``, no further block
+    is built and the rows returned are only the first ones.
     """
     mask = _allowed(g, semantics)
     # fewest allowed neighbours first; sorted() is stable, so ties keep index order
@@ -97,6 +106,8 @@ def _complement_rows(g: Graph, semantics: str) -> tuple[list[int], list[int]]:
     cols = np.array(order, dtype=np.intp)
     comp: list[int] = []
     for s in range(0, len(order), 512):
+        if s and time.monotonic() > deadline:
+            break
         block = np.logical_not(_unpack_rows([g.rows[v] for v in order[s:s + 512]], g.n)[:, cols])
         k = np.arange(len(block))
         block[k, s + k] = False  # a vertex is not its own complement neighbour
@@ -137,21 +148,37 @@ def max_independent_set_exact(
     branched on (BBMC).  Deterministic for fixed (graph, budgets, semantics);
     the witness is mapped back to the original indices and sorted.
 
+    The complement rows are turned in place into class rows ``keep[v] =
+    full ^ comp[v] ^ (1 << v)``, v's G-neighbours among the allowed vertices
+    without v.  A class that takes v keeps ``avail & keep[v]``, and the child
+    of a branch on v is ``P & ~keep[v]``.  Classes below ``kmin`` are only
+    taken out of the candidates, in a loop that reads no vertex index and
+    appends nothing; the classes from ``kmin`` up record each vertex and its
+    color to branch on.
+
     The open nodes from the root down are kept as a list of frames, visited
     in depth-first order.  On budget exhaustion ``lower`` is the incumbent
     and ``upper`` is read off that path: the largest of ``best`` and each
     frame's ``size + color`` of the branch it is exploring (every unexplored
     branch there is bounded by its color), or the number of allowed vertices
     if the path is empty.  The time budget counts from entry; the clock is
-    read before each node whose count is a multiple of 1024, node 0
-    included.  A negative (or NaN) budget raises ValueError.
+    read between the 512-row blocks of the complement, which stops at the
+    first block boundary past the deadline, and before each node whose count
+    is a multiple of 1024, node 0 included.  A negative (or NaN) budget
+    raises ValueError.
     """
     _check_semantics(semantics)
     if node_budget < 0 or not time_budget >= 0:
         raise ValueError(f"budgets must be non-negative: {node_budget} nodes, {time_budget} s")
     start = time.monotonic()
     deadline = start + time_budget
-    comp, order = _complement_rows(g, semantics)
+    keep, order = _complement_rows(g, semantics, deadline)
+    # class rows in place, so one list of n rows is held.  A deadline passed
+    # in the complement leaves the list short; node 0's clock read then stops
+    # the search before any row is read
+    full = (1 << len(order)) - 1
+    for v, row in enumerate(keep):
+        keep[v] = full ^ row ^ (1 << v)
 
     seed = set(_min_degree_greedy(g, semantics))
     best = len(seed)
@@ -166,7 +193,7 @@ def max_independent_set_exact(
     # bounds[i] is the color of branch[i], and open is size + the color of the
     # branch being explored below it
     path: list[list] = []
-    size, mask, P = 0, 0, (1 << len(comp)) - 1  # the next node to visit
+    size, mask, P = 0, 0, full  # the next node to visit
     while True:
         # the complement build and the seeding greedy may already have spent
         # the budget, so the clock is read before node 0 too
@@ -178,25 +205,31 @@ def max_independent_set_exact(
             hit = "nodes"
             break
         if P:
-            # color classes of mutual non-(comp)-neighbours, kept only from
-            # kmin up: lower classes cannot lift size past best
+            # color classes of mutual non-(comp)-neighbours; classes below
+            # kmin cannot lift size past best, so they are only taken out of
+            # rest, and the vertices of the others are kept to branch on
             kmin = best - size + 1
             branch: list[int] = []
             bounds: list[int] = []
             color = 0
             rest = P
+            while rest and color < kmin - 1:
+                color += 1
+                avail = rest
+                while avail:
+                    low = avail & -avail
+                    avail &= keep[low.bit_length() - 1]
+                    rest ^= low
             while rest:
                 color += 1
                 avail = rest
                 while avail:
                     low = avail & -avail
                     v = low.bit_length() - 1
-                    avail ^= low
-                    avail &= ~comp[v]
+                    avail &= keep[v]
                     rest ^= low
-                    if color >= kmin:
-                        branch.append(v)
-                        bounds.append(color)
+                    branch.append(v)
+                    bounds.append(color)
             path.append([size, mask, P, branch, bounds, 0])
         elif size > best:
             best, best_mask = size, mask
@@ -214,7 +247,7 @@ def max_independent_set_exact(
                     frame[5] = size + color
                     bit = 1 << v
                     P = frame[2] = frame[2] & ~bit
-                    size, mask, P = size + 1, frame[1] | bit, P & comp[v]
+                    size, mask, P = size + 1, frame[1] | bit, P & ~keep[v]
                     break
             path.pop()
         else:
@@ -223,7 +256,7 @@ def max_independent_set_exact(
     if path:  # a budget stopped the search below these open nodes
         upper = max(best, *(frame[5] for frame in path))
     else:
-        upper = len(comp) if hit else best
+        upper = len(order) if hit else best
     return AlphaResult(
         lower=best,
         upper=upper,

@@ -1,19 +1,25 @@
 """Exact independence search: known values, oracle equivalence, budget behavior."""
 
+import dataclasses
+import itertools
 import random
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ramseycert import independence
 from ramseycert.graphs import _bits, _pack_rows
 from ramseycert.random_model import lemma_parameters, sample_gnp
 from ramseycert.independence import (
     KNOWN_EVEN_CHAR_ALPHA,
     SEMANTICS,
+    AlphaResult,
     _allowed,
     _complement_rows,
+    _min_degree_greedy,
     alpha_bruteforce,
     conjecture_check,
     explicit_qr_set,
@@ -310,6 +316,171 @@ def test_time_budget_returns_bracket():
     # greedy against the number of allowed vertices
     assert res.nodes_explored == 0
     assert (res.lower, res.upper) == (greedy_alpha(g)[0], g.n)
+
+
+# -- the search against the complement-row loop it replaced --------------------------
+
+
+def _max_independent_set_parent(g, *, semantics="ignore-loops", node_budget=10**8,
+                                 time_budget=300.0):
+    """The search as it ran on complement rows: each class vertex cleared its
+    complement neighbours with ``avail &= ~comp[v]``, every class went through
+    one loop that tested ``color >= kmin``, and a child was ``P & comp[v]``."""
+    start = time.monotonic()
+    deadline = start + time_budget
+    comp, order = _complement_rows(g, semantics)
+
+    seed = set(_min_degree_greedy(g, semantics))
+    best = len(seed)
+    best_mask = 0
+    for k, v in enumerate(order):
+        if v in seed:
+            best_mask |= 1 << k
+    nodes = 0
+    hit = None
+    path = []
+    size, mask, P = 0, 0, (1 << len(comp)) - 1
+    while True:
+        if not nodes & 1023 and time.monotonic() > deadline:
+            hit = "time"
+            break
+        nodes += 1
+        if nodes > node_budget:
+            hit = "nodes"
+            break
+        if P:
+            kmin = best - size + 1
+            branch = []
+            bounds = []
+            color = 0
+            rest = P
+            while rest:
+                color += 1
+                avail = rest
+                while avail:
+                    low = avail & -avail
+                    v = low.bit_length() - 1
+                    avail ^= low
+                    avail &= ~comp[v]
+                    rest ^= low
+                    if color >= kmin:
+                        branch.append(v)
+                        bounds.append(color)
+            path.append([size, mask, P, branch, bounds, 0])
+        elif size > best:
+            best, best_mask = size, mask
+        while path:
+            frame = path[-1]
+            branch = frame[3]
+            if branch:
+                size = frame[0]
+                color = frame[4].pop()
+                v = branch.pop()
+                if size + color > best:
+                    frame[5] = size + color
+                    bit = 1 << v
+                    P = frame[2] = frame[2] & ~bit
+                    size, mask, P = size + 1, frame[1] | bit, P & comp[v]
+                    break
+            path.pop()
+        else:
+            break
+
+    if path:
+        upper = max(best, *(frame[5] for frame in path))
+    else:
+        upper = len(comp) if hit else best
+    return AlphaResult(
+        lower=best,
+        upper=upper,
+        exact=hit is None,
+        witness=tuple(sorted(order[k] for k in _bits(best_mask))),
+        nodes_explored=nodes,
+        time_limit_hit=hit is not None,
+        loop_semantics=semantics,
+        seconds=time.monotonic() - start,
+        budget_hit=hit,
+    )
+
+
+def _same_search(g, sem, **budgets):
+    """Both searches on g; their results must agree in every field but seconds."""
+    new = max_independent_set_exact(g, semantics=sem, **budgets)
+    old = _max_independent_set_parent(g, semantics=sem, **budgets)
+    assert dataclasses.replace(new, seconds=0.0) == dataclasses.replace(old, seconds=0.0)
+    return new
+
+
+def _seeded_graphs(max_n=20):
+    """G(n, p) over the pairs u <= v, so loops appear too; the seed, not the
+    edge list, is drawn, so denser graphs come up as often as sparse ones."""
+    def build(n, density, seed):
+        rng = random.Random(seed)
+        return from_edges(n, [(u, v) for u in range(n) for v in range(u, n)
+                              if rng.random() < density])
+    return st.builds(build, st.integers(0, max_n), st.sampled_from([0.1, 0.2, 0.35, 0.5, 0.7]),
+                     st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_graphs(), _seeded_graphs()), st.sampled_from(SEMANTICS))
+def test_search_matches_parent_oracle_on_small_graphs(g, sem):
+    for budget in range(61):
+        _same_search(g, sem, node_budget=budget)
+
+
+@pytest.mark.parametrize("kind,a,b,c,expected", COMPLETE_SEARCH_NODES)
+def test_search_matches_parent_oracle_on_complete_searches(kind, a, b, c, expected):
+    if kind == "plus":
+        g, sem = cached_graph("plus", a, b), c
+    else:
+        g, sem = sample_gnp(a, b, seed=c), "ignore-loops"
+    # a = 8 under ignore-loops takes seconds per search, so it runs once
+    slow = (kind, a, c) == ("plus", 256, "ignore-loops")
+    for budget in [] if slow else [0, 1, 37, 500]:
+        assert _same_search(g, sem, node_budget=budget).budget_hit == (
+            "nodes" if budget < expected[2] else None)
+    assert _same_search(g, sem).nodes_explored == expected[2]
+
+
+def _clock_passing_after(reads):
+    """A ``time.monotonic`` that reads 0.0 for its first ``reads`` calls and
+    1e9 after them."""
+    calls = itertools.count()
+    return lambda: 0.0 if next(calls) < reads else 1e9
+
+
+def test_search_matches_parent_oracle_under_a_time_budget(monkeypatch):
+    # n = 254 is one complement block, so both searches read the clock at
+    # entry, at node 0 and at node 1024, and stop at node 2048 of 43,310
+    g = cached_graph("plus", 128, 64)
+    monkeypatch.setattr(independence.time, "monotonic", _clock_passing_after(3))
+    new = max_independent_set_exact(g, time_budget=60.0)
+    monkeypatch.setattr(independence.time, "monotonic", _clock_passing_after(3))
+    old = _max_independent_set_parent(g, time_budget=60.0)
+    assert dataclasses.replace(new, seconds=0.0) == dataclasses.replace(old, seconds=0.0)
+    assert new.budget_hit == "time" and new.nodes_explored == 2048
+
+
+@pytest.mark.parametrize("sem", SEMANTICS)
+def test_time_budget_is_read_between_complement_blocks(monkeypatch, sem):
+    """The deadline passes while the first 512-row block is built: the
+    complement stops there and the search returns the node-0 bracket."""
+    g = _looped_gnp(1100, 0.01, 1)  # three blocks, two under exclude-looped
+    blocks = []
+    unpack = independence._unpack_rows
+
+    def counting_unpack(rows, n):
+        blocks.append(len(rows))
+        return unpack(rows, n)
+
+    monkeypatch.setattr(independence, "_unpack_rows", counting_unpack)
+    monkeypatch.setattr(independence.time, "monotonic", lambda: 100.0 * len(blocks))
+    res = max_independent_set_exact(g, semantics=sem, time_budget=10.0)
+    assert blocks == [512]
+    assert res.budget_hit == "time" and res.time_limit_hit and not res.exact
+    assert res.nodes_explored == 0
+    assert (res.lower, res.upper) == (greedy_alpha(g, sem)[0], _allowed(g, sem).bit_count())
 
 
 # -- explicit residue set ------------------------------------------------------------
