@@ -285,11 +285,14 @@ def _walk_matrix(g: Graph, power: int, jmax: int = 0, q: int = 0) -> np.ndarray:
     annihilator's coefficient:
 
     - M^k = M^(k-1) @ M: a partial sum in row i is at most the number of
-      (k-1)-walks out of i, so d^(power-1) < 2^24 keeps every product exact;
-    - ``jmax``: the spectrum reads tr(M^j), j <= jmax, as float64 sums of
+      (k-1)-walks out of i, so d^(power-1) < 2^24 keeps every product exact.
+      The audit and the spectrum's M^2 = Q check take power 2 (d < 2^24);
+      only the spectrum's dense route, for a graph whose M^2 is not Q, takes
+      power 3 (d^2 < 2^24) and the two bounds below;
+    - ``jmax``: that route reads tr(M^j), j <= jmax, as float64 sums of
       non-negative products of these entries; every partial sum is at most
       tr(M^j) <= n d^(j-1) < 2^53;
-    - ``q``: the annihilator product (M^3 - qM)(M^3 - (q-1)M^2 - M + (q-1)I)
+    - ``q``: its annihilator product (M^3 - qM)(M^3 - (q-1)M^2 - M + (q-1)I)
       runs in float64; its factors' entries are at most d^2 + q and
       d^2 + (q-1)(d+1) + 1, and n times their product stays below 2^53.
 
@@ -313,7 +316,8 @@ def _exact_walks(g: Graph, power: int, jmax: int = 0, q: int = 0) -> list[np.nda
     """[M, M^2, ..., M^power] (power <= 3) as float32 walk counts, exact under
     the bounds ``_walk_matrix`` asserts.  Refused up front (ValueError) when
     they, M's 0/1 bytes and, given q, the annihilator's float64 factor would
-    not fit in physical memory."""
+    not fit in physical memory.  Only the spectrum's dense route, for a graph
+    whose M^2 is not Q, calls it."""
     n = g.n
     _check_memory(n * n * (1 + 4 * power + (8 if q else 0)), f"dense walk matrices at n = {n}")
     m = _walk_matrix(g, power, jmax, q)

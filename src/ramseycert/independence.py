@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .fields import is_prime, make_field
-from .graphs import Graph, _bits, _layout, _pack_rows, _unpack_rows, build_g_plus
+from .graphs import Graph, _bits, _check_memory, _layout, _pack_rows, _unpack_rows, build_g_plus
 
 SEMANTICS = ("ignore-loops", "exclude-looped")
 
@@ -165,11 +165,16 @@ def max_independent_set_exact(
     read between the 512-row blocks of the complement, which stops at the
     first block boundary past the deadline, and before each node whose count
     is a multiple of 1024, node 0 included.  A negative (or NaN) budget
-    raises ValueError.
+    raises ValueError, and so do m allowed vertices whose m rows of m bits,
+    beside one block's unpacked and permuted bytes, would not fit in
+    physical memory; that is checked before the first block is built.
     """
     _check_semantics(semantics)
     if node_budget < 0 or not time_budget >= 0:
         raise ValueError(f"budgets must be non-negative: {node_budget} nodes, {time_budget} s")
+    m = _allowed(g, semantics).bit_count()
+    _check_memory(m * m // 8 + min(m, 512) * (g.n + 2 * m),
+                  f"the complement rows of {m} allowed vertices")
     start = time.monotonic()
     deadline = start + time_budget
     keep, order = _complement_rows(g, semantics, deadline)

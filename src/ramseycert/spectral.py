@@ -2,16 +2,18 @@
 
 The eigenvalues of both constructions lie in {q-1, +sqrt(q), -sqrt(q), +1,
 -1, 0}, so the six multiplicities are pinned by the power-sum moments
-tr(M^j) for j = 0..5.  The walk matrices M, M^2 and M^3 = M^2 M are formed
-in float32, exact because d^2 < 2^24 is asserted for the measured maximum
-degree d; float64 is used only for the trace sums (tr(M^5) = sum of
-M^3 o M^2, and so on) and the annihilator product, each under an asserted
-bound, so every number is an exact integer (see ``graphs._exact_walks``).
-The odd moments are solved in closed form for (mult of q-1,
-(m_+ - m_-)*sqrt(q), m_1 - m_-1) and the even ones for the paired sums, all
-over Fractions; sqrt(q) never appears as a float.  Independently, the
-annihilating identity M (M^2 - qI)(M^2 - I)(M - (q-1)I) = 0 is verified as
-an exact matrix product.
+tr(M^j) for j = 0..5.  On every construction the codegree matrix is
+M^2 = Q = qI + tJ - S_c - t S_x, S_c marking the pairs in the same coset and
+S_x the pairs with the same field coordinate.  One pass of exact float32 row
+blocks checks that, and then the annihilator and the moments follow with no
+further matrix product (``verify_spectrum``, ``_q_moments``).  A graph whose
+M^2 is not Q (a tampered or a vertex-permuted file) takes the dense route:
+M, M^2 and M^3 = M^2 M in float32, float64 trace sums (tr(M^5) = sum of
+M^3 o M^2, and so on) and the annihilator as a float64 product, each under
+a bound ``graphs._walk_matrix`` asserts; only this route needs d^2 < 2^24
+and the float64 bounds.  Either way the odd moments are solved in closed
+form for (mult of q-1, (m_+ - m_-)*sqrt(q), m_1 - m_-1) and the even ones for
+the paired sums, all over Fractions; sqrt(q) never appears as a float.
 
 The field's characters and their Gauss sums, |G| = sqrt(q) for a
 non-principal pair, are here too.  The numeric route that explains the
@@ -30,7 +32,7 @@ from math import isqrt
 import numpy as np
 
 from .fields import Field
-from .graphs import Graph, _check_construction, _exact_walks
+from .graphs import Graph, _check_construction, _check_memory, _exact_walks, _layout, _walk_matrix
 
 
 class SpectralSolveError(Exception):
@@ -165,6 +167,59 @@ def _annihilator(walks: list[np.ndarray], q: int) -> float:
     return worst
 
 
+def _q_moments(g: Graph, q: int, t: int) -> tuple[int, ...] | None:
+    """tr(M^j), j = 0..5, once M is symmetric and M^2 = Q = qI + tJ - S_c - t S_x
+    holds entry by entry; None at the first 512-row block where either fails.
+
+    Vertex i is (c, x) = divmod(i, w), w from ``graphs._layout``, which
+    divides n on a construction's metadata.  M^2 and Q are symmetric, so a
+    block is multiplied only by the columns from its first coset on, which
+    cover the upper triangle; each product is exact in float32 under the
+    d < 2^24 bound ``_walk_matrix`` asserts, and Q is subtracted from it in
+    place.  Refused up front (ValueError) when M and one block's product and
+    symmetry mask would not fit in physical memory.
+
+    The moments are exact ints from four counts of M's ones: E all of them,
+    D the diagonal, P_c the same-c pairs and P_x the same-x pairs; C = n / w.
+    tr M^2 = E; tr M^3 = sum of M o Q = qD + tE - P_c - t P_x; tr M^4 = sum
+    of Q o Q, whose row has q - 1 on the diagonal, t - 1 at its w - 1 coset
+    mates, 0 at its C - 1 other vertices with the same x and t elsewhere;
+    tr M^5 = sum of M o Q^2, where S_c^2 = w S_c, S_x^2 = C S_x and S_c S_x
+    = J give Q^2 = q^2 I + (2qt + t^2 n - 2tw - 2t^2 C + 2t) J
+    + (w - 2q) S_c + (t^2 C - 2qt) S_x.
+    """
+    n = g.n
+    block = 512
+    _check_memory(4 * n * n + 5 * min(n, block) * n, f"the M^2 = Q check at n = {n}")
+    m = _walk_matrix(g, 2)
+    w, _ = _layout(g.meta.variant, q)
+    C = n // w
+    for i in range(0, n, block):
+        rows = m[i:i + block]
+        if not np.array_equal(rows, m[:, i:i + block].T):
+            return None
+        first = i // w
+        diff = rows @ m[:, first * w:]
+        r = np.arange(len(diff))
+        c, x = np.divmod(i + r, w)
+        by_cx = diff.reshape(len(diff), C - first, w)
+        diff -= t                        # tJ
+        by_cx[r, :, x] += t              # -t S_x
+        by_cx[r, c - first, :] += 1      # -S_c
+        diff[r, i + r - first * w] -= q  # qI
+        if diff.any():
+            return None
+    by_cx = m.reshape(C, w, C, w)
+    f64 = np.float64  # every count is at most n^2 < 2^53
+    E, D = int(m.sum(dtype=f64)), int(np.einsum("ii->", m, dtype=f64))
+    Pc = int(np.einsum("cxcy->", by_cx, dtype=f64))
+    Px = int(np.einsum("cxdx->", by_cx, dtype=f64))
+    tr4 = n * ((q - 1) ** 2 + (w - 1) * (t - 1) ** 2 + (n - w - C + 1) * t * t)
+    j_coef = 2 * q * t + t * t * n - 2 * t * w - 2 * t * t * C + 2 * t  # of J in Q^2
+    tr5 = q * q * D + j_coef * E + (w - 2 * q) * Pc + (t * t * C - 2 * q * t) * Px
+    return (n, D, E, q * D + t * E - Pc - t * Px, tr4, tr5)
+
+
 @dataclass(frozen=True)
 class SpectrumReport:
     """Exact multiplicities plus every identity that was checked.
@@ -213,18 +268,34 @@ def verify_spectrum(g: Graph) -> SpectrumReport:
     """Certify the spectrum of a constructed graph exactly.
 
     Solves the multiplicities from integer moments, checks the degree sum
-    tr(M^2) = n(q-1), verifies the annihilating polynomial as an exact matrix
-    identity, and in odd characteristic compares against the closed forms.
-    Metadata that is not a construction on n vertices raises ValueError
-    first.
+    tr(M^2) = n(q-1), verifies the annihilating polynomial
+    M (M^2 - qI)(M^2 - I)(M - dI) = 0, d = q - 1, and in odd characteristic
+    compares against the closed forms.  Metadata that is not a construction
+    on n vertices raises ValueError first.
+
+    The annihilator holds once every row block of M^2 equals Q = qI + tJ -
+    S_c - t S_x (``_q_moments``), by the Kronecker argument: S_c = I (x) J,
+    S_x = J (x) I and J commute, so Q's eigenvalues are d^2 (the all-ones
+    vector), q, 1 and 0, and for q >= 3 d^2 is none of the others, so it
+    belongs to the all-ones vector alone.  M commutes with M^2 = Q, so it
+    maps the all-ones vector to a multiple of it, and M >= 0 makes that
+    M 1 = d 1.  Every other eigenvalue of the symmetric M squares to q, 1 or
+    0, so M's eigenvalues lie in {d, +-sqrt(q), +-1, 0}, the roots of the
+    annihilator.  The moments then come from four counts of M's ones.  A
+    graph whose M^2 is not Q, or with q < 3, takes the dense route: M^3 in
+    float32 and the annihilator as a float64 product, each under the bounds
+    ``graphs._walk_matrix`` asserts for it.
     """
     if g.meta.variant not in ("plus", "times"):
         raise ValueError("spectrum certification applies to the plus/times constructions")
     _check_construction(g.meta, g.n)
     q, t, n = g.meta.q, g.meta.t, g.n
-    walks = _exact_walks(g, 3, jmax=5, q=q)
-    moments = _moments(walks, 5)
-    resid = _annihilator(walks, q)
+    moments = _q_moments(g, q, t) if q >= 3 else None
+    verified = moments is not None
+    if not verified:
+        walks = _exact_walks(g, 3, jmax=5, q=q)
+        moments = _moments(walks, 5)
+        verified = _annihilator(walks, q) == 0.0
     mult = solve_multiplicities(moments, q, n)
 
     # the solve meets tr(M^j), j <= 5, exactly: its rows j = 1, 2 are the
@@ -241,7 +312,7 @@ def verify_spectrum(g: Graph) -> SpectrumReport:
     return SpectrumReport(
         variant=g.meta.variant, q=q, t=t, n=n,
         moments_used=moments, multiplicities=mult,
-        annihilator_verified=resid == 0.0,
+        annihilator_verified=verified,
         identities_ok=identities_ok,
         closed_form=closed, matches_lemma=matches,
     )

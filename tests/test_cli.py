@@ -12,10 +12,10 @@ import jsonschema
 import pytest
 
 import ramseycert
-from ramseycert import cli
+from ramseycert import cli, graphs, independence
 from ramseycert.cli import load_schema, main
 from ramseycert.graphs import write_g2t
-from conftest import cached_graph
+from conftest import cached_graph, from_edges
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +155,20 @@ def test_memory_error_exits_2_with_one_line(exc, line, plus93_file, monkeypatch,
     code = main(["audit", plus93_file])
     err = capsys.readouterr().err
     assert (code, err) == (2, line + "\n")
+
+
+def test_alpha_past_physical_memory_exits_2_at_once(tmp_path, monkeypatch, capsys):
+    """A sparse `other` file whose complement rows (n^2/8 bytes) would not fit
+    is refused before any complement block is built: one line, exit 2."""
+    path = tmp_path / "sparse.g2t"
+    write_g2t(from_edges(3000, [(0, 1), (2, 2)]), str(path))
+    monkeypatch.setattr(graphs, "_physical_memory", lambda: 10**6)
+    monkeypatch.setattr(independence, "_unpack_rows", None)  # never reached
+    code = main(["alpha", str(path), "--json"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the complement rows of 3000 allowed vertices")
+    assert "physical memory" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("flag,value", [

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramseycert import independence
+from ramseycert import graphs, independence
 from ramseycert.graphs import _bits, _pack_rows
 from ramseycert.random_model import lemma_parameters, sample_gnp
 from ramseycert.independence import (
@@ -30,14 +30,31 @@ from ramseycert.independence import (
 from conftest import cached_graph, from_edges
 
 
+def _seeded_graphs(min_n=0, max_n=20):
+    """G(n, p) over the pairs u <= v, so loops appear too.  Only the seed is
+    drawn, and min_n <= n <= max_n and p come from it: Hypothesis draws small
+    integers far more often than large ones, and the faults of a search show
+    on the larger graphs."""
+    def build(seed):
+        rng = random.Random(seed)
+        n, density = rng.randint(min_n, max_n), rng.choice([0.1, 0.2, 0.35, 0.5, 0.7])
+        return from_edges(n, [(u, v) for u in range(n) for v in range(u, n)
+                              if rng.random() < density])
+    return st.integers(0, 2**32 - 1).map(build)
+
+
 def small_graphs(max_n=14, max_edges=40):
-    return st.integers(2, max_n).flatmap(
+    """A drawn edge list on 2..max_n vertices, or a seeded G(n, p) on 14..20:
+    the edge lists are mostly sparse enough that the search closes at its
+    root, so the seeded draws keep the branching under test."""
+    edge_lists = st.integers(2, max_n).flatmap(
         lambda n: st.tuples(
             st.just(n),
             st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                      max_size=max_edges),
         )
     ).map(lambda t: from_edges(t[0], t[1]))
+    return st.one_of(edge_lists, _seeded_graphs(14, 20))
 
 
 # -- known values on the constructions ----------------------------------------------
@@ -88,7 +105,7 @@ def test_exclude_looped_bars_looped_vertices():
 # -- oracle equivalence and properties ----------------------------------------------
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(small_graphs(), st.sampled_from(SEMANTICS))
 def test_branch_and_bound_equals_bruteforce(g, sem):
     res = max_independent_set_exact(g, semantics=sem)
@@ -411,17 +428,6 @@ def _same_search(g, sem, **budgets):
     return new
 
 
-def _seeded_graphs(max_n=20):
-    """G(n, p) over the pairs u <= v, so loops appear too; the seed, not the
-    edge list, is drawn, so denser graphs come up as often as sparse ones."""
-    def build(n, density, seed):
-        rng = random.Random(seed)
-        return from_edges(n, [(u, v) for u in range(n) for v in range(u, n)
-                              if rng.random() < density])
-    return st.builds(build, st.integers(0, max_n), st.sampled_from([0.1, 0.2, 0.35, 0.5, 0.7]),
-                     st.integers(0, 2**32 - 1))
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(small_graphs(), _seeded_graphs()), st.sampled_from(SEMANTICS))
 def test_search_matches_parent_oracle_on_small_graphs(g, sem):
@@ -481,6 +487,29 @@ def test_time_budget_is_read_between_complement_blocks(monkeypatch, sem):
     assert res.budget_hit == "time" and res.time_limit_hit and not res.exact
     assert res.nodes_explored == 0
     assert (res.lower, res.upper) == (greedy_alpha(g, sem)[0], _allowed(g, sem).bit_count())
+
+
+@pytest.mark.parametrize("sem", SEMANTICS)
+def test_complement_memory_is_checked_before_the_first_block(monkeypatch, sem):
+    """m allowed vertices need m rows of m bits: past physical memory the
+    search refuses before any complement block is unpacked."""
+    g = _looped_gnp(1100, 0.01, 1)
+    m = _allowed(g, sem).bit_count()
+    blocks = []
+    unpack = independence._unpack_rows
+
+    def counting_unpack(rows, n):
+        blocks.append(len(rows))
+        return unpack(rows, n)
+
+    monkeypatch.setattr(independence, "_unpack_rows", counting_unpack)
+    monkeypatch.setattr(graphs, "_physical_memory", lambda: m * m // 8)
+    with pytest.raises(ValueError, match=f"complement rows of {m} allowed vertices"):
+        max_independent_set_exact(g, semantics=sem)
+    assert blocks == []
+    monkeypatch.setattr(graphs, "_physical_memory", lambda: m * m // 8 + 512 * (g.n + 2 * m))
+    assert max_independent_set_exact(g, semantics=sem, node_budget=0).budget_hit == "nodes"
+    assert blocks[0] == 512
 
 
 # -- explicit residue set ------------------------------------------------------------

@@ -27,8 +27,10 @@ from ramseycert.random_model import sample_gnp
 from ramseycert.spectral import (
     Character,
     SpectralSolveError,
+    SpectrumReport,
     _annihilator,
     _moments,
+    _q_moments,
     closed_form_multiplicities,
     gauss_sum,
     make_character,
@@ -38,6 +40,9 @@ from ramseycert.spectral import (
 from conftest import ALL_CASES, cached_graph, common_neighbors, from_edges
 
 ODD_SMALL = [c for c in ALL_CASES if c[1] % 2 == 1 and c[1] <= 49]
+# the fleet cases with n = q(q-1)/t <= 1000, and those with n <= 200
+FLEET_1000 = [c for c in ALL_CASES if c[1] * (c[1] - 1) // c[2] <= 1000]
+FLEET_200 = [c for c in ALL_CASES if c[1] * (c[1] - 1) // c[2] <= 200]
 
 # frozen: G+(9,3) moments tr(M^j) j=0..5 and both desk multiplicity tables
 PLUS_9_3_MOMENTS = (24, 8, 192, 512, 5232, 32768)
@@ -372,6 +377,104 @@ def test_annihilator_detects_tampering():
     rows[v] &= ~(1 << 0)
     bad = Graph(rows=tuple(rows), labels=g.labels, meta=g.meta)
     assert _annihilator(_exact_walks(bad, 3, q=9), 9) > 0
+
+
+# -- the M^2 = Q route against the dense route ---------------------------------------
+
+
+def _dense_report(g: Graph) -> SpectrumReport:
+    """verify_spectrum by the dense route alone: M^3, the walk traces and the
+    float64 annihilator product."""
+    q, t, n = g.meta.q, g.meta.t, g.n
+    walks = _exact_walks(g, 3, jmax=5, q=q)
+    moments = _moments(walks, 5)
+    verified = _annihilator(walks, q) == 0.0
+    mult = solve_multiplicities(moments, q, n)
+    closed = closed_form_multiplicities(g.meta.variant, q, t) if g.meta.p % 2 else None
+    return SpectrumReport(
+        variant=g.meta.variant, q=q, t=t, n=n, moments_used=moments, multiplicities=mult,
+        annihilator_verified=verified, identities_ok=moments[2] == n * (q - 1),
+        closed_form=closed, matches_lemma=None if closed is None else mult == closed)
+
+
+def _spectrum_outcome(verify, g: Graph):
+    """The report, or the message of the SpectralSolveError it raised."""
+    try:
+        return verify(g)
+    except SpectralSolveError as exc:
+        return f"SpectralSolveError: {exc}"
+
+
+def _permuted(g: Graph, seed: int) -> Graph:
+    """g with its vertices shuffled by a seeded permutation and the
+    construction's labels kept: isomorphic, so the same spectrum, but M^2 is
+    no longer Q in the construction's vertex order."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)  # new vertex k is old vertex perm[k]
+    where = {old: new for new, old in enumerate(perm)}
+    rows = tuple(sum(1 << where[u] for u in g.neighbors(old)) for old in perm)
+    return Graph(rows=rows, labels=g.labels, meta=g.meta)
+
+
+def _toggled(g: Graph, u: int, v: int) -> Graph:
+    """g with the edge {u, v} (a loop if u == v) added or removed."""
+    rows = list(g.rows)
+    rows[u] ^= 1 << v
+    if u != v:
+        rows[v] ^= 1 << u
+    return Graph(rows=tuple(rows), labels=g.labels, meta=g.meta)
+
+
+def _no_dense_route(*args, **kwargs):
+    raise AssertionError("a construction took the dense route")
+
+
+@pytest.mark.parametrize("variant,q,t", FLEET_1000)
+def test_q_route_equals_dense_oracle_on_the_fleet(variant, q, t, monkeypatch):
+    g = cached_graph(variant, q, t)
+    want = _dense_report(g)
+    monkeypatch.setattr(spectral, "_exact_walks", _no_dense_route)
+    assert verify_spectrum(g) == want
+
+
+@pytest.mark.parametrize("variant,q,t", FLEET_200)
+def test_four_count_moments_equal_dense_walk_moments(variant, q, t):
+    g = cached_graph(variant, q, t)
+    assert _q_moments(g, q, t) == _moments(_exact_walks(g, 3, jmax=5), 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FLEET_200), st.sampled_from(["as built", "permuted", "toggled"]),
+       st.integers(0, 2**32 - 1))
+def test_spectrum_matches_dense_oracle_on_drawn_fleet_graphs(case, change, seed):
+    """The same report, or the same refusal, as the dense route, on fleet
+    graphs as built, with their vertices shuffled, or with one edge toggled."""
+    g = cached_graph(*case)
+    if change == "permuted":
+        g = _permuted(g, seed)
+    elif change == "toggled":
+        rng = random.Random(seed)
+        g = _toggled(g, rng.randrange(g.n), rng.randrange(g.n))
+    assert _spectrum_outcome(verify_spectrum, g) == _spectrum_outcome(_dense_report, g)
+
+
+@pytest.mark.parametrize("variant,q,t", [("plus", 9, 3), ("times", 7, 3), ("plus", 16, 4)])
+def test_permuted_construction_takes_the_dense_route(variant, q, t):
+    # the shuffled file keeps the construction's labels, so it reads back
+    g = from_g2t(to_g2t(_permuted(cached_graph(variant, q, t), seed=1)))
+    assert _q_moments(g, q, t) is None
+    rep = verify_spectrum(g)
+    assert rep == _dense_report(g)
+    assert rep.annihilator_verified and rep.passed
+
+
+@pytest.mark.parametrize("u,v", [(0, 9), (0, 0), (5, 17)])
+def test_one_edge_toggle_takes_the_dense_route(u, v):
+    g = _toggled(cached_graph("plus", 9, 3), u, v)
+    assert _q_moments(g, 9, 3) is None
+    got = _spectrum_outcome(verify_spectrum, g)
+    assert got == _spectrum_outcome(_dense_report, g)
+    assert isinstance(got, str) or not got.annihilator_verified
 
 
 # -- characters and Gauss sums ------------------------------------------------------
