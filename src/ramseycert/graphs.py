@@ -47,9 +47,8 @@ import numpy as np
 
 from .fields import is_prime_power, make_field, subgroup
 
-# integers are exact in float32 below 2^24 and in float64 below 2^53
+# integers are exact in float32 below 2^24
 _FLOAT32_EXACT = 1 << 24
-_FLOAT64_EXACT = 1 << 53
 
 
 @dataclass(frozen=True)
@@ -277,70 +276,36 @@ class StructuralReport:
         return doc
 
 
-def _walk_matrix(g: Graph, power: int, jmax: int = 0, q: int = 0) -> np.ndarray:
-    """M in float32, once the walks M^k = M^(k-1) @ M, k <= power, are known exact.
-
-    Every exactness bound of the audit and the spectrum is asserted here, from
-    the measured maximum degree d; the header's q enters only as the
-    annihilator's coefficient:
-
-    - M^k = M^(k-1) @ M: a partial sum in row i is at most the number of
-      (k-1)-walks out of i, so d^(power-1) < 2^24 keeps every product exact.
-      The audit and the spectrum's M^2 = Q check take power 2 (d < 2^24);
-      only the spectrum's dense route, for a graph whose M^2 is not Q, takes
-      power 3 (d^2 < 2^24) and the two bounds below;
-    - ``jmax``: that route reads tr(M^j), j <= jmax, as float64 sums of
-      non-negative products of these entries; every partial sum is at most
-      tr(M^j) <= n d^(j-1) < 2^53;
-    - ``q``: its annihilator product (M^3 - qM)(M^3 - (q-1)M^2 - M + (q-1)I)
-      runs in float64; its factors' entries are at most d^2 + q and
-      d^2 + (q-1)(d+1) + 1, and n times their product stays below 2^53.
-
-    A bound that does not hold raises ValueError, and so does an M that would
-    not fit in physical memory beside its 0/1 bytes (5 n^2 bytes in all).
-    """
+def _walk_matrix(g: Graph) -> np.ndarray:
+    """M in float32, once M^2 = M @ M is known exact: a partial sum in row i
+    is at most the measured maximum degree d, and d < 2^24.  Refused
+    (ValueError) past that bound, or when M would not fit in physical memory
+    beside its 0/1 bytes (5 n^2 bytes in all)."""
     n = g.n
     _check_memory(5 * n * n, f"the dense adjacency matrix at n = {n}")
     d = max((r.bit_count() for r in g.rows), default=0)
-    if d ** (power - 1) >= _FLOAT32_EXACT:
+    if d >= _FLOAT32_EXACT:
         raise ValueError(f"maximum degree {d} is too large for exact float32 walks")
-    if jmax and n * d ** (jmax - 1) >= _FLOAT64_EXACT:
-        raise ValueError(f"tr(M^{jmax}) may exceed 2^53 at n = {n}, maximum degree {d}")
-    if q and n * (d * d + q) * (d * d + (q - 1) * (d + 1) + 1) >= _FLOAT64_EXACT:
-        raise ValueError(f"annihilator partial sums may exceed 2^53 at n = {n}, "
-                         f"maximum degree {d}, q = {q}")
     return g.adjacency_matrix(dtype=np.float32)
-
-
-def _exact_walks(g: Graph, power: int, jmax: int = 0, q: int = 0) -> list[np.ndarray]:
-    """[M, M^2, ..., M^power] (power <= 3) as float32 walk counts, exact under
-    the bounds ``_walk_matrix`` asserts.  Refused up front (ValueError) when
-    they, M's 0/1 bytes and, given q, the annihilator's float64 factor would
-    not fit in physical memory.  Only the spectrum's dense route, for a graph
-    whose M^2 is not Q, calls it."""
-    n = g.n
-    _check_memory(n * n * (1 + 4 * power + (8 if q else 0)), f"dense walk matrices at n = {n}")
-    m = _walk_matrix(g, power, jmax, q)
-    walks = [m]
-    for _ in range(power - 1):
-        walks.append(walks[-1] @ m)
-    return walks
 
 
 def codegree_histogram(g: Graph) -> dict[int, int]:
     """Histogram of |N(u) ∩ N(v)| over unordered pairs u < v (inclusive counts),
     read off the exact M^2 one 512-row block at a time, so only M and one
-    block of M^2 are held."""
-    m = _walk_matrix(g, 2)
+    block of M^2 are held.  M^2 is symmetric, so a block is multiplied only
+    by the columns from its first row on: the pairs right of the block's
+    square are counted once, the square's off-diagonal ones twice."""
+    m = _walk_matrix(g)
     n = g.n
-    counts = np.zeros(n + 1, dtype=np.int64)  # a codegree is at most n
+    twice = np.zeros(n + 1, dtype=np.int64)  # a codegree is at most n
     block = 512
     for i in range(0, n, block):
-        codeg = (m[i:i + block] @ m).astype(np.int64)
-        r = np.arange(len(codeg))
-        counts += np.bincount(codeg.ravel(), minlength=n + 1)
-        counts -= np.bincount(codeg[r, i + r], minlength=n + 1)  # u = v
-    return {c: int(k) // 2 for c, k in enumerate(counts) if k}
+        codeg = (m[i:i + block] @ m[:, i:]).astype(np.int64)
+        k = len(codeg)
+        twice += 2 * np.bincount(codeg[:, k:].ravel(), minlength=n + 1)
+        twice += np.bincount(codeg[:, :k].ravel(), minlength=n + 1)
+        twice -= np.bincount(codeg.diagonal(), minlength=n + 1)  # u = v
+    return {c: int(x) // 2 for c, x in enumerate(twice) if x}
 
 
 def structural_audit(g: Graph) -> StructuralReport:

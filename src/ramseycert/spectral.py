@@ -7,13 +7,11 @@ M^2 = Q = qI + tJ - S_c - t S_x, S_c marking the pairs in the same coset and
 S_x the pairs with the same field coordinate.  One pass of exact float32 row
 blocks checks that, and then the annihilator and the moments follow with no
 further matrix product (``verify_spectrum``, ``_q_moments``).  A graph whose
-M^2 is not Q (a tampered or a vertex-permuted file) takes the dense route:
-M, M^2 and M^3 = M^2 M in float32, float64 trace sums (tr(M^5) = sum of
-M^3 o M^2, and so on) and the annihilator as a float64 product, each under
-a bound ``graphs._walk_matrix`` asserts; only this route needs d^2 < 2^24
-and the float64 bounds.  Either way the odd moments are solved in closed
-form for (mult of q-1, (m_+ - m_-)*sqrt(q), m_1 - m_-1) and the even ones for
-the paired sums, all over Fractions; sqrt(q) never appears as a float.
+M^2 is not Q (a tampered or a vertex-permuted file) takes the dense route,
+M^3 in float32 and the annihilator as a float64 product (``_dense_route``).
+Each route asserts its own exactness bounds.  Either way the odd moments are
+solved in closed form for (mult of q-1, (m_+ - m_-)*sqrt(q), m_1 - m_-1) and
+the even ones for the paired sums, all over Fractions; sqrt(q) is no float.
 
 The field's characters and their Gauss sums, |G| = sqrt(q) for a
 non-principal pair, are here too.  The numeric route that explains the
@@ -32,7 +30,7 @@ from math import isqrt
 import numpy as np
 
 from .fields import Field
-from .graphs import Graph, _check_construction, _check_memory, _exact_walks, _layout, _walk_matrix
+from .graphs import _FLOAT32_EXACT, Graph, _check_construction, _check_memory, _layout, _walk_matrix
 
 
 class SpectralSolveError(Exception):
@@ -40,21 +38,6 @@ class SpectralSolveError(Exception):
 
 
 # -- exact moments --------------------------------------------------------------
-
-
-def _moments(walks: list[np.ndarray], jmax: int) -> tuple[int, ...]:
-    """tr(M^j), j = 0..jmax, from walks = [M, M^2, ...]: tr(M) is the diagonal
-    sum, and tr(M^(a+b)) = sum of M^a o M^b for a = ceil(j/2), b = floor(j/2)
-    (M is symmetric)."""
-    f64 = np.float64
-    out = [walks[0].shape[0]]
-    for j in range(1, jmax + 1):
-        high = walks[(j + 1) // 2 - 1]
-        if j == 1:
-            out.append(int(np.einsum("ii->", high, dtype=f64)))
-        else:
-            out.append(int(np.einsum("ij,ij->", high, walks[j // 2 - 1], dtype=f64)))
-    return tuple(out)
 
 
 def solve_multiplicities(moments: tuple[int, ...], q: int, n: int) -> dict[str, int]:
@@ -141,16 +124,39 @@ def closed_form_multiplicities(variant: str, q: int, t: int) -> dict[str, int]:
     }
 
 
-def _annihilator(walks: list[np.ndarray], q: int) -> float:
-    """Max |entry| of (M^3 - qM)(M^3 - (q-1)M^2 - M + (q-1)I), from walks = [M, M^2, M^3].
+def _dense_route(g: Graph, q: int) -> tuple[tuple[int, ...], float]:
+    """tr(M^j), j = 0..5, and the largest |entry| of the annihilator
+    M (M^2 - qI)(M^2 - I)(M - (q-1)I), regrouped as
+    (M^3 - qM)(M^3 - (q-1)M^2 - M + (q-1)I): the route of a graph whose M^2
+    is not Q.
 
-    This is M (M^2 - qI)(M^2 - I)(M - (q-1)I) regrouped.  The right factor is
-    built in float64 and the product runs in float64 row blocks, exact under
-    the bound ``_exact_walks`` asserted for q, so a zero is an exact zero.
+    M, M^2 and M^3 = M^2 M are float32 walk counts, tr(M^j) is the float64
+    sum of M^a o M^b (a = ceil(j/2), b = floor(j/2), M symmetric), and the
+    product runs in 512-row float64 blocks.  Three bounds on the measured
+    maximum degree d make each step exact and are asserted up front
+    (ValueError): d^2 < 2^24, as a partial sum of M^3 in row i is at most
+    the 2-walks out of i; n d^4 < 2^53, as a partial sum of tr(M^j), j <= 5,
+    is at most n d^(j-1); and n (d^2 + q)(d^2 + (q-1)(d+1) + 1) < 2^53, as
+    the factors' entries are at most d^2 + q and d^2 + (q-1)(d+1) + 1.  So a
+    zero residual is an exact zero.  Refused too when M's 0/1 bytes, M, M^2,
+    M^3 and the float64 factor (21 n^2 bytes) exceed physical memory.
     """
-    m, m2, m3 = walks
-    n = m.shape[0]
+    n = g.n
+    _check_memory(21 * n * n, f"dense walk matrices at n = {n}")
+    d = max((r.bit_count() for r in g.rows), default=0)
+    if d * d >= _FLOAT32_EXACT:
+        raise ValueError(f"maximum degree {d} is too large for exact float32 walks")
+    if n * d**4 >= 1 << 53:
+        raise ValueError(f"tr(M^5) may exceed 2^53 at n = {n}, maximum degree {d}")
+    if n * (d * d + q) * (d * d + (q - 1) * (d + 1) + 1) >= 1 << 53:
+        raise ValueError(f"annihilator partial sums may exceed 2^53 at n = {n}, "
+                         f"maximum degree {d}, q = {q}")
+    m = g.adjacency_matrix(dtype=np.float32)
+    m2 = m @ m
+    m3 = m2 @ m
     f64 = np.float64
+    traces = [np.einsum("ii->", m, dtype=f64)] + [
+        np.einsum("ij,ij->", a, b, dtype=f64) for a, b in ((m, m), (m2, m), (m2, m2), (m3, m2))]
     right = m2.astype(f64)
     right *= -(q - 1)
     right += m3
@@ -164,7 +170,7 @@ def _annihilator(walks: list[np.ndarray], q: int) -> float:
         left *= -q
         left += m3[rows]
         worst = max(worst, float(np.abs(left @ right).max()))
-    return worst
+    return (n, *(int(x) for x in traces)), worst
 
 
 def _q_moments(g: Graph, q: int, t: int) -> tuple[int, ...] | None:
@@ -174,9 +180,9 @@ def _q_moments(g: Graph, q: int, t: int) -> tuple[int, ...] | None:
     Vertex i is (c, x) = divmod(i, w), w from ``graphs._layout``, which
     divides n on a construction's metadata.  M^2 and Q are symmetric, so a
     block is multiplied only by the columns from its first coset on, which
-    cover the upper triangle; each product is exact in float32 under the
-    d < 2^24 bound ``_walk_matrix`` asserts, and Q is subtracted from it in
-    place.  Refused up front (ValueError) when M and one block's product and
+    cover the upper triangle; each product is exact under the bound
+    ``graphs._walk_matrix`` asserts, and Q is subtracted from it in place.
+    Refused up front (ValueError) when M and one block's product and
     symmetry mask would not fit in physical memory.
 
     The moments are exact ints from four counts of M's ones: E all of them,
@@ -191,7 +197,7 @@ def _q_moments(g: Graph, q: int, t: int) -> tuple[int, ...] | None:
     n = g.n
     block = 512
     _check_memory(4 * n * n + 5 * min(n, block) * n, f"the M^2 = Q check at n = {n}")
-    m = _walk_matrix(g, 2)
+    m = _walk_matrix(g)
     w, _ = _layout(g.meta.variant, q)
     C = n // w
     for i in range(0, n, block):
@@ -282,20 +288,19 @@ def verify_spectrum(g: Graph) -> SpectrumReport:
     M 1 = d 1.  Every other eigenvalue of the symmetric M squares to q, 1 or
     0, so M's eigenvalues lie in {d, +-sqrt(q), +-1, 0}, the roots of the
     annihilator.  The moments then come from four counts of M's ones.  A
-    graph whose M^2 is not Q, or with q < 3, takes the dense route: M^3 in
-    float32 and the annihilator as a float64 product, each under the bounds
-    ``graphs._walk_matrix`` asserts for it.
+    graph whose M^2 is not Q takes ``_dense_route``.
     """
     if g.meta.variant not in ("plus", "times"):
         raise ValueError("spectrum certification applies to the plus/times constructions")
     _check_construction(g.meta, g.n)
     q, t, n = g.meta.q, g.meta.t, g.n
-    moments = _q_moments(g, q, t) if q >= 3 else None
+    # q < 3 only in plus(2,2), n = 1: its solve raises SpectralSolveError on
+    # either route, as the pivot has the factor q - 2
+    moments = _q_moments(g, q, t)
     verified = moments is not None
     if not verified:
-        walks = _exact_walks(g, 3, jmax=5, q=q)
-        moments = _moments(walks, 5)
-        verified = _annihilator(walks, q) == 0.0
+        moments, residual = _dense_route(g, q)
+        verified = residual == 0.0
     mult = solve_multiplicities(moments, q, n)
 
     # the solve meets tr(M^j), j <= 5, exactly: its rows j = 1, 2 are the

@@ -24,6 +24,7 @@ from ramseycert.graphs import (
     structural_audit,
     to_g2t,
 )
+from ramseycert.random_model import sample_gnp
 from ramseycert.spectral import verify_spectrum
 from conftest import ALL_CASES, cached_graph, common_neighbors, from_edges
 
@@ -158,7 +159,7 @@ def test_build_refuses_beyond_physical_memory(monkeypatch):
 
 def test_walk_matrix_refuses_beyond_physical_memory(monkeypatch):
     # plus(9,3), n = 24: the audit holds M as bytes and as float32 (24^2 * 5
-    # bytes); the spectrum adds M^2, M^3 and the float64 factor (24^2 * 21)
+    # bytes); the spectrum's M^2 = Q check adds a block's product and mask
     g = cached_graph("plus", 9, 3)
     monkeypatch.setattr(graphs, "_physical_memory", lambda: 24 * 24 * 5)
     assert structural_audit(g).passed
@@ -200,10 +201,16 @@ def test_codegree_histogram_gemm_path_matches_python_path():
 
 
 def test_codegree_histogram_spans_row_blocks():
-    g = build_g_times(37, 2)  # n = 666, more than one 512-row block of M^2
-    m = g.adjacency_matrix(dtype=np.int64)
-    m2 = m @ m
-    assert codegree_histogram(g) == dict(Counter(m2[np.triu_indices(g.n, 1)].tolist()))
+    # each 512-row block of M^2 is read from its first row on: n = 666 (one
+    # full block and a part), 2016 (four) and 1025 with loops (the last block
+    # has one row)
+    noise = sample_gnp(1025, 0.1, 5)
+    looped = Graph(rows=tuple(r | (i % 3 == 0) << i for i, r in enumerate(noise.rows)),
+                   labels=noise.labels, meta=noise.meta)
+    for g in (build_g_times(37, 2), build_g_plus(64, 2), looped):
+        m = g.adjacency_matrix(dtype=np.int64)
+        m2 = np.stack([m[g.neighbors(u)].sum(axis=0) for u in range(g.n)])  # int64 M @ M
+        assert codegree_histogram(g) == dict(Counter(m2[np.triu_indices(g.n, 1)].tolist()))
 
 
 def test_from_edges_and_loops():

@@ -12,24 +12,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramseycert import spectral
+from ramseycert import cli, graphs, spectral
 from ramseycert.fields import Field, Subgroup, make_field, subgroup
 from ramseycert.graphs import (
     Graph,
     GraphMeta,
-    _exact_walks,
     build_g_plus,
     codegree_histogram,
     from_g2t,
     to_g2t,
+    write_g2t,
 )
 from ramseycert.random_model import sample_gnp
 from ramseycert.spectral import (
     Character,
     SpectralSolveError,
     SpectrumReport,
-    _annihilator,
-    _moments,
+    _dense_route,
     _q_moments,
     closed_form_multiplicities,
     gauss_sum,
@@ -96,10 +95,9 @@ def test_walk_kernel_matches_oracles(n, density, seed, q):
     edges = [(u, v) for u in range(n) for v in range(u, n) if rng.random() < density]
     g = from_edges(n, edges, meta=GraphMeta(variant="other", q=q))
     assert codegree_histogram(g) == _codegree_histogram_pair_scan(g)
-    walks = _exact_walks(g, 3, jmax=6, q=q)
-    assert _moments(walks, 6) == _eigen_moments_exact_int(g, 6)
-    residual = np.abs(_annihilator_int64(g, q)).max() if n else 0
-    assert _annihilator(walks, q) == residual
+    moments, residual = _dense_route(g, q)
+    assert moments == _eigen_moments_exact_int(g, 5)
+    assert residual == (np.abs(_annihilator_int64(g, q)).max() if n else 0)
 
 
 # -- moments ---------------------------------------------------------------------
@@ -107,39 +105,38 @@ def test_walk_kernel_matches_oracles(n, density, seed, q):
 
 def test_moment_identities_on_oracles():
     g = cached_graph("plus", 9, 3)
-    mom = _moments(_exact_walks(g, 3, jmax=5), 5)
+    mom = _dense_route(g, 9)[0]
     assert mom == PLUS_9_3_MOMENTS
     assert mom[1] == g.loop_count() == 8
     assert mom[2] == g.n * (g.meta.q - 1)
     g = cached_graph("times", 5, 2)
-    mom = _moments(_exact_walks(g, 3, jmax=5), 5)
+    mom = _dense_route(g, 5)[0]
     assert mom[0] == 10 and mom[2] == 40
 
 
 @pytest.mark.parametrize("variant,q,t", [("plus", 9, 3), ("times", 13, 4), ("plus", 16, 4)])
 def test_gemm_moments_match_integer_walk_counts(variant, q, t):
     g = cached_graph(variant, q, t)
-    assert _moments(_exact_walks(g, 3, jmax=5), 5) == _eigen_moments_exact_int(g, 5)
+    assert _dense_route(g, q)[0] == _eigen_moments_exact_int(g, 5)
 
 
 def test_gemm_dtype_threshold(monkeypatch):
     # the walks stay float32 past the old float64 switch at degree 256 ...
-    star = from_edges(258, [(0, v) for v in range(1, 258)], meta=GraphMeta("other", q=2))
-    m = star.adjacency_matrix(np.int64)
-    walks = _exact_walks(star, 3)
-    assert [w.dtype for w in walks] == [np.float32] * 3
-    assert (walks[2] == m @ m @ m).all()
-    # ... up to the float32 bound d^2 < 2^24 on M^3: d = 4095 passes, 4096 not
-    # (the star's matrix is replaced, only the bound check is under test)
+    star = from_edges(258, [(0, v) for v in range(1, 258)])
+    dtypes = []
+    adjacency = Graph.adjacency_matrix
     monkeypatch.setattr(Graph, "adjacency_matrix",
-                        lambda self, dtype: np.zeros((1, 1), dtype=dtype))
-    for d, ok in ((4095, True), (4096, False)):
+                        lambda self, dtype: dtypes.append(dtype) or adjacency(self, dtype))
+    moments, residual = _dense_route(star, 2)
+    assert dtypes == [np.float32]
+    assert moments == _eigen_moments_exact_int(star, 5)
+    assert residual == np.abs(_annihilator_int64(star, 2)).max()
+    # ... up to the float32 bound d^2 < 2^24 on M^3: d = 4095 passes it (and
+    # stops at the tr(M^5) bound), 4096 not
+    for d, bound in ((4095, r"tr\(M\^5\) may exceed"), (4096, "too large for exact float32")):
         star = from_edges(d + 1, [(0, v) for v in range(1, d + 1)])
-        if ok:
-            assert _exact_walks(star, 3)[0].dtype == np.float32
-        else:
-            with pytest.raises(ValueError):
-                _exact_walks(star, 3)
+        with pytest.raises(ValueError, match=bound):
+            _dense_route(star, 2)
 
 
 def test_spectrum_moments_use_the_measured_degree(monkeypatch):
@@ -178,10 +175,24 @@ def test_spectrum_rejects_metadata_that_is_not_a_construction(meta):
         verify_spectrum(Graph(rows=g.rows, labels=g.labels, meta=meta))
 
 
-def test_exactness_bounds_refuse():
-    star = from_edges(4097, [(0, v) for v in range(1, 4097)], meta=GraphMeta("other", q=2))
-    with pytest.raises(ValueError):  # d^2 = 2^24, past the float32 bound for M^3
-        _exact_walks(star, 3, jmax=5, q=2)
+def test_exactness_bounds_refuse(monkeypatch):
+    star = from_edges(4097, [(0, v) for v in range(1, 4097)])
+    with pytest.raises(ValueError, match="float32"):  # d^2 = 2^24, past the bound for M^3
+        _dense_route(star, 2)
+    star = from_edges(2049, [(0, v) for v in range(1, 2049)])
+    with pytest.raises(ValueError, match=r"tr\(M\^5\)"):  # n d^4 = 2049 * 2^44
+        _dense_route(star, 2)
+    lone = from_edges(1, [])
+    _dense_route(lone, 2**26)  # n (d^2 + q)(d^2 + (q-1)(d+1) + 1) = 2^52
+    with pytest.raises(ValueError, match="annihilator"):  # 2^54
+        _dense_route(lone, 2**27)
+    # M's bytes, M, M^2, M^3 and the float64 factor: 21 n^2 bytes
+    c4 = from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    monkeypatch.setattr(graphs, "_physical_memory", lambda: 21 * 16)
+    _dense_route(c4, 9)
+    monkeypatch.setattr(graphs, "_physical_memory", lambda: 21 * 16 - 1)
+    with pytest.raises(ValueError, match="physical memory"):
+        _dense_route(c4, 9)
 
 
 # -- multiplicity solve ------------------------------------------------------------
@@ -294,7 +305,7 @@ def test_closed_form_solve_matches_gaussian_elimination(data):
 def test_solve_rejects_wrong_shape_moments():
     # a 4-cycle is not supported on {q-1, ±sqrt(q), ±1, 0} for q = 9
     c4 = from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    mom = _moments(_exact_walks(c4, 3, jmax=5), 5)
+    mom = _dense_route(c4, 9)[0]
     with pytest.raises(SpectralSolveError):
         solve_multiplicities(mom, 9, 4)
     with pytest.raises(ValueError):
@@ -364,7 +375,7 @@ def test_verify_spectrum_rejects_synthetic_graphs():
 
 def test_annihilator_zero_on_construction():
     g = cached_graph("times", 11, 5)
-    assert _annihilator(_exact_walks(g, 3, q=11), 11) == 0.0
+    assert _dense_route(g, 11)[1] == 0.0
 
 
 def test_annihilator_detects_tampering():
@@ -376,7 +387,7 @@ def test_annihilator_detects_tampering():
     rows[0] &= ~(1 << v)
     rows[v] &= ~(1 << 0)
     bad = Graph(rows=tuple(rows), labels=g.labels, meta=g.meta)
-    assert _annihilator(_exact_walks(bad, 3, q=9), 9) > 0
+    assert _dense_route(bad, 9)[1] > 0
 
 
 # -- the M^2 = Q route against the dense route ---------------------------------------
@@ -386,9 +397,8 @@ def _dense_report(g: Graph) -> SpectrumReport:
     """verify_spectrum by the dense route alone: M^3, the walk traces and the
     float64 annihilator product."""
     q, t, n = g.meta.q, g.meta.t, g.n
-    walks = _exact_walks(g, 3, jmax=5, q=q)
-    moments = _moments(walks, 5)
-    verified = _annihilator(walks, q) == 0.0
+    moments, residual = _dense_route(g, q)
+    verified = residual == 0.0
     mult = solve_multiplicities(moments, q, n)
     closed = closed_form_multiplicities(g.meta.variant, q, t) if g.meta.p % 2 else None
     return SpectrumReport(
@@ -433,14 +443,14 @@ def _no_dense_route(*args, **kwargs):
 def test_q_route_equals_dense_oracle_on_the_fleet(variant, q, t, monkeypatch):
     g = cached_graph(variant, q, t)
     want = _dense_report(g)
-    monkeypatch.setattr(spectral, "_exact_walks", _no_dense_route)
+    monkeypatch.setattr(spectral, "_dense_route", _no_dense_route)
     assert verify_spectrum(g) == want
 
 
 @pytest.mark.parametrize("variant,q,t", FLEET_200)
 def test_four_count_moments_equal_dense_walk_moments(variant, q, t):
     g = cached_graph(variant, q, t)
-    assert _q_moments(g, q, t) == _moments(_exact_walks(g, 3, jmax=5), 5)
+    assert _q_moments(g, q, t) == _dense_route(g, q)[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -475,6 +485,20 @@ def test_one_edge_toggle_takes_the_dense_route(u, v):
     got = _spectrum_outcome(verify_spectrum, g)
     assert got == _spectrum_outcome(_dense_report, g)
     assert isinstance(got, str) or not got.annihilator_verified
+
+
+def test_plus_2_2_solve_is_singular_on_either_route(tmp_path, capsys):
+    # q = 2 only in plus(2,2), n = 1: the pivot's factor q - 2 makes the moment
+    # solve singular, so no q >= 3 guard is needed in front of the M^2 = Q route
+    g = build_g_plus(2, 2)
+    unlooped = _toggled(g, 0, 0)
+    assert _q_moments(g, 2, 2) is not None and _q_moments(unlooped, 2, 2) is None
+    for verify, graph in ((verify_spectrum, g), (_dense_report, g), (verify_spectrum, unlooped)):
+        assert _spectrum_outcome(verify, graph) == "SpectralSolveError: singular moment system"
+    path = tmp_path / "plus_2_2.g2t"
+    write_g2t(g, str(path))
+    assert cli.main(["spectrum", str(path)]) == 1
+    assert capsys.readouterr().err == "spectrum check failed: singular moment system\n"
 
 
 # -- characters and Gauss sums ------------------------------------------------------
