@@ -49,6 +49,9 @@ from .fields import is_prime_power, make_field, subgroup
 
 # integers are exact in float32 below 2^24
 _FLOAT32_EXACT = 1 << 24
+# rows per block of the blockwise kernels (g2t write and parse, the audit's and
+# the spectrum's M^2, the class rows): a block is _BLOCK x n beside the inputs
+_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -298,9 +301,8 @@ def codegree_histogram(g: Graph) -> dict[int, int]:
     m = _walk_matrix(g)
     n = g.n
     twice = np.zeros(n + 1, dtype=np.int64)  # a codegree is at most n
-    block = 512
-    for i in range(0, n, block):
-        codeg = (m[i:i + block] @ m[:, i:]).astype(np.int64)
+    for i in range(0, n, _BLOCK):
+        codeg = (m[i:i + _BLOCK] @ m[:, i:]).astype(np.int64)
         k = len(codeg)
         twice += 2 * np.bincount(codeg[:, k:].ravel(), minlength=n + 1)
         twice += np.bincount(codeg[:, :k].ravel(), minlength=n + 1)
@@ -345,7 +347,6 @@ def structural_audit(g: Graph) -> StructuralReport:
 
 # -- g2t serialization ----------------------------------------------------------
 
-_BLOCK = 512  # bitset rows unpacked (writer) or packed (parser) at a time
 # body bytes the parser classifies at a time, cut at a line end; one pass over
 # the 56 MB body of plus(256, 2) lifts its round trip's peak RSS from 534 MB
 # to 1.16 GB, since the byte and token arrays grow with the piece

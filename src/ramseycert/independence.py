@@ -1,21 +1,22 @@
 """Exact maximum-independent-set search and the explicit residue construction.
 
-The solver runs branch-and-bound maximum clique on the complement under
-node/time budgets: bitset adjacency renumbered by non-increasing complement
-degree (the MCQ order of Tomita & Seki), an incumbent seeded by the
-min-degree greedy, and greedy-coloring upper bounds whose classes below
-``kmin = best - size + 1`` are colored but never branched on (BBMC, San
-Segundo et al.).  The coloring reads one class row per vertex, v's allowed
-neighbours in G without v: a class takes v and keeps only the candidates in
-that row, one AND, and the classes below ``kmin`` run in a loop of their
-own that records nothing.  The search is one loop over an explicit path of
-open nodes, root first, so its depth is bounded by memory rather than by
-the interpreter's recursion limit.  On completion the result is the exact
-independence number with a witness in the original numbering; otherwise it
-is a certified bracket: lower is the incumbent, upper the largest coloring
-bound still open on the path.  The time budget is also read between the
-512-row blocks of the complement build, which is Theta(n^2) whatever the
-edge count.
+The solver runs branch-and-bound under node/time budgets after the
+maximum-clique searches MCQ (Tomita & Seki) and BBMC (San Segundo et al.),
+read on G itself: bitset rows renumbered by non-decreasing allowed degree
+(MCQ's initial order), an incumbent seeded by the min-degree greedy, and
+greedy-coloring upper bounds whose classes below ``kmin = best - size + 1``
+are colored but never branched on (BBMC).  A color class is a clique of G,
+so it holds at most one vertex of an independent set.  The coloring reads
+one class row per vertex, v's allowed neighbours in G without v: a class
+takes v and keeps only the candidates in that row, one AND, and the classes
+below ``kmin`` run in a loop of their own that records nothing.  The search
+is one loop over an explicit path of open nodes, root first, so its depth is
+bounded by memory rather than by the interpreter's recursion limit.  On
+completion the result is the exact independence number with a witness in
+the original numbering; otherwise it is a certified bracket: lower is the
+incumbent, upper the largest coloring bound still open on the path.  The
+time budget is also read between the 512-row blocks of the class-row build,
+which is Theta(n^2) whatever the edge count.
 
 ``greedy_alpha`` is the cheap lower bound the Monte-Carlo check uses on large
 samples: it repeatedly takes the live vertex of least residual degree, lowest
@@ -42,7 +43,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .fields import is_prime, make_field
-from .graphs import Graph, _bits, _check_memory, _layout, _pack_rows, _unpack_rows, build_g_plus
+from .graphs import (_BLOCK, Graph, _bits, _check_memory, _layout, _pack_rows, _unpack_rows,
+                     build_g_plus)
 
 SEMANTICS = ("ignore-loops", "exclude-looped")
 
@@ -88,31 +90,36 @@ def _allowed(g: Graph, semantics: str) -> int:
     return mask
 
 
-def _complement_rows(g: Graph, semantics: str,
-                     deadline: float = math.inf) -> tuple[list[int], list[int]]:
-    """Complement adjacency bitsets (loops dropped) on the allowed vertices,
-    renumbered by non-increasing complement degree, lower index on ties.
+def _class_rows(g: Graph, semantics: str,
+                deadline: float = math.inf) -> tuple[list[int], list[int]]:
+    """Class rows on the allowed vertices: row k holds new vertex k's
+    G-neighbours among them, k left out, in the numbering by non-decreasing
+    allowed degree, lower index on ties.
 
-    Returns the rows in the new numbering and ``order``, where ``order[k]`` is
-    the original index of new vertex k.  The permutation is applied to the
-    unpacked 0/1 rows 512 at a time and packed back, so no per-bit Python
-    loop runs and no n x n matrix is formed.  The clock is read between
-    blocks: once ``time.monotonic()`` is past ``deadline``, no further block
-    is built and the rows returned are only the first ones.
+    Returns the rows and ``order``, ``order[k]`` being new vertex k's original
+    index.  G's rows are unpacked ``_BLOCK`` at a time, gathered over the
+    allowed columns in the new order and packed back: no per-bit Python loop,
+    no n x n matrix.  Memory is checked (ValueError) once the order is known,
+    before the first block.  The clock is read between blocks: once
+    ``time.monotonic()`` is past ``deadline``, no further block is built and
+    only the first rows are returned.
     """
     mask = _allowed(g, semantics)
     # fewest allowed neighbours first; sorted() is stable, so ties keep index order
     order = sorted(_bits(mask), key=lambda v: (g.rows[v] & mask & ~(1 << v)).bit_count())
+    m = len(order)
+    _check_memory(m * m // 8 + min(m, _BLOCK) * (g.n + 2 * m),
+                  f"the class rows of {m} allowed vertices")
     cols = np.array(order, dtype=np.intp)
-    comp: list[int] = []
-    for s in range(0, len(order), 512):
+    keep: list[int] = []
+    for s in range(0, m, _BLOCK):
         if s and time.monotonic() > deadline:
             break
-        block = np.logical_not(_unpack_rows([g.rows[v] for v in order[s:s + 512]], g.n)[:, cols])
+        block = _unpack_rows([g.rows[v] for v in order[s:s + _BLOCK]], g.n)[:, cols]
         k = np.arange(len(block))
-        block[k, s + k] = False  # a vertex is not its own complement neighbour
-        comp += _pack_rows(block)
-    return comp, order
+        block[k, s + k] = 0  # a loop is not a class-row neighbour
+        keep += _pack_rows(block)
+    return keep, order
 
 
 def verify_independent(g: Graph, vertices, semantics: str = "ignore-loops") -> bool:
@@ -137,24 +144,24 @@ def max_independent_set_exact(
     node_budget: int = DEFAULT_NODE_BUDGET,
     time_budget: float = DEFAULT_TIME_BUDGET,
 ) -> AlphaResult:
-    """Branch-and-bound exact alpha via max clique on the complement.
+    """Branch-and-bound exact alpha on G's class rows.
 
-    The allowed vertices are renumbered by non-increasing complement degree
+    The allowed vertices are renumbered by non-decreasing allowed degree
     (lower index on ties), the MCQ initial order.  The incumbent starts from
     the min-degree greedy.  At every node a greedy sequential coloring of the
-    candidate set, in vertex order, bounds the clique size, and vertices are
-    branched on in reverse color order; classes below ``kmin = best - size +
-    1`` cannot improve the incumbent, so their vertices are colored but never
-    branched on (BBMC).  Deterministic for fixed (graph, budgets, semantics);
-    the witness is mapped back to the original indices and sorted.
+    candidate set, in vertex order, into cliques of G bounds the size of an
+    independent set (one vertex per class), and vertices are branched on in
+    reverse color order; classes below ``kmin = best - size + 1`` cannot
+    improve the incumbent, so their vertices are colored but never branched
+    on (BBMC).  Deterministic for fixed (graph, budgets, semantics); the
+    witness is mapped back to the original indices and sorted.
 
-    The complement rows are turned in place into class rows ``keep[v] =
-    full ^ comp[v] ^ (1 << v)``, v's G-neighbours among the allowed vertices
-    without v.  A class that takes v keeps ``avail & keep[v]``, and the child
-    of a branch on v is ``P & ~keep[v]``.  Classes below ``kmin`` are only
-    taken out of the candidates, in a loop that reads no vertex index and
-    appends nothing; the classes from ``kmin`` up record each vertex and its
-    color to branch on.
+    ``keep[v]``, from ``_class_rows``, holds v's G-neighbours among the
+    allowed vertices without v.  A class that takes v keeps ``avail &
+    keep[v]``, and the child of a branch on v is ``P & ~keep[v]``.  Classes
+    below ``kmin`` are only taken out of the candidates, in a loop that reads
+    no vertex index and appends nothing; the classes from ``kmin`` up record
+    each vertex and its color to branch on.
 
     The open nodes from the root down are kept as a list of frames, visited
     in depth-first order.  On budget exhaustion ``lower`` is the incumbent
@@ -162,28 +169,22 @@ def max_independent_set_exact(
     frame's ``size + color`` of the branch it is exploring (every unexplored
     branch there is bounded by its color), or the number of allowed vertices
     if the path is empty.  The time budget counts from entry; the clock is
-    read between the 512-row blocks of the complement, which stops at the
-    first block boundary past the deadline, and before each node whose count
-    is a multiple of 1024, node 0 included.  A negative (or NaN) budget
+    read between the 512-row blocks of the class-row build, which stops at
+    the first block boundary past the deadline, and before each node whose
+    count is a multiple of 1024, node 0 included.  A negative (or NaN) budget
     raises ValueError, and so do m allowed vertices whose m rows of m bits,
-    beside one block's unpacked and permuted bytes, would not fit in
+    beside one block's unpacked and gathered bytes, would not fit in
     physical memory; that is checked before the first block is built.
     """
     _check_semantics(semantics)
     if node_budget < 0 or not time_budget >= 0:
         raise ValueError(f"budgets must be non-negative: {node_budget} nodes, {time_budget} s")
-    m = _allowed(g, semantics).bit_count()
-    _check_memory(m * m // 8 + min(m, 512) * (g.n + 2 * m),
-                  f"the complement rows of {m} allowed vertices")
     start = time.monotonic()
     deadline = start + time_budget
-    keep, order = _complement_rows(g, semantics, deadline)
-    # class rows in place, so one list of n rows is held.  A deadline passed
-    # in the complement leaves the list short; node 0's clock read then stops
-    # the search before any row is read
+    # a deadline passed in the row build leaves keep short; node 0's clock
+    # read then stops the search before any row is read
+    keep, order = _class_rows(g, semantics, deadline)
     full = (1 << len(order)) - 1
-    for v, row in enumerate(keep):
-        keep[v] = full ^ row ^ (1 << v)
 
     seed = set(_min_degree_greedy(g, semantics))
     best = len(seed)
@@ -200,7 +201,7 @@ def max_independent_set_exact(
     path: list[list] = []
     size, mask, P = 0, 0, full  # the next node to visit
     while True:
-        # the complement build and the seeding greedy may already have spent
+        # the row build and the seeding greedy may already have spent
         # the budget, so the clock is read before node 0 too
         if not nodes & 1023 and time.monotonic() > deadline:
             hit = "time"
@@ -210,7 +211,7 @@ def max_independent_set_exact(
             hit = "nodes"
             break
         if P:
-            # color classes of mutual non-(comp)-neighbours; classes below
+            # color classes of mutual G-neighbours; classes below
             # kmin cannot lift size past best, so they are only taken out of
             # rest, and the vertices of the others are kept to branch on
             kmin = best - size + 1
@@ -375,9 +376,7 @@ def explicit_qr_set(p: int, g: Graph | None = None) -> tuple[int, ...]:
     if p % 2 == 0 or not is_prime(p):
         raise ValueError("p must be an odd prime")
     q = p * p
-    if g is None:
-        g = build_g_plus(q, p)
-    if (g.meta.variant, g.meta.q, g.meta.t) != ("plus", q, p):
+    if g is not None and (g.meta.variant, g.meta.q, g.meta.t) != ("plus", q, p):
         raise ValueError("graph is not the plus construction on (p^2, p)")
     F = make_field(p, 2)
     residues = sorted(F.exp[::2])

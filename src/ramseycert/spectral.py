@@ -30,7 +30,8 @@ from math import isqrt
 import numpy as np
 
 from .fields import Field
-from .graphs import _FLOAT32_EXACT, Graph, _check_construction, _check_memory, _layout, _walk_matrix
+from .graphs import (_BLOCK, _FLOAT32_EXACT, Graph, _check_construction, _check_memory, _layout,
+                     _walk_matrix)
 
 
 class SpectralSolveError(Exception):
@@ -163,9 +164,8 @@ def _dense_route(g: Graph, q: int) -> tuple[tuple[int, ...], float]:
     right -= m
     right.flat[:: n + 1] += q - 1
     worst = 0.0
-    block = 512
-    for i in range(0, n, block):
-        rows = slice(i, i + block)
+    for i in range(0, n, _BLOCK):
+        rows = slice(i, i + _BLOCK)
         left = m[rows].astype(f64)
         left *= -q
         left += m3[rows]
@@ -195,14 +195,13 @@ def _q_moments(g: Graph, q: int, t: int) -> tuple[int, ...] | None:
     + (w - 2q) S_c + (t^2 C - 2qt) S_x.
     """
     n = g.n
-    block = 512
-    _check_memory(4 * n * n + 5 * min(n, block) * n, f"the M^2 = Q check at n = {n}")
+    _check_memory(4 * n * n + 5 * min(n, _BLOCK) * n, f"the M^2 = Q check at n = {n}")
     m = _walk_matrix(g)
     w, _ = _layout(g.meta.variant, q)
     C = n // w
-    for i in range(0, n, block):
-        rows = m[i:i + block]
-        if not np.array_equal(rows, m[:, i:i + block].T):
+    for i in range(0, n, _BLOCK):
+        rows = m[i:i + _BLOCK]
+        if not np.array_equal(rows, m[:, i:i + _BLOCK].T):
             return None
         first = i // w
         diff = rows @ m[:, first * w:]

@@ -158,8 +158,8 @@ def test_memory_error_exits_2_with_one_line(exc, line, plus93_file, monkeypatch,
 
 
 def test_alpha_past_physical_memory_exits_2_at_once(tmp_path, monkeypatch, capsys):
-    """A sparse `other` file whose complement rows (n^2/8 bytes) would not fit
-    is refused before any complement block is built: one line, exit 2."""
+    """A sparse `other` file whose class rows (n^2/8 bytes) would not fit is
+    refused before any row block is built: one line, exit 2."""
     path = tmp_path / "sparse.g2t"
     write_g2t(from_edges(3000, [(0, 1), (2, 2)]), str(path))
     monkeypatch.setattr(graphs, "_physical_memory", lambda: 10**6)
@@ -167,7 +167,7 @@ def test_alpha_past_physical_memory_exits_2_at_once(tmp_path, monkeypatch, capsy
     code = main(["alpha", str(path), "--json"])
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
-    assert err.startswith("error: the complement rows of 3000 allowed vertices")
+    assert err.startswith("error: the class rows of 3000 allowed vertices")
     assert "physical memory" in err and err.count("\n") == 1
 
 

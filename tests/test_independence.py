@@ -18,7 +18,7 @@ from ramseycert.independence import (
     SEMANTICS,
     AlphaResult,
     _allowed,
-    _complement_rows,
+    _class_rows,
     _min_degree_greedy,
     alpha_bruteforce,
     conjecture_check,
@@ -269,14 +269,23 @@ def test_complete_search_node_counts(kind, a, b, c, expected):
 
 
 def _complement_rows_whole_matrix(g, semantics):
-    """The whole-matrix permutation that the blockwise ``_complement_rows``
-    replaced: n x n unpacked, copied to bool and copied again by np.ix_."""
+    """Complement rows on the allowed vertices, loops dropped, renumbered by
+    non-increasing complement degree, lower index on ties: the whole n x n
+    matrix, copied to bool and copied again by np.ix_."""
     mask = _allowed(g, semantics)
     order = sorted(_bits(mask), key=lambda v: (g.rows[v] & mask & ~(1 << v)).bit_count())
     comp_bits = g.adjacency_matrix(dtype=np.bool_)[np.ix_(order, order)]
     np.logical_not(comp_bits, out=comp_bits)
     np.fill_diagonal(comp_bits, False)
     return _pack_rows(comp_bits), order
+
+
+def _class_rows_whole_matrix(g, semantics):
+    """The class rows the search reads, v's allowed G-neighbours without v,
+    taken from the complement oracle above as ``full ^ comp[v] ^ (1 << v)``."""
+    comp, order = _complement_rows_whole_matrix(g, semantics)
+    full = (1 << len(order)) - 1
+    return [full ^ row ^ (1 << v) for v, row in enumerate(comp)], order
 
 
 def _looped_gnp(n, p, seed):
@@ -300,24 +309,24 @@ def _looped_gnp(n, p, seed):
         "n513"])
 def test_complement_rows_match_whole_matrix_oracle(make, sem):
     g = make()
-    assert _complement_rows(g, sem) == _complement_rows_whole_matrix(g, sem)
+    assert _class_rows(g, sem) == _class_rows_whole_matrix(g, sem)
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_graphs(), st.sampled_from(SEMANTICS))
 def test_complement_rows_match_whole_matrix_oracle_on_small_graphs(g, sem):
-    assert _complement_rows(g, sem) == _complement_rows_whole_matrix(g, sem)
+    assert _class_rows(g, sem) == _class_rows_whole_matrix(g, sem)
 
 
 def test_complement_rows_peak_stays_below_n_squared_bytes():
-    """The complement is permuted 512 rows at a time: on a sparse n = 3000
+    """The class rows are gathered 512 rows at a time: on a sparse n = 3000
     graph the traced peak stays under the n^2 bytes of one unpacked matrix."""
     n = 3000
     rng = random.Random(5)
     g = from_edges(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(3 * n)])
     tracemalloc.start()
     try:
-        _complement_rows(g, "ignore-loops")
+        _class_rows(g, "ignore-loops")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -342,10 +351,11 @@ def _max_independent_set_parent(g, *, semantics="ignore-loops", node_budget=10**
                                  time_budget=300.0):
     """The search as it ran on complement rows: each class vertex cleared its
     complement neighbours with ``avail &= ~comp[v]``, every class went through
-    one loop that tested ``color >= kmin``, and a child was ``P & comp[v]``."""
+    one loop that tested ``color >= kmin``, and a child was ``P & comp[v]``.
+    Its rows come from the whole-matrix oracle, not from the code under test."""
     start = time.monotonic()
     deadline = start + time_budget
-    comp, order = _complement_rows(g, semantics)
+    comp, order = _complement_rows_whole_matrix(g, semantics)
 
     seed = set(_min_degree_greedy(g, semantics))
     best = len(seed)
@@ -457,7 +467,7 @@ def _clock_passing_after(reads):
 
 
 def test_search_matches_parent_oracle_under_a_time_budget(monkeypatch):
-    # n = 254 is one complement block, so both searches read the clock at
+    # n = 254 is one row block, so both searches read the clock at
     # entry, at node 0 and at node 1024, and stop at node 2048 of 43,310
     g = cached_graph("plus", 128, 64)
     monkeypatch.setattr(independence.time, "monotonic", _clock_passing_after(3))
@@ -471,7 +481,7 @@ def test_search_matches_parent_oracle_under_a_time_budget(monkeypatch):
 @pytest.mark.parametrize("sem", SEMANTICS)
 def test_time_budget_is_read_between_complement_blocks(monkeypatch, sem):
     """The deadline passes while the first 512-row block is built: the
-    complement stops there and the search returns the node-0 bracket."""
+    class-row build stops there and the search returns the node-0 bracket."""
     g = _looped_gnp(1100, 0.01, 1)  # three blocks, two under exclude-looped
     blocks = []
     unpack = independence._unpack_rows
@@ -492,7 +502,7 @@ def test_time_budget_is_read_between_complement_blocks(monkeypatch, sem):
 @pytest.mark.parametrize("sem", SEMANTICS)
 def test_complement_memory_is_checked_before_the_first_block(monkeypatch, sem):
     """m allowed vertices need m rows of m bits: past physical memory the
-    search refuses before any complement block is unpacked."""
+    search refuses before any row block is unpacked."""
     g = _looped_gnp(1100, 0.01, 1)
     m = _allowed(g, sem).bit_count()
     blocks = []
@@ -504,7 +514,7 @@ def test_complement_memory_is_checked_before_the_first_block(monkeypatch, sem):
 
     monkeypatch.setattr(independence, "_unpack_rows", counting_unpack)
     monkeypatch.setattr(graphs, "_physical_memory", lambda: m * m // 8)
-    with pytest.raises(ValueError, match=f"complement rows of {m} allowed vertices"):
+    with pytest.raises(ValueError, match=f"class rows of {m} allowed vertices"):
         max_independent_set_exact(g, semantics=sem)
     assert blocks == []
     monkeypatch.setattr(graphs, "_physical_memory", lambda: m * m // 8 + 512 * (g.n + 2 * m))
@@ -521,6 +531,13 @@ def test_explicit_qr_set_is_independent(p):
     vs = explicit_qr_set(p, g)
     assert len(vs) == (p * p - 1) // 2 == p * p // 2
     assert verify_independent(g, vs, "ignore-loops")
+
+
+def test_explicit_qr_set_builds_no_graph_when_none_is_passed(monkeypatch):
+    """The set depends on p alone, so without a graph no construction runs."""
+    expected = {p: explicit_qr_set(p, cached_graph("plus", p * p, p)) for p in (3, 5, 7)}
+    monkeypatch.setattr(independence, "build_g_plus", None)
+    assert {p: explicit_qr_set(p) for p in (3, 5, 7)} == expected
 
 
 def test_explicit_qr_set_validation():
