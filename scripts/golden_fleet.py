@@ -33,7 +33,7 @@ WRITE_COMMAND = "PYTHONPATH=src python scripts/golden_fleet.py write tests/golde
 # the cases up to this size are cheap enough for Tier-1 (about 8 s for 75)
 TIER1_MAX_N = 1000
 
-# the alpha digests' node budget: 150 searches take about 5 s, and 85 close
+# the alpha digests' node budget: 150 searches take about 2 s, and 91 close
 ALPHA_NODE_BUDGET = 2000
 
 

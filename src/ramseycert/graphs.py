@@ -20,6 +20,14 @@ common neighbors of u, v is (M^2)_{uv} for the 0/1 adjacency matrix M.  The
 audit records the full codegree histogram; the load-bearing property is that
 the maximum codegree is at most t, i.e. the graph contains no K_{2,t+1}.
 
+Both constructions are symmetric under field maps: scalings and the
+Frobenius, and in characteristic 2 translations (``_field_maps``).  Each map
+derived from a graph's metadata is kept only if it is a bijection that sends
+every row onto its image's row (``_is_automorphism``, 512 rows at a time),
+and the kept maps' orbits (``_automorphism_orbits``) prune the root of the
+exact alpha search.  plus(256,128) has 35 orbits on 510 vertices and
+times(121,2) 66 on 7,260.
+
 Graphs serialize to a line-oriented ``g2t`` text format (see ``to_g2t``) that
 round-trips byte-identically when the header values and labels are unsigned
 decimals of at most 18 digits, the variant is printable ASCII with no space,
@@ -343,6 +351,108 @@ def structural_audit(g: Graph) -> StructuralReport:
         common_nbhd_histogram=hist, max_common=max_common,
         k2t1_free=free, exactly_t_all_pairs=exactly_t, n_formula_ok=n_ok,
     )
+
+
+# -- automorphisms ---------------------------------------------------------------
+
+
+def _field_maps(g: Graph) -> list[np.ndarray]:
+    """Candidate automorphisms of a plus/times graph, derived from its
+    metadata and field tables, each as the array ``perm`` that sends vertex i
+    to vertex perm[i]; identities left out, and none for any other graph or
+    for metadata that is not a construction.  With s_k(x) = x^(p^k):
+
+    - plus: (a, x) -> (v^2 s_k(a), v s_k(x)) whenever v^2 s_k(H) = H, for
+      k = 0 and for the least k >= 1 that admits a v, each with the least
+      v = g^e (for k = 0 it generates every such v);
+    - times: (a, x) -> (g a, g^2 x) and (a, x) -> (s_1(a), s_1(x));
+    - in characteristic 2, also a -> a + 2^j (plus) or x -> x + 2^j (times),
+      2^j running over the a basis elements of GF(2^a): a translation by s
+      adds 2s = 0 to a + b or x + y.
+
+    A coset maps through its representative.  Nothing here is trusted:
+    ``_is_automorphism`` checks each map against the rows."""
+    meta = g.meta
+    if meta.variant not in ("plus", "times"):
+        return []
+    try:
+        _check_construction(meta, g.n)
+        F = make_field(meta.p, meta.a)
+    except ValueError:
+        return []
+    p, a, q, t = meta.p, meta.a, meta.q, meta.t
+    plus = meta.variant == "plus"
+    H = subgroup(F, "additive" if plus else "multiplicative", t)
+    exp, log = np.array(F.exp, dtype=np.int64), np.array(F.log, dtype=np.int64)
+    coset = np.array(H.coset_id, dtype=np.int64)
+    width, first = _layout(meta.variant, q)
+    cid, x = np.divmod(np.arange(g.n), width)
+    x += first
+    rep = np.array(H.reps, dtype=np.int64)[cid]
+
+    def scale(y, e, k):  # g^e s_k(y), elementwise; 0 stays 0
+        return np.where(y == 0, 0, exp[(log[y] * p**k + e) % (q - 1)])
+
+    def vertex(b, y):  # the index of (the coset of b, y)
+        return coset[b] * width + y - first
+
+    maps = []
+    if plus:
+        in_h = np.zeros(q, dtype=np.bool_)
+        in_h[list(H.elements)] = True
+        # H of order p^b is the span of x^1..x^b (fields.subgroup)
+        basis = exp[np.arange(1, is_prime_power(t)[1] + 1) % (q - 1)]
+        e = np.arange(1, q)[:, None]
+        for k in range(a):
+            # v = g^e with v^2 s_k(basis) inside H
+            admits = np.flatnonzero(in_h[scale(basis, 2 * e, k)].all(axis=1)) + 1
+            if len(admits):
+                maps.append(vertex(scale(rep, 2 * admits[0], k), scale(x, admits[0], k)))
+                if k:
+                    break
+    else:
+        maps += [vertex(scale(rep, 1, 0), scale(x, 2, 0)), vertex(scale(rep, 0, 1), scale(x, 0, 1))]
+    if p == 2:
+        maps += [vertex(rep ^ 1 << j, x) if plus else vertex(rep, x ^ 1 << j) for j in range(a)]
+    index = np.arange(g.n)
+    return [perm for perm in maps if (perm != index).any()]
+
+
+def _is_automorphism(g: Graph, perm: np.ndarray) -> bool:
+    """True iff ``perm`` is a bijection of G's vertices that sends every row,
+    loops included, onto its image's row: G's entry (perm[i], perm[j]) is
+    its entry (i, j).  ``_BLOCK`` rows at a time, the image rows are
+    unpacked, gathered over the columns perm and packed back, and must be
+    the block's own rows: no n x n array is held."""
+    n = g.n
+    if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
+        return False
+    for s in range(0, n, _BLOCK):
+        image = _unpack_rows([g.rows[v] for v in perm[s:s + _BLOCK].tolist()], n)
+        if _pack_rows(np.take(image, perm, axis=1)) != list(g.rows[s:s + _BLOCK]):
+            return False
+    return True
+
+
+def _automorphism_orbits(g: Graph) -> np.ndarray | None:
+    """Orbit labels under the group that the verified field maps generate,
+    ``label[i]`` being the least vertex of i's orbit, or None when no map is
+    kept.  The orbits are the components of the kept maps' cycles: each round
+    gives i and perm[i] the lesser of their labels under every map, then
+    reads each label's own label, until nothing changes."""
+    kept = [perm for perm in _field_maps(g) if _is_automorphism(g, perm)]
+    if not kept:
+        return None
+    label = np.arange(g.n)
+    while True:
+        new = label.copy()
+        for perm in kept:
+            np.minimum(new, label[perm], out=new)
+            new[perm] = np.minimum(new[perm], label)
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
 
 
 # -- g2t serialization ----------------------------------------------------------

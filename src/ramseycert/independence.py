@@ -18,6 +18,17 @@ incumbent, upper the largest coloring bound still open on the path.  The
 time budget is also read between the 512-row blocks of the class-row build,
 which is Theta(n^2) whatever the edge count.
 
+At the root alone the search also uses symmetry, as orbit pruning does in
+McKay & Piperno ("Practical graph isomorphism, II", 2014): once the child of
+a root branch on v is formed, the root's candidates drop v's whole orbit
+under the field maps that ``graphs._automorphism_orbits`` has checked against
+the rows, and a later root vertex that has left them is skipped uncounted.
+The dropped set is a union of orbits and an automorphism keeps the loops, so
+the candidates stay closed under the group; an independent set among them
+that meets orbit(v) maps to one of the same size through v, which v's branch
+has already bounded.  A graph with no kept map has singleton orbits and
+searches as before, node for node.
+
 ``greedy_alpha`` is the cheap lower bound the Monte-Carlo check uses on large
 samples: it repeatedly takes the live vertex of least residual degree, lowest
 index on ties, and deletes it with its neighbourhood.  A lazy-deletion heap of
@@ -43,8 +54,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .fields import is_prime, make_field
-from .graphs import (_BLOCK, Graph, _bits, _check_memory, _layout, _pack_rows, _unpack_rows,
-                     build_g_plus)
+from .graphs import (_BLOCK, Graph, _automorphism_orbits, _bits, _check_memory, _layout,
+                     _pack_rows, _unpack_rows, build_g_plus)
 
 SEMANTICS = ("ignore-loops", "exclude-looped")
 
@@ -122,6 +133,21 @@ def _class_rows(g: Graph, semantics: str,
     return keep, order
 
 
+def _orbit_rows(g: Graph, order: list[int]) -> list[int]:
+    """Row k: the allowed vertices of new vertex k's orbit under the verified
+    field maps (``graphs._automorphism_orbits``), in the numbering of
+    ``order``, or 0 when the graph has no kept map.  An automorphism keeps
+    the loops, so an orbit is allowed or barred as a whole."""
+    label = _automorphism_orbits(g)
+    if label is None:
+        return [0] * len(order)
+    label = label.tolist()
+    members: dict[int, int] = {}
+    for k, v in enumerate(order):
+        members[label[v]] = members.get(label[v], 0) | 1 << k
+    return [members[label[v]] for v in order]
+
+
 def verify_independent(g: Graph, vertices, semantics: str = "ignore-loops") -> bool:
     """True iff no two distinct members are adjacent (and, under exclude-looped,
     no member carries a loop)."""
@@ -163,6 +189,11 @@ def max_independent_set_exact(
     no vertex index and appends nothing; the classes from ``kmin`` up record
     each vertex and its color to branch on.
 
+    At the root only, ``orbit[v]`` (``_orbit_rows``) leaves the root's P
+    once the child of v is formed from P minus v, and root vertices no longer
+    in P are skipped without counting a node; the orbits are derived once the
+    class rows are complete, inside the time budget.
+
     The open nodes from the root down are kept as a list of frames, visited
     in depth-first order.  On budget exhaustion ``lower`` is the incumbent
     and ``upper`` is read off that path: the largest of ``best`` and each
@@ -185,6 +216,8 @@ def max_independent_set_exact(
     # read then stops the search before any row is read
     keep, order = _class_rows(g, semantics, deadline)
     full = (1 << len(order)) - 1
+    # a short keep means the deadline has passed: node 0 stops the search
+    orbit = _orbit_rows(g, order) if len(keep) == len(order) else []
 
     seed = set(_min_degree_greedy(g, semantics))
     best = len(seed)
@@ -249,10 +282,14 @@ def max_independent_set_exact(
                 size = frame[0]
                 color = frame[4].pop()
                 v = branch.pop()
+                if not frame[2] >> v & 1:
+                    continue  # it left the root's P with an orbit
                 if size + color > best:
                     frame[5] = size + color
                     bit = 1 << v
-                    P = frame[2] = frame[2] & ~bit
+                    P = frame[2] & ~bit
+                    # at the root, v's whole orbit leaves P once v's child is formed
+                    frame[2] = P & ~orbit[v] if len(path) == 1 else P
                     size, mask, P = size + 1, frame[1] | bit, P & ~keep[v]
                     break
             path.pop()

@@ -576,3 +576,54 @@ def test_from_g2t_against_the_loop_parser(text):
         assert new == old
     elif in_grammar(text):
         assert old is None
+
+
+# -- automorphisms ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("variant,q,t", [c for c in ALL_CASES if c[1] * (c[1] - 1) // c[2] <= 1000])
+def test_every_field_map_is_kept_and_every_orbit_is_closed(variant, q, t):
+    g = cached_graph(variant, q, t)
+    maps = graphs._field_maps(g)
+    assert maps and all(graphs._is_automorphism(g, perm) for perm in maps)
+    label = graphs._automorphism_orbits(g)
+    for perm in maps:
+        assert np.array_equal(label[perm], label)
+    # each label is the least vertex of its orbit
+    assert np.array_equal(label[label], label) and (label <= np.arange(g.n)).all()
+
+
+@pytest.mark.parametrize("variant,q,t,orbits", [
+    ("plus", 25, 5, 10), ("plus", 128, 64, 19), ("plus", 256, 128, 35),
+    ("plus", 512, 256, 59), ("times", 121, 2, 66)])
+def test_orbit_counts(variant, q, t, orbits):
+    assert len(set(graphs._automorphism_orbits(cached_graph(variant, q, t)).tolist())) == orbits
+
+
+def test_automorphism_check_rejects_forgeries():
+    g = cached_graph("plus", 25, 5)
+    true = graphs._field_maps(g)[0]
+    swap = np.arange(g.n)
+    swap[[0, 1]] = [1, 0]
+    assert graphs._is_automorphism(g, true)
+    assert not graphs._is_automorphism(g, swap)
+    assert not graphs._is_automorphism(g, true[swap])  # the true map after the swap
+    collapsed = true.copy()
+    collapsed[0] = collapsed[1]
+    for perm in (collapsed, true[:-1], np.append(true, g.n), true - 1):
+        assert not graphs._is_automorphism(g, perm)
+    # 0 and 1 are twins in the 4-cycle: sending both to 0 keeps every row, so
+    # only the bijection check refuses it
+    c4 = from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+    assert graphs._is_automorphism(c4, np.array([1, 0, 2, 3]))
+    assert not graphs._is_automorphism(c4, np.array([0, 0, 2, 3]))
+
+
+def test_automorphism_orbits_need_a_construction():
+    assert graphs._automorphism_orbits(from_edges(4, [(0, 1), (2, 3)])) is None
+    g = cached_graph("plus", 9, 3)
+    for meta in (dataclasses.replace(g.meta, t=9),  # n is not q(q-1)/t
+                 dataclasses.replace(g.meta, p=2, a=3, q=8),
+                 dataclasses.replace(g.meta, variant="random")):
+        forged = dataclasses.replace(g, meta=meta)
+        assert graphs._field_maps(forged) == [] and graphs._automorphism_orbits(forged) is None

@@ -27,7 +27,7 @@ from ramseycert.independence import (
     max_independent_set_exact,
     verify_independent,
 )
-from conftest import cached_graph, from_edges
+from conftest import ALL_CASES, cached_graph, from_edges
 
 
 def _seeded_graphs(min_n=0, max_n=20):
@@ -229,25 +229,25 @@ def test_budget_bracket_contains_alpha(n, density, seed, sem):
 
 
 # (lower, exact, nodes_explored) of complete searches: any change to the
-# visiting order, the coloring or the prune rule shows up as a different
-# node count
+# visiting order, the coloring, the prune rule or the root's orbit rule shows
+# up as a different node count
 COMPLETE_SEARCH_NODES = [
-    ("plus", 8, 4, "ignore-loops", (4, True, 3)),
-    ("plus", 8, 4, "exclude-looped", (2, True, 4)),
-    ("plus", 16, 8, "ignore-loops", (5, True, 27)),
-    ("plus", 16, 8, "exclude-looped", (4, True, 5)),
-    ("plus", 32, 16, "ignore-loops", (6, True, 273)),
-    ("plus", 32, 16, "exclude-looped", (4, True, 46)),
-    ("plus", 64, 32, "ignore-loops", (8, True, 1978)),
-    ("plus", 64, 32, "exclude-looped", (8, True, 95)),
-    ("plus", 128, 64, "ignore-loops", (9, True, 43310)),
-    ("plus", 128, 64, "exclude-looped", (8, True, 2031)),
-    ("plus", 256, 128, "ignore-loops", (16, True, 85815)),
-    ("plus", 256, 128, "exclude-looped", (16, True, 7811)),
-    ("plus", 9, 3, "ignore-loops", (8, True, 3)),
-    ("plus", 9, 3, "exclude-looped", (5, True, 9)),
-    ("plus", 25, 5, "ignore-loops", (24, True, 22149)),
-    ("plus", 25, 5, "exclude-looped", (16, True, 28711)),
+    ("plus", 8, 4, "ignore-loops", (4, True, 2)),
+    ("plus", 8, 4, "exclude-looped", (2, True, 2)),
+    ("plus", 16, 8, "ignore-loops", (5, True, 4)),
+    ("plus", 16, 8, "exclude-looped", (4, True, 3)),
+    ("plus", 32, 16, "ignore-loops", (6, True, 42)),
+    ("plus", 32, 16, "exclude-looped", (4, True, 8)),
+    ("plus", 64, 32, "ignore-loops", (8, True, 221)),
+    ("plus", 64, 32, "exclude-looped", (8, True, 13)),
+    ("plus", 128, 64, "ignore-loops", (9, True, 4261)),
+    ("plus", 128, 64, "exclude-looped", (8, True, 209)),
+    ("plus", 256, 128, "ignore-loops", (16, True, 5935)),
+    ("plus", 256, 128, "exclude-looped", (16, True, 491)),
+    ("plus", 9, 3, "ignore-loops", (8, True, 2)),
+    ("plus", 9, 3, "exclude-looped", (5, True, 3)),
+    ("plus", 25, 5, "ignore-loops", (24, True, 2811)),
+    ("plus", 25, 5, "exclude-looped", (16, True, 6100)),
     ("gnp", 100, 0.05, 1, (45, True, 402)),
     ("gnp", 100, 0.1, 2, (32, True, 2399)),
     ("gnp", 100, 0.3, 0, (14, True, 2904)),
@@ -445,18 +445,26 @@ def test_search_matches_parent_oracle_on_small_graphs(g, sem):
         _same_search(g, sem, node_budget=budget)
 
 
+def _without_orbits(monkeypatch):
+    """The search with no verified map: every vertex its own orbit, so the
+    root branches as every other node does."""
+    monkeypatch.setattr(independence, "_automorphism_orbits", lambda g: None)
+
+
 @pytest.mark.parametrize("kind,a,b,c,expected", COMPLETE_SEARCH_NODES)
-def test_search_matches_parent_oracle_on_complete_searches(kind, a, b, c, expected):
+def test_search_matches_parent_oracle_on_complete_searches(monkeypatch, kind, a, b, c, expected):
     if kind == "plus":
         g, sem = cached_graph("plus", a, b), c
     else:
         g, sem = sample_gnp(a, b, seed=c), "ignore-loops"
+    _without_orbits(monkeypatch)
+    full = _same_search(g, sem)
+    assert (full.lower, full.exact) == expected[:2]
     # a = 8 under ignore-loops takes seconds per search, so it runs once
     slow = (kind, a, c) == ("plus", 256, "ignore-loops")
     for budget in [] if slow else [0, 1, 37, 500]:
         assert _same_search(g, sem, node_budget=budget).budget_hit == (
-            "nodes" if budget < expected[2] else None)
-    assert _same_search(g, sem).nodes_explored == expected[2]
+            "nodes" if budget < full.nodes_explored else None)
 
 
 def _clock_passing_after(reads):
@@ -470,6 +478,7 @@ def test_search_matches_parent_oracle_under_a_time_budget(monkeypatch):
     # n = 254 is one row block, so both searches read the clock at
     # entry, at node 0 and at node 1024, and stop at node 2048 of 43,310
     g = cached_graph("plus", 128, 64)
+    _without_orbits(monkeypatch)
     monkeypatch.setattr(independence.time, "monotonic", _clock_passing_after(3))
     new = max_independent_set_exact(g, time_budget=60.0)
     monkeypatch.setattr(independence.time, "monotonic", _clock_passing_after(3))
@@ -520,6 +529,62 @@ def test_complement_memory_is_checked_before_the_first_block(monkeypatch, sem):
     monkeypatch.setattr(graphs, "_physical_memory", lambda: m * m // 8 + 512 * (g.n + 2 * m))
     assert max_independent_set_exact(g, semantics=sem, node_budget=0).budget_hit == "nodes"
     assert blocks[0] == 512
+
+
+# -- the root's orbit rule ----------------------------------------------------------
+
+
+def _toggled(g, u, v):
+    """g with the pair {u, v} (a loop when u = v) toggled, through a g2t round
+    trip: the file keeps the construction's metadata and labels."""
+    rows = list(g.rows)
+    rows[u] ^= 1 << v
+    if u != v:
+        rows[v] ^= 1 << u
+    return graphs.from_g2t(graphs.to_g2t(dataclasses.replace(g, rows=tuple(rows))))
+
+
+@pytest.mark.parametrize("variant,q,t", [("plus", 9, 3), ("plus", 16, 8), ("times", 7, 3)])
+def test_tampered_files_search_as_without_orbits(monkeypatch, variant, q, t):
+    """A one-pair toggle breaks some field maps; the check drops those, and
+    the search proves what it proves with no orbits at all."""
+    g = cached_graph(variant, q, t)
+    for u in range(g.n):
+        for v in range(u, g.n):
+            h = _toggled(g, u, v)
+            for sem in SEMANTICS:
+                res = max_independent_set_exact(h, semantics=sem)
+                with monkeypatch.context() as m:
+                    _without_orbits(m)
+                    plain = max_independent_set_exact(h, semantics=sem)
+                assert res.exact and (res.lower, res.upper) == (plain.lower, plain.upper)
+                assert verify_independent(h, res.witness, sem)
+
+
+@pytest.mark.parametrize("sem", SEMANTICS)
+@pytest.mark.parametrize("variant,q,t", [c for c in ALL_CASES if c[1] * (c[1] - 1) // c[2] <= 26])
+def test_orbit_search_equals_bruteforce_on_constructions(variant, q, t, sem):
+    g = cached_graph(variant, q, t)
+    alpha = alpha_bruteforce(g, sem)
+    res = max_independent_set_exact(g, semantics=sem)
+    assert res.exact and res.lower == alpha
+    for budget in range(61):
+        res = max_independent_set_exact(g, semantics=sem, node_budget=budget)
+        assert res.lower <= alpha <= res.upper
+        assert len(set(res.witness)) == res.lower
+        assert verify_independent(g, res.witness, sem)
+
+
+@pytest.mark.long
+def test_conjecture_a9_a10_are_exact():
+    """plus(512, 256) and plus(1024, 512) under both semantics: about a
+    minute on a 2-core box, nearly all of it a = 10 under ignore-loops."""
+    for a, lowers, matching in ((9, (17, 16), ["ignore-loops"]),
+                                (10, (32, 32), ["ignore-loops", "exclude-looped"])):
+        rep = conjecture_check(a=a)
+        assert rep["status"] == "match" and rep["matching_semantics"] == matching
+        assert [(rep["results"][sem]["lower"], rep["results"][sem]["exact"])
+                for sem in SEMANTICS] == [(lowers[0], True), (lowers[1], True)]
 
 
 # -- explicit residue set ------------------------------------------------------------
