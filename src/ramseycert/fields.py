@@ -274,6 +274,8 @@ class Subgroup:
     ``coset_id[e]`` maps every element of the ambient group to the index of its
     coset, and 0 to -1 when the group is GF(q)^*; coset ids are assigned by
     ascending minimum representative, and ``reps[cid]`` is that minimum.
+    ``coset_id`` is a read-only int64 array that takes no part in equality or
+    hashing: the other fields determine it.
     Additive H of order p^b is the GF(p)-span of the reduced monomials
     x^1..x^b, grown as p shifted copies per monomial by the elementwise
     ``Field.add``; multiplicative H of order t is exp[k (q-1)/t], the group
@@ -287,7 +289,7 @@ class Subgroup:
     kind: str  # "additive" | "multiplicative"
     order: int
     elements: frozenset[int]
-    coset_id: tuple[int, ...]
+    coset_id: np.ndarray = dc_field(compare=False, repr=False)
     reps: tuple[int, ...]
 
     @property
@@ -336,12 +338,13 @@ def subgroup(field: Field, kind: str, order: int) -> Subgroup:
     if order <= 2048:  # closure is cheap to certify exhaustively at desk scale
         assert np.isin(combine(H[:, None], H), H).all(), "subgroup not closed"
 
-    coset_id = np.full(q, -1)
+    coset_id = np.full(q, -1, dtype=np.int64)
     reps = []
     for e in ambient:
         if coset_id[e] < 0:  # ascending scan => first unseen element is the min rep
             coset_id[combine(e, H)] = len(reps)
             reps.append(e)
     assert len(reps) * order == len(ambient)
+    coset_id.flags.writeable = False
     return Subgroup(field=field, kind=kind, order=order, elements=elements,
-                    coset_id=tuple(coset_id.tolist()), reps=tuple(reps))
+                    coset_id=coset_id, reps=tuple(reps))

@@ -20,13 +20,20 @@ common neighbors of u, v is (M^2)_{uv} for the 0/1 adjacency matrix M.  The
 audit records the full codegree histogram; the load-bearing property is that
 the maximum codegree is at most t, i.e. the graph contains no K_{2,t+1}.
 
-Both constructions are symmetric under field maps: scalings and the
+Beside its bitset rows a graph caches neighbour arrays (``Graph._adjacency``:
+row offsets and the ascending neighbours, an (n, d) view when regular), which
+the builder and the parser hand over and which are otherwise read off the
+rows.  Both constructions are symmetric under field maps: scalings and the
 Frobenius, and in characteristic 2 translations (``_field_maps``).  Each map
 derived from a graph's metadata is kept only if it is a bijection that sends
-every row onto its image's row (``_is_automorphism``, 512 rows at a time),
-and the kept maps' orbits (``_automorphism_orbits``) prune the root of the
-exact alpha search.  plus(256,128) has 35 orbits on 510 vertices and
-times(121,2) 66 on 7,260.
+every row onto its image's row, checked in O(nd) on the arrays
+(``_is_automorphism``); the kept maps and their orbits are derived once per
+graph (``Graph._symmetry``).  The orbits prune the root of the exact alpha
+search, and the audit reads one row of M^2 per orbit, as a bincount of the
+row's 2-walk ends (``_m2_rows``, ``codegree_histogram``): times(121,2), n =
+7,260, has 66 orbits and audits in 0.03 s where the float32 GEMM took 3 s;
+plus(256,128) has 35 orbits on 510 vertices.  A graph with no kept map
+keeps the blocked float32 GEMM.
 
 Graphs serialize to a line-oriented ``g2t`` text format (see ``to_g2t``) that
 round-trips byte-identically when the header values and labels are unsigned
@@ -40,8 +47,8 @@ each block's upper triangle; its nonzero entries are the block's edges in
 byte array.
 The parser classifies the bytes after the header a few MB at a time, cuts
 tokens and lines where the byte class changes, decodes each number by digit
-position, makes every check an array predicate, and packs the rows from the
-edges sorted by row.
+position, makes every check an array predicate, sorts the edges by row into
+the neighbour arrays and packs the rows from them.
 """
 
 from __future__ import annotations
@@ -49,17 +56,21 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import asdict, dataclass
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .fields import is_prime_power, make_field, subgroup
+from .fields import Subgroup, is_prime_power, make_field, subgroup
 
 # integers are exact in float32 below 2^24
 _FLOAT32_EXACT = 1 << 24
-# rows per block of the blockwise kernels (g2t write and parse, the audit's and
-# the spectrum's M^2, the class rows): a block is _BLOCK x n beside the inputs
+# rows per block of the blockwise kernels (g2t write and parse, the audit's
+# M^2 when no map is kept, the class rows): a block is _BLOCK x n beside the inputs
 _BLOCK = 512
+# 2-walks per block of the rows of M^2 read from the neighbour arrays: their
+# int64 keys take 1 MB, and a block's arrays about 2.6 MB in all
+_WALKS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -80,6 +91,12 @@ class Graph:
     ``labels[i]`` is the (coset id, field element) pair behind vertex i for the
     algebraic variants; synthetic graphs carry (0, i).  Loops are diagonal bits
     and contribute 1 to the degree.
+
+    Three things derived from the rows are cached on the instance, outside
+    the fields, so equality, hashing and ``dataclasses.replace`` ignore them:
+    the neighbour arrays (``_adjacency``), whether M is symmetric
+    (``_symmetric``) and the verified field maps with their orbits
+    (``_symmetry``).
     """
 
     rows: tuple[int, ...]
@@ -106,6 +123,85 @@ class Graph:
 
     def adjacency_matrix(self, dtype=np.float64) -> np.ndarray:
         return _unpack_rows(self.rows, self.n).astype(dtype)
+
+    @cached_property
+    def _adjacency(self) -> tuple[np.ndarray, np.ndarray]:
+        """(start, nbr): row i's neighbours, ascending and a loop once, are
+        nbr[start[i]:start[i+1]] (int32).  The builder and the parser hand
+        them over (``_with_adjacency``); otherwise they are read off the
+        rows, ``_BLOCK`` at a time."""
+        n = self.n
+        nbr = [np.zeros(0, dtype=np.int32)]
+        for s in range(0, n, _BLOCK):
+            nbr.append(np.nonzero(_unpack_rows(self.rows[s:s + _BLOCK], n))[1].astype(np.int32))
+        start = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum([r.bit_count() for r in self.rows], out=start[1:])
+        return _read_only(start), _read_only(np.concatenate(nbr))
+
+    @cached_property
+    def _symmetric(self) -> bool:
+        """Is M symmetric?  The entries u * n + v, ascending by construction
+        of the arrays, must be their transposes v * n + u once sorted."""
+        owner, nbr = _entries(self)
+        transposed = (nbr * np.int64(self.n) + owner).ravel()
+        transposed.sort()
+        return np.array_equal(transposed, (owner * self.n + nbr).ravel())
+
+    @cached_property
+    def _symmetry(self) -> tuple[list[np.ndarray], np.ndarray | None]:
+        """The candidate field maps that ``_is_automorphism`` keeps, and the
+        orbit labels of the group they generate (``_orbit_labels``), or None
+        when none is kept."""
+        kept = [perm for perm in _field_maps(self) if _is_automorphism(self, perm)]
+        return kept, _orbit_labels(self.n, kept) if kept else None
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _with_adjacency(g: Graph, start: np.ndarray, nbr: np.ndarray, symmetric: bool = False) -> Graph:
+    """g, its neighbour arrays cached from the caller's own (see
+    ``Graph._adjacency``), and ``_symmetric`` too when the caller built
+    them from both directions of every edge."""
+    g.__dict__["_adjacency"] = _read_only(start), _read_only(nbr)
+    if symmetric:
+        g.__dict__["_symmetric"] = True
+    return g
+
+
+def _regular_view(g: Graph) -> np.ndarray | None:
+    """The neighbour arrays as an (n, d) view when G is d-regular, else None."""
+    start, nbr = g._adjacency
+    n = g.n
+    if n and np.array_equal(start, np.arange(n + 1) * (d := int(start[1]))):
+        return nbr.reshape(n, d)
+    return None
+
+
+def _entries(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, nbr): M's ones as row and column arrays that broadcast
+    together.  On a d-regular graph nbr is the (n, d) view of the neighbour
+    arrays and owner the (n, 1) column of row indices; otherwise both are
+    flat, owner repeating each row index over its entries."""
+    view = _regular_view(g)
+    if view is not None:
+        return np.arange(g.n)[:, None], view
+    start, nbr = g._adjacency
+    return np.repeat(np.arange(g.n), np.diff(start)), nbr
+
+
+def _gather(g: Graph, vs: np.ndarray) -> np.ndarray:
+    """The neighbour lists of the vertices vs, concatenated in their order."""
+    view = _regular_view(g)
+    if view is not None:
+        return view[vs].ravel()
+    start, nbr = g._adjacency
+    lo = start[vs]
+    size = start[vs + 1] - lo
+    # entry k of row j reads nbr[lo[j] + k - (the entries before row j)]
+    return nbr[np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())]
 
 
 def _bits(x: int) -> list[int]:
@@ -156,24 +252,35 @@ def _unpack_rows(rows: Sequence[int], width: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1, count=width, bitorder="little")
 
 
+@lru_cache(maxsize=16)
+def _subgroup(variant: str, p: int, a: int, t: int) -> Subgroup:
+    """The subgroup H of order t behind a plus or times graph on GF(p^a),
+    built once for the builder and ``_field_maps`` alike."""
+    return subgroup(make_field(p, a), "additive" if variant == "plus" else "multiplicative", t)
+
+
 def _coset_graph(variant: str, p: int, a: int, t: int) -> Graph:
     """The plus or times graph by the module docstring's rule, one coset c at
     a time as a (width, q-1) neighbour array with a column per unit u: plus
     has y = u and one x*y table, exp[(log x + log y) mod (q-1)], for all c;
     times has u = x + y, so y = u - x and x + y = 0 never arises.
 
+    The neighbour arrays are handed over too: each coset's neighbour array
+    fills its rows of one (n, q-1) int32 table, sorted by row at the end.
+
     Before the field is built, the peak is estimated and checked against
     physical memory: a few int32/int64 (width, q-1) tables, one coset's bool
-    block of (width, n) and the n^2/8 bytes of bitset rows."""
+    block of (width, n), the n^2/8 bytes of bitset rows and the neighbour
+    table."""
     q = p**a
     width, first = _layout(variant, q)
     n = (q if variant == "plus" else q - 1) // t * width
-    _check_memory(32 * width * (q - 1) + width * n + n * n // 8,
+    _check_memory(32 * width * (q - 1) + width * n + n * n // 8 + 4 * n * (q - 1),
                   f"the {variant} graph on q = {q}, t = {t} (n = {n})")
     F = make_field(p, a)
-    H = subgroup(F, "additive" if variant == "plus" else "multiplicative", t)
+    H = _subgroup(variant, p, a, t)
     exp, log = np.array(F.exp, dtype=np.int32), np.array(F.log, dtype=np.int32)
-    coset = np.array(H.coset_id, dtype=np.int64)  # b * width + y may pass 2^31
+    coset = H.coset_id  # int64: b * width + y may pass 2^31
     x = np.arange(first, q, dtype=np.int32)[:, None]
     u = np.arange(1, q, dtype=np.int32)
     if variant == "plus":
@@ -181,17 +288,21 @@ def _coset_graph(variant: str, p: int, a: int, t: int) -> Graph:
     else:
         y = F.sub(u, x)
     rows: list[int] = []
-    for rep in H.reps:
+    nbr = np.empty((n, q - 1), dtype=np.int32)
+    for c, rep in enumerate(H.reps):
         if variant == "plus":
             b = coset[F.sub(xy, rep)]
         else:
             b = coset[exp[(log[u] - log[rep]) % (q - 1)]]
+        index = nbr[c * width:(c + 1) * width]
+        index[:] = b * width + (y - first)
         bits = np.zeros((width, n), dtype=np.bool_)
-        np.put_along_axis(bits, b * width + (y - first), True, axis=1)
+        np.put_along_axis(bits, index, True, axis=1)
         rows += _pack_rows(bits)
+    nbr.sort(axis=1)
     labels = tuple((c, v) for c in range(H.num_cosets) for v in range(first, q))
-    return Graph(rows=tuple(rows), labels=labels,
-                 meta=GraphMeta(variant=variant, p=p, a=a, q=q, t=t))
+    g = Graph(rows=tuple(rows), labels=labels, meta=GraphMeta(variant=variant, p=p, a=a, q=q, t=t))
+    return _with_adjacency(g, np.arange(n + 1, dtype=np.int64) * (q - 1), nbr.ravel())
 
 
 def build_g_plus(q: int, t: int) -> Graph:
@@ -300,12 +411,67 @@ def _walk_matrix(g: Graph) -> np.ndarray:
     return g.adjacency_matrix(dtype=np.float32)
 
 
+def _m2_rows(g: Graph, reps: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Rows of M^2 at the vertices ``reps``, a block at a time: (vs, rows),
+    rows[k] being row vs[k] of M^2 in int64, the bincount of the ends of
+    vs[k]'s 2-walks read off the neighbour arrays.  A block holds at most
+    ``_WALKS`` 2-walks, or one vertex, so the keys stay small whatever n."""
+    view = _regular_view(g)
+    n = g.n
+    if view is not None:  # d^2 walks each: one (len(vs), d, d) gather a block
+        step = max(1, _WALKS // max(view.shape[1], 1) ** 2)
+        for i in range(0, len(reps), step):
+            vs = reps[i:i + step]
+            key = view[view[vs]] + (np.arange(len(vs)) * n)[:, None, None]
+            yield vs, np.bincount(key.ravel(), minlength=len(vs) * n).reshape(len(vs), n)
+        return
+    start, nbr = g._adjacency
+    ends = np.zeros(len(nbr) + 1, dtype=np.int64)
+    np.cumsum(np.diff(start)[nbr], out=ends[1:])
+    walks = ends[start[1:]] - ends[start[:-1]]  # the 2-walks out of each vertex
+    upto = np.cumsum(walks[reps])  # the 2-walks out of reps[:k + 1]
+    i = 0
+    while i < len(reps):
+        limit = upto[i] - walks[reps[i]] + _WALKS
+        j = max(i + 1, int(np.searchsorted(upto, limit, side="right")))
+        vs = reps[i:j]
+        key = _gather(g, _gather(g, vs)).astype(np.int64)
+        key += np.repeat(np.arange(len(vs)) * n, walks[vs])
+        yield vs, np.bincount(key, minlength=len(vs) * n).reshape(len(vs), n)
+        i = j
+
+
 def codegree_histogram(g: Graph) -> dict[int, int]:
     """Histogram of |N(u) ∩ N(v)| over unordered pairs u < v (inclusive counts),
-    read off the exact M^2 one 512-row block at a time, so only M and one
-    block of M^2 are held.  M^2 is symmetric, so a block is multiplied only
-    by the columns from its first row on: the pairs right of the block's
-    square are counted once, the square's off-diagonal ones twice."""
+    each codegree being the exact (M^2)_{uv}.
+
+    A symmetric M with verified field maps (``_automorphism_orbits``) reads
+    one row of M^2 per orbit (``_m2_rows``): an automorphism π gives
+    (M^2)_{π(u)π(v)} = (M^2)_{uv}, so row π(u) has row u's histogram, and
+    the pairs are counted by ½ Σ_u |orbit(u)| · hist(row u without u) over
+    one u per orbit, a few 2-walk blocks beside the neighbour arrays.  Every
+    other graph takes ``_codegree_histogram_gemm``."""
+    label = _automorphism_orbits(g)
+    if label is None or not g._symmetric:
+        return _codegree_histogram_gemm(g)
+    n = g.n
+    size = np.bincount(label)  # orbit sizes, at each orbit's least vertex
+    twice = np.zeros(n + 1, dtype=np.int64)  # a codegree is at most n
+    for vs, rows in _m2_rows(g, np.flatnonzero(size)):
+        k = np.arange(len(vs))
+        rows += k[:, None] * (n + 1)  # row k's codegree c counts in bin k (n + 1) + c
+        hist = np.bincount(rows.ravel(), minlength=len(vs) * (n + 1))
+        hist[rows[k, vs]] -= 1  # u = v
+        twice += size[vs] @ hist.reshape(len(vs), n + 1)
+    return {c: int(x) // 2 for c, x in enumerate(twice) if x}
+
+
+def _codegree_histogram_gemm(g: Graph) -> dict[int, int]:
+    """``codegree_histogram`` off the exact float32 M^2, one 512-row block at
+    a time, so only M and one block of M^2 are held.  M^2 is symmetric, so a
+    block is multiplied only by the columns from its first row on: the pairs
+    right of the block's square are counted once, the square's off-diagonal
+    ones twice."""
     m = _walk_matrix(g)
     n = g.n
     twice = np.zeros(n + 1, dtype=np.int64)  # a codegree is at most n
@@ -327,9 +493,10 @@ def structural_audit(g: Graph) -> StructuralReport:
     is not a single bin (see class docstring); the flags record the truth.
     """
     n = g.n
-    degs = Counter(g.degree(i) for i in range(n))
+    owner, nbr = _entries(g)
+    degs = Counter(np.diff(g._adjacency[0]).tolist())
     is_regular = len(degs) == 1
-    loops = g.loop_count()
+    loops = int(np.count_nonzero(nbr == owner))
     hist = codegree_histogram(g)
     max_common = max(hist) if hist else 0
 
@@ -382,9 +549,9 @@ def _field_maps(g: Graph) -> list[np.ndarray]:
         return []
     p, a, q, t = meta.p, meta.a, meta.q, meta.t
     plus = meta.variant == "plus"
-    H = subgroup(F, "additive" if plus else "multiplicative", t)
+    H = _subgroup(meta.variant, p, a, t)
     exp, log = np.array(F.exp, dtype=np.int64), np.array(F.log, dtype=np.int64)
-    coset = np.array(H.coset_id, dtype=np.int64)
+    coset = H.coset_id
     width, first = _layout(meta.variant, q)
     cid, x = np.divmod(np.arange(g.n), width)
     x += first
@@ -402,14 +569,14 @@ def _field_maps(g: Graph) -> list[np.ndarray]:
         in_h[list(H.elements)] = True
         # H of order p^b is the span of x^1..x^b (fields.subgroup)
         basis = exp[np.arange(1, is_prime_power(t)[1] + 1) % (q - 1)]
-        e = np.arange(1, q)[:, None]
-        for k in range(a):
-            # v = g^e with v^2 s_k(basis) inside H
-            admits = np.flatnonzero(in_h[scale(basis, 2 * e, k)].all(axis=1)) + 1
-            if len(admits):
-                maps.append(vertex(scale(rep, 2 * admits[0], k), scale(x, admits[0], k)))
-                if k:
-                    break
+        # admits[k, e - 1]: v = g^e puts v^2 s_k(basis) inside H (basis has no 0)
+        ks, e = np.arange(a)[:, None, None], np.arange(1, q)[:, None]
+        admits = in_h[exp[(log[basis] * p**ks + 2 * e) % (q - 1)]].all(axis=2)
+        # k = 0 and the least k >= 1 that admits a v, each with its least v
+        for k in [0, *np.flatnonzero(admits[1:].any(axis=1))[:1] + 1]:
+            if admits[k].any():
+                v = int(np.argmax(admits[k])) + 1
+                maps.append(vertex(scale(rep, 2 * v, k), scale(x, v, k)))
     else:
         maps += [vertex(scale(rep, 1, 0), scale(x, 2, 0)), vertex(scale(rep, 0, 1), scale(x, 0, 1))]
     if p == 2:
@@ -421,38 +588,53 @@ def _field_maps(g: Graph) -> list[np.ndarray]:
 def _is_automorphism(g: Graph, perm: np.ndarray) -> bool:
     """True iff ``perm`` is a bijection of G's vertices that sends every row,
     loops included, onto its image's row: G's entry (perm[i], perm[j]) is
-    its entry (i, j).  ``_BLOCK`` rows at a time, the image rows are
-    unpacked, gathered over the columns perm and packed back, and must be
-    the block's own rows: no n x n array is held."""
+    its entry (i, j).  O(nd) on the neighbour arrays: perm keeps the
+    degrees (implied by the rest when M is symmetric, not otherwise), and
+    perm[nbr[u]], sorted, is nbr[perm[u]] for every u, checked a block of
+    rows at a time on a regular graph."""
     n = g.n
     if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
         return False
-    for s in range(0, n, _BLOCK):
-        image = _unpack_rows([g.rows[v] for v in perm[s:s + _BLOCK].tolist()], n)
-        if _pack_rows(np.take(image, perm, axis=1)) != list(g.rows[s:s + _BLOCK]):
-            return False
-    return True
+    owner, nbr = _entries(g)
+    if nbr.ndim == 2:  # in blocks of about _WALKS / 4 entries
+        step = max(1, _WALKS // 4 // max(nbr.shape[1], 1))
+        perm32 = perm.astype(np.int32)
+        for s in range(0, n, step):
+            image = perm32[nbr[s:s + step]]
+            image.sort(axis=1)
+            if not np.array_equal(image, nbr[perm[s:s + step]]):
+                return False
+        return True
+    size = np.diff(g._adjacency[0])
+    if not np.array_equal(size[perm], size):
+        return False
+    owner *= n  # sorting the keys sorts each row's images
+    return np.array_equal(np.sort(perm[nbr] + owner), _gather(g, perm) + owner)
 
 
-def _automorphism_orbits(g: Graph) -> np.ndarray | None:
-    """Orbit labels under the group that the verified field maps generate,
-    ``label[i]`` being the least vertex of i's orbit, or None when no map is
-    kept.  The orbits are the components of the kept maps' cycles: each round
-    gives i and perm[i] the lesser of their labels under every map, then
-    reads each label's own label, until nothing changes."""
-    kept = [perm for perm in _field_maps(g) if _is_automorphism(g, perm)]
-    if not kept:
-        return None
-    label = np.arange(g.n)
+def _orbit_labels(n: int, maps: list[np.ndarray]) -> np.ndarray:
+    """``label[i]``, the least vertex of i's orbit under the group the maps
+    (bijections of range(n)) generate.  The orbits are the components of
+    the maps' cycles: each round gives i and perm[i] the lesser of their
+    labels under every map, then reads each label's own label, until
+    nothing changes."""
+    label = np.arange(n)
     while True:
         new = label.copy()
-        for perm in kept:
+        for perm in maps:
             np.minimum(new, label[perm], out=new)
             new[perm] = np.minimum(new[perm], label)
         new = new[new]
         if np.array_equal(new, label):
             return label
         label = new
+
+
+def _automorphism_orbits(g: Graph) -> np.ndarray | None:
+    """Orbit labels under the group that the verified field maps generate,
+    ``label[i]`` being the least vertex of i's orbit, or None when no map is
+    kept; derived once per graph (``Graph._symmetry``)."""
+    return g._symmetry[1]
 
 
 # -- g2t serialization ----------------------------------------------------------
@@ -668,10 +850,10 @@ def _decimals(a: np.ndarray, last: np.ndarray, width: np.ndarray) -> np.ndarray:
     return value
 
 
-def _rows_from_edges(n: int, u: np.ndarray, v: np.ndarray) -> list[int]:
-    """Bitset rows of the edges (u, v), u <= v < n: both directions sorted
-    into one key row * n + column, then 512 rows at a time through
-    ``_pack_rows``, each block only as wide as its last set column."""
+def _edge_arrays(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Neighbour arrays (start, nbr) of the edges (u, v), u <= v < n: both
+    directions sorted into one key row * n + column, each key kept once (a
+    loop gives it twice, a repeated line more)."""
     m = len(u)
     key = np.empty(2 * m, dtype=np.int64)
     np.multiply(u, n, out=key[:m])
@@ -679,12 +861,21 @@ def _rows_from_edges(n: int, u: np.ndarray, v: np.ndarray) -> list[int]:
     np.multiply(v, n, out=key[m:])
     key[m:] += u
     key.sort()
+    first = np.ones(len(key), dtype=np.bool_)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    key = key[first]
+    return np.searchsorted(key, np.arange(n + 1) * n), (key % max(n, 1)).astype(np.int32)
+
+
+def _rows_from_arrays(n: int, start: np.ndarray, nbr: np.ndarray) -> list[int]:
+    """Bitset rows of the neighbour arrays, 512 rows at a time through
+    ``_pack_rows``, each block only as wide as its last set column."""
     rows: list[int] = []
     for b in range(0, n, _BLOCK):
-        lo, hi = np.searchsorted(key, [b * n, min(b + _BLOCK, n) * n])
-        r, c = np.divmod(key[lo:hi], n)
-        bits = np.zeros((min(_BLOCK, n - b), int(c.max(initial=-1)) + 1), dtype=np.bool_)
-        bits[r - b, c] = True
+        e = min(b + _BLOCK, n)
+        c = nbr[start[b]:start[e]]
+        bits = np.zeros((e - b, int(c.max(initial=-1)) + 1), dtype=np.bool_)
+        bits[np.repeat(np.arange(e - b), np.diff(start[b:e + 1])), c] = True
         rows += _pack_rows(bits)
     return rows
 
@@ -729,7 +920,10 @@ def from_g2t(text: str) -> Graph:
     vertex needs exactly one ``v`` line, and every edge needs u <= v < n.
 
     The lines after the header are classified and cut into tokens as byte
-    arrays, a few MB at a time, and every check is an array predicate.
+    arrays, a few MB at a time, and every check is an array predicate.  The
+    sorted edge keys behind the rows are handed over as the neighbour
+    arrays; they hold both directions of every edge line, so M is symmetric
+    by construction.
     """
     meta, n, (u, v, i, cid, x) = _g2t_fields(text)
     bad = np.flatnonzero((u > v) | (v >= n))
@@ -746,8 +940,10 @@ def from_g2t(text: str) -> Graph:
     labels = np.empty((n, 2), dtype=np.int64)
     labels[i] = np.stack([cid, x], axis=1)
     _check_g2t(meta, labels)
-    return Graph(rows=tuple(_rows_from_edges(n, u, v)),
-                 labels=tuple(map(tuple, labels.tolist())), meta=meta)
+    start, nbr = _edge_arrays(n, u, v)
+    g = Graph(rows=tuple(_rows_from_arrays(n, start, nbr)),
+              labels=tuple(map(tuple, labels.tolist())), meta=meta)
+    return _with_adjacency(g, start, nbr, symmetric=True)
 
 
 def write_g2t(g: Graph, path: str) -> None:

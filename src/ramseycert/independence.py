@@ -317,32 +317,43 @@ def max_independent_set_exact(
 
 
 def alpha_bruteforce(g: Graph, semantics: str = "ignore-loops") -> int:
-    """Exhaustive 2^n scan (vectorized); the ground-truth oracle for n <= 26."""
+    """Exhaustive meet-in-the-middle scan; the ground-truth oracle for n <= 26.
+
+    The vertices split into A = 0..n-h-1 and B = n-h..n-1, h = n // 2.  A
+    table over the 2^h masks of B holds the size of the largest independent
+    allowed subset of each, built bit by bit: a mask with top vertex v either
+    leaves v out or takes v and drops v's neighbours.  Over the 2^(n-h)
+    masks of A, built the same way, each independent allowed S scores |S|
+    plus the table at B minus the neighbours of S; alpha is the best score.
+    Loops are never crossing edges; under exclude-looped a looped vertex is
+    not allowed.  Every step is a numpy pass over one of the two tables."""
     _check_semantics(semantics)
     n = g.n
     if n > 26:
         raise ValueError("brute force capped at n = 26")
-    if n == 0:
-        return 0
-    adj = np.array([g.rows[i] & ~(1 << i) & ((1 << n) - 1) for i in range(n)],
-                   dtype=np.uint32)
-    veto = _allowed(g, semantics) ^ ((1 << n) - 1)
-    best = 0
-    chunk = 1 << 20  # the unpacked bits of a chunk take at most 32 MB
-    for lo in range(0, 1 << n, chunk):
-        s = np.arange(lo, min(lo + chunk, 1 << n), dtype=np.uint32)
-        ok = np.ones(len(s), dtype=bool)
-        if veto:
-            ok &= (s & np.uint32(veto)) == 0
-        for v in range(n):
-            inside = (s >> np.uint32(v)) & np.uint32(1)
-            crossing = (s & adj[v]) != 0
-            ok &= ~((inside == 1) & crossing)
-        if ok.any():
-            # popcounts of the surviving candidates: 32 unpacked bits each
-            bits = np.unpackbits(s[ok].view(np.uint8).reshape(-1, 4), axis=1)
-            best = max(best, int(bits.sum(axis=1, dtype=np.uint8).max()))
-    return best
+    h = n // 2
+    a = n - h
+    allowed = _allowed(g, semantics)
+    full = (1 << n) - 1
+    nbrs = [g.rows[v] & ~(1 << v) & full if allowed >> v & 1 else -1 for v in range(n)]
+    best = np.zeros(1 << h, dtype=np.int8)  # best[m]: alpha of B's mask m
+    for k in range(h):
+        rest = np.arange(1 << k)
+        if nbrs[a + k] >= 0:
+            best[1 << k:2 << k] = np.maximum(best[rest], best[rest & ~(nbrs[a + k] >> a)] + 1)
+        else:
+            best[1 << k:2 << k] = best[rest]
+    # over the masks S of A: is S independent and allowed, |S|, and B minus N(S)
+    ok = np.ones(1 << a, dtype=np.bool_)
+    size = np.zeros(1 << a, dtype=np.int8)
+    free = np.full(1 << a, (1 << h) - 1, dtype=np.int64)
+    for k in range(a):
+        rest = np.arange(1 << k)
+        top = slice(1 << k, 2 << k)
+        ok[top] = ok[rest] & (nbrs[k] >= 0) & ((rest & nbrs[k]) == 0)
+        size[top] = size[rest] + 1
+        free[top] = free[rest] & ~(nbrs[k] >> a)
+    return int((size[ok] + best[free[ok]]).max())
 
 
 def greedy_alpha(g: Graph, semantics: str = "ignore-loops") -> tuple[int, tuple[int, ...]]:

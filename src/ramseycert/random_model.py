@@ -20,7 +20,7 @@ from math import comb, exp, lgamma, log, sqrt
 
 import numpy as np
 
-from .graphs import Graph, GraphMeta
+from .graphs import Graph, GraphMeta, _check_memory, _edge_arrays, _entries, _gather, _with_adjacency
 from .independence import greedy_alpha, max_independent_set_exact
 
 E8 = math.exp(8.0)
@@ -83,7 +83,9 @@ def sample_gnp(n: int, p: float, seed: int, stream: int = 0) -> Graph:
 
     Streams are independent Philox counter sequences keyed (seed, stream) so
     sample index i of a Monte-Carlo run is the same graph no matter how the
-    samples are scheduled.
+    samples are scheduled.  Row i draws its pairs (i, j), j > i, which set
+    bits i and j of the rows and become the neighbour arrays
+    (``graphs._edge_arrays``).
     """
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
@@ -91,18 +93,20 @@ def sample_gnp(n: int, p: float, seed: int, stream: int = 0) -> Graph:
         raise ValueError(f"dense sampler capped at n = {_DENSE_SAMPLE_LIMIT}")
     rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), stream]))
     rows = [0] * n
+    pairs: list[int] = []  # i * n + j
     for i in range(n - 1):
-        draws = rng.random(n - 1 - i)
-        hits = np.flatnonzero(draws < p)
+        hits = np.flatnonzero(rng.random(n - 1 - i) < p)
         if len(hits):
             ri = rows[i]
-            for off in hits:
-                j = i + 1 + int(off)
+            for j in (hits + (i + 1)).tolist():
                 ri |= 1 << j
                 rows[j] |= 1 << i
+                pairs.append(i * n + j)
             rows[i] = ri
-    return Graph(rows=tuple(rows), labels=tuple((0, i) for i in range(n)),
-                 meta=GraphMeta(variant="random"))
+    g = Graph(rows=tuple(rows), labels=tuple((0, i) for i in range(n)),
+              meta=GraphMeta(variant="random"))
+    u, v = np.divmod(np.array(pairs, dtype=np.int64), max(n, 1))
+    return _with_adjacency(g, *_edge_arrays(n, u, v), symmetric=True)
 
 
 def expected_k2t_log(n: int, p: float, t: int) -> tuple[float, float | None]:
@@ -125,23 +129,29 @@ def expected_k2t_log(n: int, p: float, t: int) -> tuple[float, float | None]:
     return value, chain
 
 
-def _codegree_counts(g: Graph) -> dict[tuple[int, int], int]:
-    """Codegrees via common-neighbor accumulation; only pairs with >= 1 appear."""
-    counts: dict[tuple[int, int], int] = {}
-    for w in range(g.n):
-        nbrs = g.neighbors(w)
-        for i, u in enumerate(nbrs):
-            for v in nbrs[i + 1:]:
-                key = (u, v)
-                counts[key] = counts.get(key, 0) + 1
-    return counts
+def _codegree_counts(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(key, count): the pairs u < v with a common neighbour as ascending keys
+    u * n + v, and their codegrees.  Every 2-walk u - w - v is read off the
+    neighbour arrays, w's neighbours v for each neighbour w of u, and the
+    keys with u < v are counted: a sparse pair count, where the rows of M^2
+    would be n^2 entries.  Refused (ValueError) when the walks' arrays, about
+    40 bytes a walk, would not fit in physical memory."""
+    owner, nbr = _entries(g)
+    u, w = np.broadcast_to(owner, nbr.shape).ravel(), nbr.ravel()  # w is one of u's neighbours
+    size = np.diff(g._adjacency[0])
+    _check_memory(40 * int(size[w].sum()), f"the 2-walks of a graph on {g.n} vertices")
+    v = _gather(g, w)
+    u = np.repeat(u, size[w])
+    keep = u < v
+    return np.unique(u[keep] * np.int64(g.n) + v[keep], return_counts=True)
 
 
 def k2t_witness_count(g: Graph, t: int) -> int:
     """Total count of K_{2,t} copies: sum over pairs of C(codegree, t)."""
     if t < 2:
         raise ValueError("t must be >= 2")
-    return sum(comb(c, t) for c in _codegree_counts(g).values() if c >= t)
+    _, counts = _codegree_counts(g)
+    return sum(comb(int(c), t) for c in counts[counts >= t])
 
 
 def frieze_alpha_estimate(n: int, p: float) -> tuple[float, float]:

@@ -4,11 +4,15 @@ The eigenvalues of both constructions lie in {q-1, +sqrt(q), -sqrt(q), +1,
 -1, 0}, so the six multiplicities are pinned by the power-sum moments
 tr(M^j) for j = 0..5.  On every construction the codegree matrix is
 M^2 = Q = qI + tJ - S_c - t S_x, S_c marking the pairs in the same coset and
-S_x the pairs with the same field coordinate.  One pass of exact float32 row
-blocks checks that, and then the annihilator and the moments follow with no
-further matrix product (``verify_spectrum``, ``_q_moments``).  A graph whose
-M^2 is not Q (a tampered or a vertex-permuted file) takes the dense route,
-M^3 in float32 and the annihilator as a float64 product (``_dense_route``).
+S_x the pairs with the same field coordinate.  With M checked symmetric, that
+is checked exactly on one row of M^2 per orbit of the verified field maps
+that keep the labels, each row a bincount of 2-walk ends read off the
+neighbour arrays, and then the annihilator and the moments follow with no
+matrix product at all (``verify_spectrum``, ``_q_moments``): times(121,2)
+certifies in 0.03 s, and plus(256,2), whose float32 M alone would take
+4.3 GB, in under a second.  A graph whose M^2 is not Q (a tampered or a
+vertex-permuted file) takes the dense route, M^3 in float32 and the
+annihilator as a float64 product (``_dense_route``).
 Each route asserts its own exactness bounds.  Either way the odd moments are
 solved in closed form for (mult of q-1, (m_+ - m_-)*sqrt(q), m_1 - m_-1) and
 the even ones for the paired sums, all over Fractions; sqrt(q) is no float.
@@ -31,7 +35,7 @@ import numpy as np
 
 from .fields import Field
 from .graphs import (_BLOCK, _FLOAT32_EXACT, Graph, _check_construction, _check_memory, _layout,
-                     _walk_matrix)
+                     _entries, _m2_rows, _orbit_labels)
 
 
 class SpectralSolveError(Exception):
@@ -173,17 +177,28 @@ def _dense_route(g: Graph, q: int) -> tuple[tuple[int, ...], float]:
     return (n, *(int(x) for x in traces)), worst
 
 
+def _keeps_labels(perm: np.ndarray, w: int) -> bool:
+    """Does the bijection ``perm`` of the vertices c * w + x send every coset
+    to one coset and every x to one x?  Its image's coset is then a function
+    of c alone and its x of x alone, both bijective as perm is, so perm keeps
+    the same-coset and same-x relations both ways.  O(n)."""
+    c, x = np.divmod(perm.reshape(-1, w), w)
+    return bool((c == c[:, :1]).all() and (x == x[:1]).all())
+
+
 def _q_moments(g: Graph, q: int, t: int) -> tuple[int, ...] | None:
     """tr(M^j), j = 0..5, once M is symmetric and M^2 = Q = qI + tJ - S_c - t S_x
-    holds entry by entry; None at the first 512-row block where either fails.
+    holds entry by entry; None as soon as either fails.
 
     Vertex i is (c, x) = divmod(i, w), w from ``graphs._layout``, which
-    divides n on a construction's metadata.  M^2 and Q are symmetric, so a
-    block is multiplied only by the columns from its first coset on, which
-    cover the upper triangle; each product is exact under the bound
-    ``graphs._walk_matrix`` asserts, and Q is subtracted from it in place.
-    Refused up front (ValueError) when M and one block's product and
-    symmetry mask would not fit in physical memory.
+    divides n on a construction's metadata.  Symmetry is checked once on the
+    neighbour arrays (``Graph._symmetric``).  The rows of M^2 are read only
+    at one vertex per orbit of the verified field maps that also keep the
+    labels' relations (``_keeps_labels``), as 2-walk bincounts
+    (``graphs._m2_rows``), and Q is subtracted from them in place; with no
+    such map every vertex is its own orbit.  That suffices: such a map π
+    gives (M^2)_{π(u)π(v)} = (M^2)_{uv} and Q_{π(u)π(v)} = Q_{uv}, so row
+    π(u) of M^2 equals Q's once row u does.
 
     The moments are exact ints from four counts of M's ones: E all of them,
     D the diagonal, P_c the same-c pairs and P_x the same-x pairs; C = n / w.
@@ -194,31 +209,30 @@ def _q_moments(g: Graph, q: int, t: int) -> tuple[int, ...] | None:
     = J give Q^2 = q^2 I + (2qt + t^2 n - 2tw - 2t^2 C + 2t) J
     + (w - 2q) S_c + (t^2 C - 2qt) S_x.
     """
+    if not g._symmetric:
+        return None
     n = g.n
-    _check_memory(4 * n * n + 5 * min(n, _BLOCK) * n, f"the M^2 = Q check at n = {n}")
-    m = _walk_matrix(g)
     w, _ = _layout(g.meta.variant, q)
     C = n // w
-    for i in range(0, n, _BLOCK):
-        rows = m[i:i + _BLOCK]
-        if not np.array_equal(rows, m[:, i:i + _BLOCK].T):
-            return None
-        first = i // w
-        diff = rows @ m[:, first * w:]
-        r = np.arange(len(diff))
-        c, x = np.divmod(i + r, w)
-        by_cx = diff.reshape(len(diff), C - first, w)
-        diff -= t                        # tJ
-        by_cx[r, :, x] += t              # -t S_x
-        by_cx[r, c - first, :] += 1      # -S_c
-        diff[r, i + r - first * w] -= q  # qI
+    kept, label = g._symmetry
+    maps = [perm for perm in kept if _keeps_labels(perm, w)]
+    if len(maps) < len(kept):
+        label = _orbit_labels(n, maps)
+    reps = np.arange(n) if label is None else np.flatnonzero(label == np.arange(n))
+    for vs, diff in _m2_rows(g, reps):
+        r = np.arange(len(vs))
+        c, x = np.divmod(vs, w)
+        by_cx = diff.reshape(len(vs), C, w)
+        diff -= t                    # tJ
+        by_cx[r, :, x] += t          # -t S_x
+        by_cx[r, c, :] += 1          # -S_c
+        diff[r, vs] -= q             # qI
         if diff.any():
             return None
-    by_cx = m.reshape(C, w, C, w)
-    f64 = np.float64  # every count is at most n^2 < 2^53
-    E, D = int(m.sum(dtype=f64)), int(np.einsum("ii->", m, dtype=f64))
-    Pc = int(np.einsum("cxcy->", by_cx, dtype=f64))
-    Px = int(np.einsum("cxdx->", by_cx, dtype=f64))
+    owner, nbr = _entries(g)
+    E, D = nbr.size, int(np.count_nonzero(nbr == owner))
+    Pc = int(np.count_nonzero(nbr // w == owner // w))
+    Px = int(np.count_nonzero(nbr % w == owner % w))
     tr4 = n * ((q - 1) ** 2 + (w - 1) * (t - 1) ** 2 + (n - w - C + 1) * t * t)
     j_coef = 2 * q * t + t * t * n - 2 * t * w - 2 * t * t * C + 2 * t  # of J in Q^2
     tr5 = q * q * D + j_coef * E + (w - 2 * q) * Pc + (t * t * C - 2 * q * t) * Px
@@ -286,8 +300,10 @@ def verify_spectrum(g: Graph) -> SpectrumReport:
     maps the all-ones vector to a multiple of it, and M >= 0 makes that
     M 1 = d 1.  Every other eigenvalue of the symmetric M squares to q, 1 or
     0, so M's eigenvalues lie in {d, +-sqrt(q), +-1, 0}, the roots of the
-    annihilator.  The moments then come from four counts of M's ones.  A
-    graph whose M^2 is not Q takes ``_dense_route``.
+    annihilator.  The moments then come from four counts of M's ones.  The
+    check reads M^2 only at one vertex per orbit of the kept field maps
+    that keep the labels' relations, which suffices as such a map keeps M^2
+    and Q alike.  A graph whose M^2 is not Q takes ``_dense_route``.
     """
     if g.meta.variant not in ("plus", "times"):
         raise ValueError("spectrum certification applies to the plus/times constructions")

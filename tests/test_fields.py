@@ -382,8 +382,11 @@ def _subgroup_orders(p: int, a: int):
 
 def _assert_matches_oracle(F: Field, kind: str, order: int):
     H = subgroup(F, kind, order)
-    assert H == _subgroup_oracle(F, kind, order), (F.q, kind, order)
-    for values in (H.elements, H.coset_id, H.reps):
+    oracle = _subgroup_oracle(F, kind, order)
+    assert H == oracle, (F.q, kind, order)
+    assert H.coset_id.tolist() == list(oracle.coset_id), (F.q, kind, order)
+    assert H.coset_id.dtype == np.int64 and not H.coset_id.flags.writeable
+    for values in (H.elements, H.reps):
         assert all(type(v) is int for v in values)
 
 

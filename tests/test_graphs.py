@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 import re
 from collections import Counter
 
@@ -158,16 +159,25 @@ def test_build_refuses_beyond_physical_memory(monkeypatch):
 
 
 def test_walk_matrix_refuses_beyond_physical_memory(monkeypatch):
-    # plus(9,3), n = 24: the audit holds M as bytes and as float32 (24^2 * 5
-    # bytes); the spectrum's M^2 = Q check adds a block's product and mask
-    g = cached_graph("plus", 9, 3)
+    # plus(9,3), n = 24: with its field maps kept, the audit and the M^2 = Q
+    # check read rows of M^2 off the neighbour arrays and hold no n x n array
+    g = build_g_plus(9, 3)
+    monkeypatch.setattr(graphs, "_physical_memory", lambda: 1000)
+    assert structural_audit(g).passed and verify_spectrum(g).passed
+    # a graph with no kept map holds M as bytes and as float32 (24^2 * 5 bytes)
+    free = from_edges(24, [(u, (u * 5 + 1) % 24) for u in range(24)])
     monkeypatch.setattr(graphs, "_physical_memory", lambda: 24 * 24 * 5)
-    assert structural_audit(g).passed
-    with pytest.raises(ValueError, match="physical memory"):
-        verify_spectrum(g)
+    assert structural_audit(free).n == 24
     monkeypatch.setattr(graphs, "_physical_memory", lambda: 24 * 24 * 5 - 1)
     with pytest.raises(ValueError, match="physical memory"):
-        structural_audit(g)
+        structural_audit(free)
+    # a file whose M^2 is not Q takes the dense route, 21 n^2 bytes
+    rows = list(g.rows)
+    rows[0] ^= 1
+    toggled = Graph(rows=tuple(rows), labels=g.labels, meta=g.meta)
+    monkeypatch.setattr(graphs, "_physical_memory", lambda: 21 * 24 * 24 - 1)
+    with pytest.raises(ValueError, match="physical memory"):
+        verify_spectrum(toggled)
 
 
 # -- adjacency machinery -----------------------------------------------------------
@@ -617,6 +627,127 @@ def test_automorphism_check_rejects_forgeries():
     c4 = from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
     assert graphs._is_automorphism(c4, np.array([1, 0, 2, 3]))
     assert not graphs._is_automorphism(c4, np.array([0, 0, 2, 3]))
+
+
+def _is_automorphism_bitset(g: Graph, perm: np.ndarray) -> bool:
+    """The O(n^2) check ``_is_automorphism`` replaced: 512 rows at a time,
+    the image rows are unpacked, gathered over the columns perm and packed
+    back, and must be the block's own rows."""
+    n = g.n
+    if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
+        return False
+    for s in range(0, n, 512):
+        image = graphs._unpack_rows([g.rows[v] for v in perm[s:s + 512].tolist()], n)
+        if graphs._pack_rows(np.take(image, perm, axis=1)) != list(g.rows[s:s + 512]):
+            return False
+    return True
+
+
+def _forged_maps(g: Graph) -> list[np.ndarray]:
+    """A transposition of 0 and 1, the first field map after it, and that map
+    sending 0 where it sends 1 (no bijection)."""
+    swap = np.arange(g.n)
+    swap[[0, 1]] = [1, 0]
+    true = graphs._field_maps(g)[0]
+    collapsed = true.copy()
+    collapsed[0] = collapsed[1]
+    return [swap, true[swap], collapsed]
+
+
+def _by_size(cases, big=1000):
+    """The cases, those with n > big marked ``long``."""
+    return [pytest.param(*c, marks=pytest.mark.long) if c[1] * (c[1] - 1) // c[2] > big else c
+            for c in cases]
+
+
+@pytest.mark.parametrize("variant,q,t", _by_size(ALL_CASES))
+def test_automorphism_check_equals_bitset_oracle(variant, q, t):
+    g = cached_graph(variant, q, t)
+    for perm in graphs._field_maps(g) + _forged_maps(g):
+        assert graphs._is_automorphism(g, perm) == _is_automorphism_bitset(g, perm)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_automorphism_check_equals_bitset_oracle_on_tampered_files(seed):
+    """One-pair toggles leave the graph irregular; every field map and every
+    forgery gets the bitset check's verdict on the neighbour arrays."""
+    rng = random.Random(seed)
+    g = cached_graph(*rng.choice([("plus", 9, 3), ("plus", 16, 8), ("times", 7, 3),
+                                  ("times", 13, 4), ("plus", 8, 2)]))
+    rows = list(g.rows)
+    for _ in range(rng.randint(1, 3)):
+        u, v = rng.randrange(g.n), rng.randrange(g.n)
+        rows[u] ^= 1 << v
+        rows[v] ^= (1 << u) * (u != v)
+    h = from_g2t(to_g2t(dataclasses.replace(g, rows=tuple(rows))))
+    for perm in graphs._field_maps(h) + _forged_maps(h):
+        assert graphs._is_automorphism(h, perm) == _is_automorphism_bitset(h, perm)
+
+
+def test_automorphism_check_keeps_the_degrees_of_one_way_rows():
+    """Rows 0: {} and 1: {0, 1}, not symmetric: swapping 0 and 1 lines the
+    concatenated images up with the concatenated rows, so only the degree
+    check refuses it."""
+    g = Graph(rows=(0, 0b11), labels=((0, 0), (0, 1)), meta=GraphMeta(variant="other"))
+    swap = np.array([1, 0])
+    assert not graphs._is_automorphism(g, swap) and not _is_automorphism_bitset(g, swap)
+
+
+def _arrays_from_rows(g: Graph) -> tuple[list[int], list[int]]:
+    """(start, nbr) read bit by bit off the rows."""
+    nbr = [v for r in g.rows for v in _bits(r)]
+    return [0, *np.cumsum([r.bit_count() for r in g.rows]).tolist()], nbr
+
+
+@pytest.mark.parametrize("variant,q,t", [c for c in ALL_CASES if c[1] * (c[1] - 1) // c[2] <= 1000])
+def test_handed_over_arrays_are_the_rows(variant, q, t):
+    """The builder's and the parser's neighbour arrays, and those derived
+    from the rows, are the rows' bits."""
+    g = cached_graph(variant, q, t)
+    want = _arrays_from_rows(g)
+    for h in (g, from_g2t(to_g2t(g)), Graph(rows=g.rows, labels=g.labels, meta=g.meta)):
+        start, nbr = h._adjacency
+        assert (start.tolist(), nbr.tolist()) == want
+        assert nbr.dtype == np.int32 and not start.flags.writeable and not nbr.flags.writeable
+
+
+def test_parsed_arrays_hold_a_loop_and_a_repeated_edge_once():
+    h = from_g2t("g2t v1 variant=other p=0 a=0 q=0 t=0 n=3\nv 0 0 0\nv 1 0 1\nv 2 0 2\n"
+                 "e 0 0\ne 0 2\ne 0 2\ne 1 2\n")
+    start, nbr = h._adjacency
+    assert (start.tolist(), nbr.tolist()) == _arrays_from_rows(h) == ([0, 2, 3, 5], [0, 2, 2, 0, 1])
+
+
+def test_symmetry_is_read_off_the_arrays():
+    g = build_g_plus(9, 3)
+    assert g._symmetric
+    rows = list(g.rows)
+    rows[0] ^= 1 << 5  # one direction only
+    assert not Graph(rows=tuple(rows), labels=g.labels, meta=g.meta)._symmetric
+    assert from_edges(0, [])._symmetric
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 7, 64, 1 << 18]))
+def test_m2_rows_are_the_rows_of_m_squared(seed, walks):
+    """Rows of M^2 at drawn vertices, in their order, for any block size, on
+    irregular looped graphs and on constructions."""
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        n, p = rng.randint(1, 40), rng.random()
+        g = from_edges(n, [(u, v) for u in range(n) for v in range(u, n) if rng.random() < p])
+    else:
+        g = cached_graph(*rng.choice([c for c in ALL_CASES if c[1] <= 16]))
+    reps = np.array(rng.sample(range(g.n), rng.randint(1, g.n)), dtype=np.int64)
+    m = g.adjacency_matrix(dtype=np.int64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_WALKS", walks)
+        blocks = list(graphs._m2_rows(g, reps))
+    assert np.array_equal(np.concatenate([vs for vs, _ in blocks]), reps)
+    assert np.array_equal(np.concatenate([rows for _, rows in blocks]), (m @ m)[reps])
+    # a block holds at most ``walks`` 2-walks, or one vertex
+    assert all(len(vs) == 1 or (m @ m)[vs].sum() <= walks for vs, _ in blocks)
 
 
 def test_automorphism_orbits_need_a_construction():

@@ -201,6 +201,49 @@ def test_bruteforce_caps_at_26():
         alpha_bruteforce(from_edges(27, []))
 
 
+def _alpha_subset_scan(g, semantics="ignore-loops"):
+    """The 2^n scan ``alpha_bruteforce`` replaced: every vertex tested
+    against every subset, a million subsets at a time, O(n 2^n)."""
+    n = g.n
+    if n == 0:
+        return 0
+    adj = np.array([g.rows[i] & ~(1 << i) & ((1 << n) - 1) for i in range(n)],
+                   dtype=np.uint32)
+    veto = _allowed(g, semantics) ^ ((1 << n) - 1)
+    best = 0
+    chunk = 1 << 20
+    for lo in range(0, 1 << n, chunk):
+        s = np.arange(lo, min(lo + chunk, 1 << n), dtype=np.uint32)
+        ok = np.ones(len(s), dtype=bool)
+        if veto:
+            ok &= (s & np.uint32(veto)) == 0
+        for v in range(n):
+            inside = (s >> np.uint32(v)) & np.uint32(1)
+            crossing = (s & adj[v]) != 0
+            ok &= ~((inside == 1) & crossing)
+        if ok.any():
+            bits = np.unpackbits(s[ok].view(np.uint8).reshape(-1, 4), axis=1)
+            best = max(best, int(bits.sum(axis=1, dtype=np.uint8).max()))
+    return best
+
+
+@settings(max_examples=80, deadline=None)
+@given(_seeded_graphs(0, 20), st.sampled_from(SEMANTICS))
+def test_bruteforce_equals_the_subset_scan(g, sem):
+    assert alpha_bruteforce(g, sem) == _alpha_subset_scan(g, sem)
+
+
+@pytest.mark.long
+@pytest.mark.parametrize("variant,q,t", [("plus", 2, 2)] + [
+    c for c in ALL_CASES if c[1] * (c[1] - 1) // c[2] <= 26])
+def test_bruteforce_equals_the_subset_scan_on_constructions(variant, q, t):
+    """Every construction with n <= 26 under both semantics: about 30 s,
+    nearly all in the subset scan at n = 24-26."""
+    g = graphs.build_g_plus(2, 2) if q == 2 else cached_graph(variant, q, t)
+    for sem in SEMANTICS:
+        assert alpha_bruteforce(g, sem) == _alpha_subset_scan(g, sem)
+
+
 # -- budgets -----------------------------------------------------------------------
 
 

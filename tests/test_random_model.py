@@ -1,6 +1,7 @@
 """Random-graph recipe, sampler, witness counting, and Monte-Carlo invariants."""
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ from ramseycert.random_model import (
     monte_carlo_check,
     sample_gnp,
 )
+from ramseycert.graphs import _bits
 from conftest import cached_graph, common_neighbors, from_edges
 
 
@@ -139,8 +141,9 @@ class K2tWitness:
 def find_k2t(g, t: int) -> K2tWitness | None:
     """First vertex pair with >= t common neighbors in the codegree counts
     behind ``k2t_witness_count``, or None."""
-    for (u, v), c in _codegree_counts(g).items():
+    for key, c in zip(*_codegree_counts(g)):
         if c >= t:
+            u, v = divmod(int(key), g.n)
             return K2tWitness(u=u, v=v, common=tuple(common_neighbors(g, u, v)[:t]))
     return None
 
@@ -181,6 +184,68 @@ def test_find_k2t_matches_naive_scan(n, t, seed):
         assert len(got.common) == t
         assert all(w in g.neighbors(got.u) and w in g.neighbors(got.v)
                    for w in got.common)
+
+
+def _codegree_dict(g) -> dict[tuple[int, int], int]:
+    """The common-neighbour accumulation ``_codegree_counts`` replaced: each
+    w adds one to every pair u < v of its neighbours."""
+    counts: dict[tuple[int, int], int] = {}
+    for w in range(g.n):
+        nbrs = g.neighbors(w)
+        for i, u in enumerate(nbrs):
+            for v in nbrs[i + 1:]:
+                counts[u, v] = counts.get((u, v), 0) + 1
+    return counts
+
+
+def _sample_gnp_loop(n, p, seed, stream=0):
+    """The bit-by-bit sampler ``sample_gnp`` replaced: the same Philox draws,
+    row i's hits j > i set one bit at a time in rows i and j."""
+    rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), stream]))
+    rows = [0] * n
+    for i in range(n - 1):
+        for off in np.flatnonzero(rng.random(n - 1 - i) < p):
+            j = i + 1 + int(off)
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 60), st.sampled_from([0.0, 0.05, 0.3, 0.9, 1.0]),
+       st.integers(0, 2**63 - 1), st.integers(0, 3))
+def test_sampler_equals_the_bit_loop(n, p, seed, stream):
+    g = sample_gnp(n, p, seed, stream)
+    assert list(g.rows) == _sample_gnp_loop(n, p, seed, stream)
+    start, nbr = g._adjacency
+    assert nbr.tolist() == [v for r in g.rows for v in _bits(r)]
+    assert start.tolist() == [0, *np.cumsum([r.bit_count() for r in g.rows]).tolist()]
+
+
+def test_sampler_equals_the_bit_loop_on_a_recipe_sample():
+    r = lemma_parameters(100, 10, 1.0, seed=1)
+    assert list(sample_gnp(r.n, r.p, 1, 2).rows) == _sample_gnp_loop(r.n, r.p, 1, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 40), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_codegree_counts_equal_the_pair_dict(n, density, seed):
+    """Looped irregular graphs (no neighbour arrays handed over) and samples."""
+    rng = random.Random(seed)
+    g = from_edges(n, [(u, v) for u in range(n) for v in range(u, n) if rng.random() < density])
+    for h in (g, sample_gnp(n, density, seed)):
+        assert _counts_as_dict(h) == _codegree_dict(h)
+
+
+def _counts_as_dict(g) -> dict[tuple[int, int], int]:
+    key, count = _codegree_counts(g)
+    return {divmod(k, g.n): c for k, c in zip(key.tolist(), count.tolist())}
+
+
+@pytest.mark.parametrize("variant,q,t", [("plus", 9, 3), ("times", 13, 4), ("plus", 16, 2)])
+def test_codegree_counts_equal_the_pair_dict_on_constructions(variant, q, t):
+    g = cached_graph(variant, q, t)
+    assert _counts_as_dict(g) == _codegree_dict(g)
 
 
 @settings(max_examples=30, deadline=None)

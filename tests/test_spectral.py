@@ -3,10 +3,15 @@ route behind them as a numeric oracle."""
 
 import cmath
 import dataclasses
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import isqrt, sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +23,10 @@ from ramseycert.graphs import (
     Graph,
     GraphMeta,
     build_g_plus,
+    build_g_times,
     codegree_histogram,
     from_g2t,
+    structural_audit,
     to_g2t,
     write_g2t,
 )
@@ -433,6 +440,174 @@ def _toggled(g: Graph, u: int, v: int) -> Graph:
     if u != v:
         rows[v] ^= 1 << u
     return Graph(rows=tuple(rows), labels=g.labels, meta=g.meta)
+
+
+def _q_moments_gemm(g: Graph, q: int, t: int) -> tuple[int, ...] | None:
+    """The blocked float32 GEMM pass ``_q_moments`` replaced: 512 rows of M
+    at a time, M is checked symmetric and the block times the columns from
+    its first coset on is checked against Q; then the four counts E, D, P_c
+    and P_x are read off M."""
+    n = g.n
+    m = graphs._walk_matrix(g)
+    w, _ = graphs._layout(g.meta.variant, q)
+    C = n // w
+    for i in range(0, n, 512):
+        rows = m[i:i + 512]
+        if not np.array_equal(rows, m[:, i:i + 512].T):
+            return None
+        first = i // w
+        diff = rows @ m[:, first * w:]
+        r = np.arange(len(diff))
+        c, x = np.divmod(i + r, w)
+        by_cx = diff.reshape(len(diff), C - first, w)
+        diff -= t
+        by_cx[r, :, x] += t
+        by_cx[r, c - first, :] += 1
+        diff[r, i + r - first * w] -= q
+        if diff.any():
+            return None
+    by_cx = m.reshape(C, w, C, w)
+    f64 = np.float64
+    E, D = int(m.sum(dtype=f64)), int(np.einsum("ii->", m, dtype=f64))
+    Pc = int(np.einsum("cxcy->", by_cx, dtype=f64))
+    Px = int(np.einsum("cxdx->", by_cx, dtype=f64))
+    tr4 = n * ((q - 1) ** 2 + (w - 1) * (t - 1) ** 2 + (n - w - C + 1) * t * t)
+    j_coef = 2 * q * t + t * t * n - 2 * t * w - 2 * t * t * C + 2 * t
+    tr5 = q * q * D + j_coef * E + (w - 2 * q) * Pc + (t * t * C - 2 * q * t) * Px
+    return (n, D, E, q * D + t * E - Pc - t * Px, tr4, tr5)
+
+
+def _oracle_graphs(variant: str, q: int, t: int) -> list[Graph]:
+    """The case as built, and through a g2t round trip with, when n <= 300,
+    a permuted copy and three one-edge toggles (seeded by the case)."""
+    g = cached_graph(variant, q, t)
+    out = [g]
+    if g.n <= 300:
+        rng = random.Random(f"{variant}/{q}/{t}")
+        out.append(_permuted(g, rng.randrange(2**32)))
+        out += [_toggled(g, rng.randrange(g.n), rng.randrange(g.n)) for _ in range(3)]
+    return [g] + [from_g2t(to_g2t(h)) for h in out]
+
+
+@pytest.mark.parametrize("variant,q,t", [("plus", 2, 2)] + [
+    c if c[1] * (c[1] - 1) // c[2] <= 1000 else pytest.param(*c, marks=pytest.mark.long)
+    for c in ALL_CASES])
+def test_orbit_rows_equal_the_gemm_oracles(variant, q, t):
+    """The audit's histogram and the M^2 = Q check, read at one row per orbit,
+    equal the GEMM passes they replaced: on every fleet case and plus(2,2),
+    as built and as parsed, and on a permuted copy and three one-edge
+    toggles of each with n <= 300."""
+    for g in _oracle_graphs(variant, q, t):
+        assert codegree_histogram(g) == graphs._codegree_histogram_gemm(g)
+        assert _q_moments(g, q, t) == _q_moments_gemm(g, q, t)
+
+
+def _forged_symmetry(g: Graph, perm: np.ndarray) -> Graph:
+    """A fresh copy of g whose kept maps are [perm], trusted unchecked."""
+    h = Graph(rows=g.rows, labels=g.labels, meta=g.meta)
+    h.__dict__["_symmetry"] = [perm], graphs._orbit_labels(g.n, [perm])
+    return h
+
+
+@pytest.mark.parametrize("variant,q,t", [("plus", 9, 3), ("times", 7, 3), ("times", 13, 4)])
+def test_a_map_breaking_the_labels_is_not_used(variant, q, t):
+    """A kept map that does not keep the same-coset and same-x relations (a
+    cyclic shift of the vertices, or a field map after a swap of two
+    vertices with different x) is left out of the M^2 = Q check.  On a file
+    with one edge toggled away from vertex 0, row 0 of M^2 is still Q's, so
+    a check that used the shift's one orbit would pass; it fails instead,
+    and the report is the dense route's."""
+    g = cached_graph(variant, q, t)
+    w, _ = graphs._layout(variant, q)
+    assert all(spectral._keeps_labels(perm, w) for perm in graphs._field_maps(g))
+    shift = np.roll(np.arange(g.n), 1)
+    swap = np.arange(g.n)
+    swap[[0, 1]] = [1, 0]
+    forged = [shift, graphs._field_maps(g)[0][swap]]
+    assert not any(spectral._keeps_labels(perm, w) for perm in forged)
+    # (M^2)_{0x} = |N(0) ∩ N(x)| moves only if the toggled pair meets N(0) or 0
+    near = set(g.neighbors(0)) | {0}
+    far = [x for x in range(g.n) if x not in near]
+    toggled = _toggled(g, far[0], far[1])
+    before, after = (h.adjacency_matrix(dtype=np.int64) for h in (g, toggled))
+    assert np.array_equal((after @ after)[0], (before @ before)[0])
+    want = _spectrum_outcome(_dense_report, toggled)
+    for perm in forged:
+        h = _forged_symmetry(toggled, perm)
+        assert _q_moments(h, q, t) is None
+        assert _spectrum_outcome(verify_spectrum, h) == want
+        honest = _forged_symmetry(g, perm)  # the construction still certifies
+        assert verify_spectrum(honest) == verify_spectrum(g)
+
+
+def test_every_representative_row_is_checked(monkeypatch):
+    """The rows read are exactly one vertex per orbit of the label-keeping
+    kept maps, or every vertex when none is kept."""
+    read = []
+
+    def spy(g, reps):
+        read.append(reps.tolist())
+        return graphs._m2_rows(g, reps)
+
+    monkeypatch.setattr(spectral, "_m2_rows", spy)
+    for g in (build_g_plus(9, 3), build_g_times(13, 4)):
+        label = graphs._automorphism_orbits(g)
+        assert _q_moments(g, g.meta.q, g.meta.t) is not None
+        assert read.pop() == sorted(set(label.tolist()))
+    g = build_g_plus(9, 3)
+    g.__dict__["_symmetry"] = [], None
+    assert _q_moments(g, 9, 3) is not None and read.pop() == list(range(g.n))
+
+
+def test_an_asymmetric_matrix_reads_no_row(monkeypatch):
+    """M not symmetric fails the check before a row of M^2 is read."""
+    g = cached_graph("plus", 9, 3)
+    rows = list(g.rows)
+    rows[0] ^= 1 << 5  # one direction only
+    h = Graph(rows=tuple(rows), labels=g.labels, meta=g.meta)
+    monkeypatch.setattr(spectral, "_m2_rows", _no_dense_route)
+    assert _q_moments(h, 9, 3) is None
+    assert _spectrum_outcome(verify_spectrum, h) == _spectrum_outcome(_dense_report, h)
+
+
+def test_audit_and_spectrum_peak_stays_small():
+    """times(121,15), n = 968: the maps, the orbits and the rows of M^2 at
+    the 6 orbits traced together under 4 MB (float32 M alone is 3.7 MB)."""
+    g = build_g_times(121, 15)
+    tracemalloc.start()
+    try:
+        audit, rep = structural_audit(g), verify_spectrum(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert audit.passed and rep.passed and rep.annihilator_verified
+    assert peak < 4 << 20, peak
+
+
+@pytest.mark.long
+def test_plus_256_2_audits_and_certifies_under_600_mb():
+    """plus(256,2), n = 32,640, where float32 M alone would take 4.3 GB: the
+    audit and the spectrum in a fresh interpreter, under 600 MB peak RSS."""
+    script = """if True:
+        import resource
+        from ramseycert.graphs import build_g_plus, structural_audit
+        from ramseycert.spectral import verify_spectrum
+        g = build_g_plus(256, 2)
+        audit, rep = structural_audit(g), verify_spectrum(g)
+        assert audit.passed and rep.passed and rep.annihilator_verified
+        n, C, w = g.n, 128, 255
+        assert audit.common_nbhd_histogram == {
+            0: w * C * (C - 1) // 2, 1: C * w * (w - 1) // 2,
+            2: n * (n - 1) // 2 - w * C * (C - 1) // 2 - C * w * (w - 1) // 2}
+        assert rep.multiplicities == {"q-1": 1, "+sqrt(q)": 16129, "-sqrt(q)": 16129,
+                                      "+1": 0, "-1": 127, "0": 254}
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    """
+    src = str(Path(spectral.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=600)
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) < 600 * 1024
 
 
 def _no_dense_route(*args, **kwargs):
