@@ -11,8 +11,8 @@ once:
 Both come from one table-driven rule: vertex (a,x) has one neighbour (b,y) per
 y, b the coset of x*y - rep(a) (plus) or of (x+y)/rep(a) (times), computed
 as array expressions over the field's exp/log tables.  On a 2-core VM the 75
-fleet cases with n <= 1000 build in 0.04 s, the 19 larger in 0.12 s and
-plus(256,2) in 0.37 s (a scalar triple loop took 0.72 s, 4.0 s and 13.4 s).
+fleet cases with n <= 1000 build in 0.03-0.04 s, the 19 larger in 0.10-0.13 s
+and plus(256,2) in 0.3 s (a scalar triple loop took 0.72 s, 4.0 s and 13.4 s).
 
 Common neighborhoods are counted inclusively (a looped endpoint adjacent to the
 other endpoint counts itself), which matches walk counting: the number of
@@ -20,20 +20,22 @@ common neighbors of u, v is (M^2)_{uv} for the 0/1 adjacency matrix M.  The
 audit records the full codegree histogram; the load-bearing property is that
 the maximum codegree is at most t, i.e. the graph contains no K_{2,t+1}.
 
-Beside its bitset rows a graph caches neighbour arrays (``Graph._adjacency``:
-row offsets and the ascending neighbours, an (n, d) view when regular), which
-the builder and the parser hand over and which are otherwise read off the
-rows.  Both constructions are symmetric under field maps: scalings and the
-Frobenius, and in characteristic 2 translations (``_field_maps``).  Each map
-derived from a graph's metadata is kept only if it is a bijection that sends
-every row onto its image's row, checked in O(nd) on the arrays
-(``_is_automorphism``); the kept maps and their orbits are derived once per
-graph (``Graph._symmetry``).  The orbits prune the root of the exact alpha
-search, and the audit reads one row of M^2 per orbit, as a bincount of the
-row's 2-walk ends (``_m2_rows``, ``codegree_histogram``): times(121,2), n =
-7,260, has 66 orbits and audits in 0.03 s where the float32 GEMM took 3 s;
-plus(256,128) has 35 orbits on 510 vertices.  A graph with no kept map
-keeps the blocked float32 GEMM.
+Every graph made here starts from its neighbour arrays (``Graph._adjacency``:
+row offsets and the ascending neighbours, an (n, d) view when regular): the
+builder, the parser and the sampler each hand theirs to ``_from_arrays``,
+which packs the bitset rows from them (``_rows_from_arrays``, the one place
+rows are packed) and keeps them; a graph made from rows alone reads its
+arrays off the rows.  Both constructions are symmetric under field maps:
+scalings and the Frobenius, and in characteristic 2 translations
+(``_field_maps``).  Each map derived from a graph's metadata is kept only if
+it is a bijection that sends every row onto its image's row, checked in
+O(nd) on the arrays (``_is_automorphism``); the kept maps and their orbits
+are derived once per graph (``Graph._symmetry``).  The orbits prune the
+root of the exact alpha search, and the audit reads one row of M^2 per
+orbit, as a bincount of the row's 2-walk ends (``_m2_rows``,
+``codegree_histogram``): times(121,2), n = 7,260, has 66 orbits and audits
+in 0.03 s where the float32 GEMM took 3 s; plus(256,128) has 35 orbits on
+510 vertices.  A graph with no kept map keeps the blocked float32 GEMM.
 
 Graphs serialize to a line-oriented ``g2t`` text format (see ``to_g2t``) that
 round-trips byte-identically when the header values and labels are unsigned
@@ -41,14 +43,13 @@ decimals of at most 18 digits, the variant is printable ASCII with no space,
 and a plus/times graph carries its construction's metadata and labels, as for
 every construction and sampler here; ``to_g2t`` refuses the rest up front by
 the checks ``from_g2t`` makes (``_check_g2t``).  Both directions are
-whole-array numpy kernels over 512 bitset rows at a time.  The writer unpacks
-each block's upper triangle; its nonzero entries are the block's edges in
-(u, v) order, and their ``e u v`` lines are written digit by digit into one
-byte array.
-The parser classifies the bytes after the header a few MB at a time, cuts
-tokens and lines where the byte class changes, decodes each number by digit
-position, makes every check an array predicate, sorts the edges by row into
-the neighbour arrays and packs the rows from them.
+whole-array numpy kernels over the neighbour arrays.  The writer reads 512
+rows' entries at a time; those with v >= u are the block's edges in (u, v)
+order, and their ``e u v`` lines are written digit by digit into one byte
+array.  The parser classifies the bytes after the header a few MB at a time,
+cuts tokens and lines where the byte class changes, decodes each number by
+digit position, makes every check an array predicate and sorts the edges by
+row into the neighbour arrays.
 """
 
 from __future__ import annotations
@@ -65,8 +66,9 @@ from .fields import Subgroup, is_prime_power, make_field, subgroup
 
 # integers are exact in float32 below 2^24
 _FLOAT32_EXACT = 1 << 24
-# rows per block of the blockwise kernels (g2t write and parse, the audit's
-# M^2 when no map is kept, the class rows): a block is _BLOCK x n beside the inputs
+# rows per block of the blockwise kernels (row packing, the g2t writer, the
+# audit's M^2 when no map is kept, the class rows): a block is at most _BLOCK x n
+# beside the inputs
 _BLOCK = 512
 # 2-walks per block of the rows of M^2 read from the neighbour arrays: their
 # int64 keys take 1 MB, and a block's arrays about 2.6 MB in all
@@ -92,11 +94,11 @@ class Graph:
     algebraic variants; synthetic graphs carry (0, i).  Loops are diagonal bits
     and contribute 1 to the degree.
 
-    Three things derived from the rows are cached on the instance, outside
-    the fields, so equality, hashing and ``dataclasses.replace`` ignore them:
-    the neighbour arrays (``_adjacency``), whether M is symmetric
-    (``_symmetric``) and the verified field maps with their orbits
-    (``_symmetry``).
+    Three things are cached on the instance, outside the fields, so
+    equality, hashing and ``dataclasses.replace`` ignore them: the neighbour
+    arrays (``_adjacency``) the rows were packed from (``_from_arrays``), or
+    else read off them, whether M is symmetric (``_symmetric``) and the
+    verified field maps with their orbits (``_symmetry``).
     """
 
     rows: tuple[int, ...]
@@ -127,9 +129,8 @@ class Graph:
     @cached_property
     def _adjacency(self) -> tuple[np.ndarray, np.ndarray]:
         """(start, nbr): row i's neighbours, ascending and a loop once, are
-        nbr[start[i]:start[i+1]] (int32).  The builder and the parser hand
-        them over (``_with_adjacency``); otherwise they are read off the
-        rows, ``_BLOCK`` at a time."""
+        nbr[start[i]:start[i+1]] (int32).  Kept by ``_from_arrays``;
+        otherwise read off the rows, ``_BLOCK`` at a time."""
         n = self.n
         nbr = [np.zeros(0, dtype=np.int32)]
         for s in range(0, n, _BLOCK):
@@ -161,10 +162,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _with_adjacency(g: Graph, start: np.ndarray, nbr: np.ndarray, symmetric: bool = False) -> Graph:
-    """g, its neighbour arrays cached from the caller's own (see
-    ``Graph._adjacency``), and ``_symmetric`` too when the caller built
-    them from both directions of every edge."""
+def _from_arrays(start: np.ndarray, nbr: np.ndarray, labels: tuple, meta: GraphMeta,
+                 symmetric: bool = False) -> Graph:
+    """The graph of the neighbour arrays (see ``Graph._adjacency``), its
+    rows packed from them and the arrays kept, and ``_symmetric`` too when
+    the caller built them from both directions of every edge."""
+    g = Graph(rows=tuple(_rows_from_arrays(start, nbr)), labels=labels, meta=meta)
     g.__dict__["_adjacency"] = _read_only(start), _read_only(nbr)
     if symmetric:
         g.__dict__["_symmetric"] = True
@@ -252,6 +255,25 @@ def _unpack_rows(rows: Sequence[int], width: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1, count=width, bitorder="little")
 
 
+def _rows_from_arrays(start: np.ndarray, nbr: np.ndarray) -> list[int]:
+    """Bitset rows of the neighbour arrays, 512 rows at a time: each entry's
+    bit is added into its byte of the block's little-endian row bytes, only
+    as wide as the block's last set column.  A row's neighbours are
+    distinct, so the adds are ORs, and ``np.add.at`` has numpy's indexed
+    fast path (``np.bitwise_or.at`` took 2x as long)."""
+    rows: list[int] = []
+    for b in range(0, len(start) - 1, _BLOCK):
+        e = min(b + _BLOCK, len(start) - 1)
+        c = nbr[start[b]:start[e]]
+        width = (int(c.max(initial=-1)) + 8) // 8
+        byte = np.repeat(np.arange(e - b) * width, np.diff(start[b:e + 1]))
+        byte += c >> 3
+        packed = np.zeros((e - b) * width, dtype=np.uint8)
+        np.add.at(packed, byte, np.uint8(1) << (c & 7).astype(np.uint8))
+        rows += [int.from_bytes(row.tobytes(), "little") for row in packed.reshape(e - b, width)]
+    return rows
+
+
 @lru_cache(maxsize=16)
 def _subgroup(variant: str, p: int, a: int, t: int) -> Subgroup:
     """The subgroup H of order t behind a plus or times graph on GF(p^a),
@@ -265,18 +287,18 @@ def _coset_graph(variant: str, p: int, a: int, t: int) -> Graph:
     has y = u and one x*y table, exp[(log x + log y) mod (q-1)], for all c;
     times has u = x + y, so y = u - x and x + y = 0 never arises.
 
-    The neighbour arrays are handed over too: each coset's neighbour array
-    fills its rows of one (n, q-1) int32 table, sorted by row at the end.
+    Each coset's neighbour array fills its rows of one (n, q-1) int32 table,
+    sorted by row at the end: the neighbour arrays ``_from_arrays`` packs.
 
     Before the field is built, the peak is estimated and checked against
-    physical memory: a few int32/int64 (width, q-1) tables, one coset's bool
-    block of (width, n), the n^2/8 bytes of bitset rows and the neighbour
-    table."""
+    physical memory: a few int32/int64 (width, q-1) tables, the neighbour
+    table, the n^2/8 bytes of bitset rows and one 512-row block of their
+    bytes with its index arrays."""
     q = p**a
     width, first = _layout(variant, q)
     n = (q if variant == "plus" else q - 1) // t * width
-    _check_memory(32 * width * (q - 1) + width * n + n * n // 8 + 4 * n * (q - 1),
-                  f"the {variant} graph on q = {q}, t = {t} (n = {n})")
+    need = 32 * width * (q - 1) + 4 * n * (q - 1) + n * n // 8 + _BLOCK * (n // 8 + 24 * (q - 1))
+    _check_memory(need, f"the {variant} graph on q = {q}, t = {t} (n = {n})")
     F = make_field(p, a)
     H = _subgroup(variant, p, a, t)
     exp, log = np.array(F.exp, dtype=np.int32), np.array(F.log, dtype=np.int32)
@@ -287,22 +309,17 @@ def _coset_graph(variant: str, p: int, a: int, t: int) -> Graph:
         y, xy = u, exp[(log[x] + log[u]) % (q - 1)]
     else:
         y = F.sub(u, x)
-    rows: list[int] = []
     nbr = np.empty((n, q - 1), dtype=np.int32)
     for c, rep in enumerate(H.reps):
         if variant == "plus":
             b = coset[F.sub(xy, rep)]
         else:
             b = coset[exp[(log[u] - log[rep]) % (q - 1)]]
-        index = nbr[c * width:(c + 1) * width]
-        index[:] = b * width + (y - first)
-        bits = np.zeros((width, n), dtype=np.bool_)
-        np.put_along_axis(bits, index, True, axis=1)
-        rows += _pack_rows(bits)
+        nbr[c * width:(c + 1) * width] = b * width + (y - first)
     nbr.sort(axis=1)
     labels = tuple((c, v) for c in range(H.num_cosets) for v in range(first, q))
-    g = Graph(rows=tuple(rows), labels=labels, meta=GraphMeta(variant=variant, p=p, a=a, q=q, t=t))
-    return _with_adjacency(g, np.arange(n + 1, dtype=np.int64) * (q - 1), nbr.ravel())
+    return _from_arrays(np.arange(n + 1, dtype=np.int64) * (q - 1), nbr.ravel(), labels,
+                        GraphMeta(variant=variant, p=p, a=a, q=q, t=t))
 
 
 def build_g_plus(q: int, t: int) -> Graph:
@@ -405,7 +422,7 @@ def _walk_matrix(g: Graph) -> np.ndarray:
     beside its 0/1 bytes (5 n^2 bytes in all)."""
     n = g.n
     _check_memory(5 * n * n, f"the dense adjacency matrix at n = {n}")
-    d = max((r.bit_count() for r in g.rows), default=0)
+    d = int(np.diff(g._adjacency[0]).max(initial=0))
     if d >= _FLOAT32_EXACT:
         raise ValueError(f"maximum degree {d} is too large for exact float32 walks")
     return g.adjacency_matrix(dtype=np.float32)
@@ -699,21 +716,23 @@ def to_g2t(g: Graph) -> str:
     A graph ``from_g2t`` could not read back is refused with a ValueError
     before anything is written (see ``_check_g2t``).
 
-    The n ``v`` lines are formatted by ``str``.  The edges are read 512 rows
-    at a time: the rows' upper triangles are unpacked, their nonzero entries
-    are already in (u, v) order, and the block's lines are written digit by
-    digit into one byte array.
+    The n ``v`` lines are formatted by ``str``.  The edges are read off the
+    neighbour arrays 512 rows at a time: the entries with v >= u are already
+    in (u, v) order, and the block's lines are written digit by digit into
+    one byte array.
     """
     m = g.meta
     _check_g2t(m, g.labels)
     lines = [f"g2t v1 variant={m.variant} p={m.p} a={m.a} q={m.q} t={m.t} n={g.n}"]
     lines += [f"v {i} {cid} {x}" for i, (cid, x) in enumerate(g.labels)]
     parts = ["\n".join(lines) + "\n"]
+    start, nbr = g._adjacency
     for b in range(0, g.n, _BLOCK):
-        upper = [r >> u << u for u, r in enumerate(g.rows[b:b + _BLOCK], b)]  # v >= u
-        width = max(r.bit_length() for r in upper) or 1  # no bit past it
-        u, v = np.divmod(np.flatnonzero(_unpack_rows(upper, width).view(np.bool_)), width)
-        parts.append(_edge_lines(u + b, v))
+        e = min(b + _BLOCK, g.n)
+        u = np.repeat(np.arange(b, e), np.diff(start[b:e + 1]))
+        v = nbr[start[b]:start[e]]
+        upper = v >= u
+        parts.append(_edge_lines(u[upper], v[upper]))
     return "".join(parts)
 
 
@@ -867,19 +886,6 @@ def _edge_arrays(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.n
     return np.searchsorted(key, np.arange(n + 1) * n), (key % max(n, 1)).astype(np.int32)
 
 
-def _rows_from_arrays(n: int, start: np.ndarray, nbr: np.ndarray) -> list[int]:
-    """Bitset rows of the neighbour arrays, 512 rows at a time through
-    ``_pack_rows``, each block only as wide as its last set column."""
-    rows: list[int] = []
-    for b in range(0, n, _BLOCK):
-        e = min(b + _BLOCK, n)
-        c = nbr[start[b]:start[e]]
-        bits = np.zeros((e - b, int(c.max(initial=-1)) + 1), dtype=np.bool_)
-        bits[np.repeat(np.arange(e - b), np.diff(start[b:e + 1])), c] = True
-        rows += _pack_rows(bits)
-    return rows
-
-
 def _g2t_fields(text: str) -> tuple[GraphMeta, int, list[np.ndarray]]:
     """The header of a g2t text and its record columns u, v, i, c, x, once
     the bytes, the record shapes and the number widths are checked."""
@@ -941,9 +947,7 @@ def from_g2t(text: str) -> Graph:
     labels[i] = np.stack([cid, x], axis=1)
     _check_g2t(meta, labels)
     start, nbr = _edge_arrays(n, u, v)
-    g = Graph(rows=tuple(_rows_from_arrays(n, start, nbr)),
-              labels=tuple(map(tuple, labels.tolist())), meta=meta)
-    return _with_adjacency(g, start, nbr, symmetric=True)
+    return _from_arrays(start, nbr, tuple(map(tuple, labels.tolist())), meta, symmetric=True)
 
 
 def write_g2t(g: Graph, path: str) -> None:

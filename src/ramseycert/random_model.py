@@ -20,7 +20,7 @@ from math import comb, exp, lgamma, log, sqrt
 
 import numpy as np
 
-from .graphs import Graph, GraphMeta, _check_memory, _edge_arrays, _entries, _gather, _with_adjacency
+from .graphs import Graph, GraphMeta, _check_memory, _edge_arrays, _entries, _from_arrays, _gather
 from .independence import greedy_alpha, max_independent_set_exact
 
 E8 = math.exp(8.0)
@@ -81,32 +81,24 @@ def lemma_parameters(m: int, t: int, c3: float | None = None, seed: int = 0) -> 
 def sample_gnp(n: int, p: float, seed: int, stream: int = 0) -> Graph:
     """One G(n,p) draw; identical (n, p, seed, stream) gives an identical graph.
 
-    Streams are independent Philox counter sequences keyed (seed, stream) so
-    sample index i of a Monte-Carlo run is the same graph no matter how the
-    samples are scheduled.  Row i draws its pairs (i, j), j > i, which set
-    bits i and j of the rows and become the neighbour arrays
-    (``graphs._edge_arrays``).
+    Streams are independent Philox counter sequences keyed (seed mod 2^64,
+    stream), so any integer seed is its own key and sample index i of a
+    Monte-Carlo run is the same graph no matter how the samples are
+    scheduled.  Row i draws its pairs (i, j), j > i; the hits of every row
+    become the neighbour arrays (``graphs._edge_arrays``) that the graph is
+    packed from.
     """
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
     if n > _DENSE_SAMPLE_LIMIT:
         raise ValueError(f"dense sampler capped at n = {_DENSE_SAMPLE_LIMIT}")
-    rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), stream]))
-    rows = [0] * n
-    pairs: list[int] = []  # i * n + j
-    for i in range(n - 1):
-        hits = np.flatnonzero(rng.random(n - 1 - i) < p)
-        if len(hits):
-            ri = rows[i]
-            for j in (hits + (i + 1)).tolist():
-                ri |= 1 << j
-                rows[j] |= 1 << i
-                pairs.append(i * n + j)
-            rows[i] = ri
-    g = Graph(rows=tuple(rows), labels=tuple((0, i) for i in range(n)),
-              meta=GraphMeta(variant="random"))
-    u, v = np.divmod(np.array(pairs, dtype=np.int64), max(n, 1))
-    return _with_adjacency(g, *_edge_arrays(n, u, v), symmetric=True)
+    key = np.array([seed & (2**64 - 1), stream], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    hits = [np.flatnonzero(rng.random(n - 1 - i) < p) for i in range(n - 1)]  # j - i - 1
+    u = np.repeat(np.arange(n - 1), [len(h) for h in hits])
+    v = np.concatenate([np.zeros(0, dtype=np.int64), *hits]) + u + 1
+    return _from_arrays(*_edge_arrays(n, u, v), tuple((0, i) for i in range(n)),
+                        GraphMeta(variant="random"), symmetric=True)
 
 
 def expected_k2t_log(n: int, p: float, t: int) -> tuple[float, float | None]:

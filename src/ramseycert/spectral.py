@@ -148,7 +148,7 @@ def _dense_route(g: Graph, q: int) -> tuple[tuple[int, ...], float]:
     """
     n = g.n
     _check_memory(21 * n * n, f"dense walk matrices at n = {n}")
-    d = max((r.bit_count() for r in g.rows), default=0)
+    d = int(np.diff(g._adjacency[0]).max(initial=0))
     if d * d >= _FLOAT32_EXACT:
         raise ValueError(f"maximum degree {d} is too large for exact float32 walks")
     if n * d**4 >= 1 << 53:

@@ -397,6 +397,43 @@ def test_to_g2t_equals_the_loop_writer(name):
     assert to_g2t(g) == loop_to_g2t(g)
 
 
+def bitset_to_g2t(g: Graph) -> str:
+    """The writer before ``to_g2t`` read the neighbour arrays: 512 rows at a
+    time, the rows' upper triangles unpacked, their nonzero entries the
+    block's edges in (u, v) order."""
+    m = g.meta
+    graphs._check_g2t(m, g.labels)
+    lines = [f"g2t v1 variant={m.variant} p={m.p} a={m.a} q={m.q} t={m.t} n={g.n}"]
+    lines += [f"v {i} {cid} {x}" for i, (cid, x) in enumerate(g.labels)]
+    parts = ["\n".join(lines) + "\n"]
+    for b in range(0, g.n, 512):
+        upper = [r >> u << u for u, r in enumerate(g.rows[b:b + 512], b)]  # v >= u
+        width = max(r.bit_length() for r in upper) or 1  # no bit past it
+        u, v = np.divmod(np.flatnonzero(graphs._unpack_rows(upper, width).view(np.bool_)), width)
+        parts.append(graphs._edge_lines(u + b, v))
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("rows", [(), (0,), (1,), (0b100, 0b011, 0)])
+def test_to_g2t_equals_the_bitset_writer_on_rows(rows):
+    """Graphs given by rows alone: n = 0, n = 1 with and without its loop,
+    and one-way rows (0 -> 2 and 1 -> 0, beside 1's loop)."""
+    g = Graph(rows=rows, labels=tuple((0, i) for i in range(len(rows))), meta=OTHER)
+    assert to_g2t(g) == bitset_to_g2t(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_to_g2t_equals_the_bitset_writer(data):
+    """Looped graphs up to two 512-row blocks, from their rows and parsed."""
+    n = data.draw(st.integers(1, 40) | st.integers(1, 600))
+    vertex = st.integers(0, n - 1)
+    edges = data.draw(st.lists(st.tuples(vertex, vertex), max_size=60))
+    g = from_edges(n, edges + [(v, v) for v in data.draw(st.lists(vertex, max_size=5))])
+    text = bitset_to_g2t(g)
+    assert to_g2t(g) == text == to_g2t(from_g2t(text))
+
+
 @pytest.mark.parametrize("name", UNREADABLE_GRAPHS)
 def test_to_g2t_refuses_what_from_g2t_cannot_read_back(name):
     g = UNREADABLE_GRAPHS[name]
@@ -702,13 +739,13 @@ def _arrays_from_rows(g: Graph) -> tuple[list[int], list[int]]:
 
 @pytest.mark.parametrize("variant,q,t", [c for c in ALL_CASES if c[1] * (c[1] - 1) // c[2] <= 1000])
 def test_handed_over_arrays_are_the_rows(variant, q, t):
-    """The builder's and the parser's neighbour arrays, and those derived
-    from the rows, are the rows' bits."""
+    """The builder's, the parser's and the sampler's neighbour arrays, and
+    those derived from the rows, are the rows' bits."""
     g = cached_graph(variant, q, t)
-    want = _arrays_from_rows(g)
-    for h in (g, from_g2t(to_g2t(g)), Graph(rows=g.rows, labels=g.labels, meta=g.meta)):
+    for h in (g, from_g2t(to_g2t(g)), Graph(rows=g.rows, labels=g.labels, meta=g.meta),
+              sample_gnp(min(g.n, 300), t / q, q, t), sample_gnp(t, 1.0, q)):
         start, nbr = h._adjacency
-        assert (start.tolist(), nbr.tolist()) == want
+        assert (start.tolist(), nbr.tolist()) == _arrays_from_rows(h)
         assert nbr.dtype == np.int32 and not start.flags.writeable and not nbr.flags.writeable
 
 

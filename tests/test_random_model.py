@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,7 +202,8 @@ def _codegree_dict(g) -> dict[tuple[int, int], int]:
 def _sample_gnp_loop(n, p, seed, stream=0):
     """The bit-by-bit sampler ``sample_gnp`` replaced: the same Philox draws,
     row i's hits j > i set one bit at a time in rows i and j."""
-    rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), stream]))
+    key = np.array([seed & (2**64 - 1), stream], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
     rows = [0] * n
     for i in range(n - 1):
         for off in np.flatnonzero(rng.random(n - 1 - i) < p):
@@ -213,13 +215,23 @@ def _sample_gnp_loop(n, p, seed, stream=0):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 60), st.sampled_from([0.0, 0.05, 0.3, 0.9, 1.0]),
-       st.integers(0, 2**63 - 1), st.integers(0, 3))
+       st.integers(-2**63, 2**64 - 1), st.integers(0, 3))
 def test_sampler_equals_the_bit_loop(n, p, seed, stream):
     g = sample_gnp(n, p, seed, stream)
     assert list(g.rows) == _sample_gnp_loop(n, p, seed, stream)
     start, nbr = g._adjacency
     assert nbr.tolist() == [v for r in g.rows for v in _bits(r)]
     assert start.tolist() == [0, *np.cumsum([r.bit_count() for r in g.rows]).tolist()]
+
+
+def test_every_seed_is_its_own_key():
+    """Seeds past int64 either way key their own streams: a key list with an
+    entry >= 2^63 would turn float64, and neighbouring seeds would share it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in [(-1, -2), (2**63 + 1, 2**63 + 2)]:
+            assert sample_gnp(30, 0.5, a).rows != sample_gnp(30, 0.5, b).rows
+        assert sample_gnp(30, 0.5, -1).rows == sample_gnp(30, 0.5, 2**64 - 1).rows
 
 
 def test_sampler_equals_the_bit_loop_on_a_recipe_sample():
