@@ -27,12 +27,12 @@ which packs the bitset rows from them (``_rows_from_arrays``, the one place
 rows are packed) and keeps them; a graph made from rows alone reads its
 arrays off the rows.  Both constructions are symmetric under field maps:
 scalings and the Frobenius, and in characteristic 2 translations
-(``_field_maps``).  Each map derived from a graph's metadata is kept only if
-it is a bijection that sends every row onto its image's row, checked in
-O(nd) on the arrays (``_is_automorphism``); the kept maps and their orbits
-are derived once per graph (``Graph._symmetry``).  The orbits prune the
-root of the exact alpha search, and the audit reads one row of M^2 per
-orbit, as a bincount of the row's 2-walk ends (``_m2_rows``,
+(``_field_maps``).  A file that is not regular keeps no map; on a regular
+one, each map derived from its metadata is kept only if it is a bijection
+that sends every row onto its image's row, checked in O(nd) on the (n, d)
+table (``_is_automorphism``), once per graph (``Graph._symmetry``).  The
+orbits prune the root of the exact alpha search, and the audit reads one
+row of M^2 per orbit, as a bincount of the row's 2-walk ends (``_m2_rows``,
 ``codegree_histogram``): times(121,2), n = 7,260, has 66 orbits and audits
 in 0.03 s where the float32 GEMM took 3 s; plus(256,128) has 35 orbits on
 510 vertices.  A graph with no kept map keeps the blocked float32 GEMM.
@@ -70,8 +70,8 @@ _FLOAT32_EXACT = 1 << 24
 # audit's M^2 when no map is kept, the class rows): a block is at most _BLOCK x n
 # beside the inputs
 _BLOCK = 512
-# 2-walks per block of the rows of M^2 read from the neighbour arrays: their
-# int64 keys take 1 MB, and a block's arrays about 2.6 MB in all
+# 2-walks, and entries of M^2, per block of ``_m2_rows``: their int64 keys
+# take 1 MB, and a block's arrays about 2.6 MB in all
 _WALKS = 1 << 17
 
 
@@ -92,7 +92,8 @@ class Graph:
 
     ``labels[i]`` is the (coset id, field element) pair behind vertex i for the
     algebraic variants; synthetic graphs carry (0, i).  Loops are diagonal bits
-    and contribute 1 to the degree.
+    and contribute 1 to the degree; a negative row, or a bit at or past n, is
+    a ValueError.
 
     Three things are cached on the instance, outside the fields, so
     equality, hashing and ``dataclasses.replace`` ignore them: the neighbour
@@ -104,6 +105,10 @@ class Graph:
     rows: tuple[int, ...]
     labels: tuple[tuple[int, int], ...]
     meta: GraphMeta
+
+    def __post_init__(self) -> None:
+        if self.rows and (min(self.rows) < 0 or max(self.rows).bit_length() > self.n):
+            raise ValueError(f"a row of {self.n} vertices is negative or has a bit at or past n")
 
     @property
     def n(self) -> int:
@@ -197,9 +202,6 @@ def _entries(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 
 def _gather(g: Graph, vs: np.ndarray) -> np.ndarray:
     """The neighbour lists of the vertices vs, concatenated in their order."""
-    view = _regular_view(g)
-    if view is not None:
-        return view[vs].ravel()
     start, nbr = g._adjacency
     lo = start[vs]
     size = start[vs + 1] - lo
@@ -429,33 +431,18 @@ def _walk_matrix(g: Graph) -> np.ndarray:
 
 
 def _m2_rows(g: Graph, reps: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Rows of M^2 at the vertices ``reps``, a block at a time: (vs, rows),
-    rows[k] being row vs[k] of M^2 in int64, the bincount of the ends of
-    vs[k]'s 2-walks read off the neighbour arrays.  A block holds at most
-    ``_WALKS`` 2-walks, or one vertex, so the keys stay small whatever n."""
+    """Rows of M^2 at the vertices ``reps`` of a d-regular G, a block at a
+    time: (vs, rows), rows[k] being row vs[k] of M^2 in int64, the bincount
+    of vs[k]'s 2-walk ends read off the (n, d) table (``_regular_view``).  A
+    block holds at most ``_WALKS`` 2-walks and ``_WALKS`` entries of M^2, or
+    one vertex; on a construction n <= d^2, so only the walks bind."""
     view = _regular_view(g)
-    n = g.n
-    if view is not None:  # d^2 walks each: one (len(vs), d, d) gather a block
-        step = max(1, _WALKS // max(view.shape[1], 1) ** 2)
-        for i in range(0, len(reps), step):
-            vs = reps[i:i + step]
-            key = view[view[vs]] + (np.arange(len(vs)) * n)[:, None, None]
-            yield vs, np.bincount(key.ravel(), minlength=len(vs) * n).reshape(len(vs), n)
-        return
-    start, nbr = g._adjacency
-    ends = np.zeros(len(nbr) + 1, dtype=np.int64)
-    np.cumsum(np.diff(start)[nbr], out=ends[1:])
-    walks = ends[start[1:]] - ends[start[:-1]]  # the 2-walks out of each vertex
-    upto = np.cumsum(walks[reps])  # the 2-walks out of reps[:k + 1]
-    i = 0
-    while i < len(reps):
-        limit = upto[i] - walks[reps[i]] + _WALKS
-        j = max(i + 1, int(np.searchsorted(upto, limit, side="right")))
-        vs = reps[i:j]
-        key = _gather(g, _gather(g, vs)).astype(np.int64)
-        key += np.repeat(np.arange(len(vs)) * n, walks[vs])
-        yield vs, np.bincount(key, minlength=len(vs) * n).reshape(len(vs), n)
-        i = j
+    n, d = view.shape
+    step = max(1, _WALKS // max(d * d, n))
+    for i in range(0, len(reps), step):
+        vs = reps[i:i + step]
+        key = view[view[vs]] + (np.arange(len(vs)) * n)[:, None, None]
+        yield vs, np.bincount(key.ravel(), minlength=len(vs) * n).reshape(len(vs), n)
 
 
 def codegree_histogram(g: Graph) -> dict[int, int]:
@@ -467,7 +454,11 @@ def codegree_histogram(g: Graph) -> dict[int, int]:
     (M^2)_{π(u)π(v)} = (M^2)_{uv}, so row π(u) has row u's histogram, and
     the pairs are counted by ½ Σ_u |orbit(u)| · hist(row u without u) over
     one u per orbit, a few 2-walk blocks beside the neighbour arrays.  Every
-    other graph takes ``_codegree_histogram_gemm``."""
+    other graph takes ``_codegree_histogram_gemm``, as each of the GEMM and
+    all n rows wins on some graph (float32 GEMM vs rows on a 2-core box:
+    G(2000, 0.5) 54 ms vs 12.3 s, G(1000, 0.5) 9.7 ms vs 1.51 s, the n =
+    2,096 recipe sample 259 ms vs 50 ms, shuffled plus(128,2) 2.68 s vs
+    0.74 s) and no benchmark workload audits such a graph."""
     label = _automorphism_orbits(g)
     if label is None or not g._symmetric:
         return _codegree_histogram_gemm(g)
@@ -603,30 +594,19 @@ def _field_maps(g: Graph) -> list[np.ndarray]:
 
 
 def _is_automorphism(g: Graph, perm: np.ndarray) -> bool:
-    """True iff ``perm`` is a bijection of G's vertices that sends every row,
-    loops included, onto its image's row: G's entry (perm[i], perm[j]) is
-    its entry (i, j).  O(nd) on the neighbour arrays: perm keeps the
-    degrees (implied by the rest when M is symmetric, not otherwise), and
-    perm[nbr[u]], sorted, is nbr[perm[u]] for every u, checked a block of
-    rows at a time on a regular graph."""
+    """True iff G is regular, as every construction is, and ``perm`` is a
+    bijection of its vertices that sends every row, loops included, onto its
+    image's row: G's entry (perm[i], perm[j]) is its entry (i, j).  O(nd) on
+    the (n, d) table (``_regular_view``): perm[nbr[u]], sorted, is
+    nbr[perm[u]] for every u, checked a block of rows at a time."""
     n = g.n
-    if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
+    view = _regular_view(g)
+    if view is None or perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
         return False
-    owner, nbr = _entries(g)
-    if nbr.ndim == 2:  # in blocks of about _WALKS / 4 entries
-        step = max(1, _WALKS // 4 // max(nbr.shape[1], 1))
-        perm32 = perm.astype(np.int32)
-        for s in range(0, n, step):
-            image = perm32[nbr[s:s + step]]
-            image.sort(axis=1)
-            if not np.array_equal(image, nbr[perm[s:s + step]]):
-                return False
-        return True
-    size = np.diff(g._adjacency[0])
-    if not np.array_equal(size[perm], size):
-        return False
-    owner *= n  # sorting the keys sorts each row's images
-    return np.array_equal(np.sort(perm[nbr] + owner), _gather(g, perm) + owner)
+    step = max(1, _WALKS // 4 // max(view.shape[1], 1))  # about _WALKS / 4 entries a block
+    perm32 = perm.astype(np.int32)
+    return all(np.array_equal(np.sort(perm32[view[s:s + step]], axis=1), view[perm[s:s + step]])
+               for s in range(0, n, step))
 
 
 def _orbit_labels(n: int, maps: list[np.ndarray]) -> np.ndarray:

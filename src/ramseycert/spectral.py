@@ -4,10 +4,11 @@ The eigenvalues of both constructions lie in {q-1, +sqrt(q), -sqrt(q), +1,
 -1, 0}, so the six multiplicities are pinned by the power-sum moments
 tr(M^j) for j = 0..5.  On every construction the codegree matrix is
 M^2 = Q = qI + tJ - S_c - t S_x, S_c marking the pairs in the same coset and
-S_x the pairs with the same field coordinate.  With M checked symmetric, that
-is checked exactly on one row of M^2 per orbit of the verified field maps
-that keep the labels, each row a bincount of 2-walk ends read off the
-neighbour arrays, and then the annihilator and the moments follow with no
+S_x the pairs with the same field coordinate.  With M checked symmetric and
+(q-1)-regular, that is checked exactly on one row of M^2 per orbit of the
+verified field maps that keep the labels (a file that is not regular keeps
+no map), each a bincount of 2-walk ends read off the (n, q-1) neighbour
+table, and then the annihilator and the moments follow with no
 matrix product at all (``verify_spectrum``, ``_q_moments``): times(121,2)
 certifies in 0.03 s, and plus(256,2), whose float32 M alone would take
 4.3 GB, in under a second.  A graph whose M^2 is not Q (a tampered or a
@@ -35,7 +36,7 @@ import numpy as np
 
 from .fields import Field
 from .graphs import (_BLOCK, _FLOAT32_EXACT, Graph, _check_construction, _check_memory, _layout,
-                     _entries, _m2_rows, _orbit_labels)
+                     _m2_rows, _orbit_labels, _regular_view)
 
 
 class SpectralSolveError(Exception):
@@ -191,14 +192,15 @@ def _q_moments(g: Graph, q: int, t: int) -> tuple[int, ...] | None:
     holds entry by entry; None as soon as either fails.
 
     Vertex i is (c, x) = divmod(i, w), w from ``graphs._layout``, which
-    divides n on a construction's metadata.  Symmetry is checked once on the
-    neighbour arrays (``Graph._symmetric``).  The rows of M^2 are read only
-    at one vertex per orbit of the verified field maps that also keep the
-    labels' relations (``_keeps_labels``), as 2-walk bincounts
-    (``graphs._m2_rows``), and Q is subtracted from them in place; with no
-    such map every vertex is its own orbit.  That suffices: such a map π
-    gives (M^2)_{π(u)π(v)} = (M^2)_{uv} and Q_{π(u)π(v)} = Q_{uv}, so row
-    π(u) of M^2 equals Q's once row u does.
+    divides n on a construction's metadata.  As (M^2)_uu = deg(u) and
+    Q_uu = q - 1, no row is read unless M is (q-1)-regular and symmetric
+    (``Graph._symmetric``).  Then the rows of M^2 are read only at one
+    vertex per orbit of the verified field maps that also keep the labels'
+    relations (``_keeps_labels``), as 2-walk bincounts (``graphs._m2_rows``),
+    and Q is subtracted from them in place; with no such map every vertex is
+    its own orbit.  That suffices: such a map π gives
+    (M^2)_{π(u)π(v)} = (M^2)_{uv} and Q_{π(u)π(v)} = Q_{uv}, so row π(u) of
+    M^2 equals Q's once row u does.
 
     The moments are exact ints from four counts of M's ones: E all of them,
     D the diagonal, P_c the same-c pairs and P_x the same-x pairs; C = n / w.
@@ -209,7 +211,8 @@ def _q_moments(g: Graph, q: int, t: int) -> tuple[int, ...] | None:
     = J give Q^2 = q^2 I + (2qt + t^2 n - 2tw - 2t^2 C + 2t) J
     + (w - 2q) S_c + (t^2 C - 2qt) S_x.
     """
-    if not g._symmetric:
+    view = _regular_view(g)
+    if view is None or view.shape[1] != q - 1 or not g._symmetric:
         return None
     n = g.n
     w, _ = _layout(g.meta.variant, q)
@@ -229,7 +232,7 @@ def _q_moments(g: Graph, q: int, t: int) -> tuple[int, ...] | None:
         diff[r, vs] -= q             # qI
         if diff.any():
             return None
-    owner, nbr = _entries(g)
+    owner, nbr = np.arange(n)[:, None], view
     E, D = nbr.size, int(np.count_nonzero(nbr == owner))
     Pc = int(np.count_nonzero(nbr // w == owner // w))
     Px = int(np.count_nonzero(nbr % w == owner % w))

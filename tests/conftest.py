@@ -1,5 +1,5 @@
 """Shared fixtures: a session-wide graph cache, the desk-scale case lists, the
-edge-list graph builder and the common-neighbour oracle.
+edge-list graph builder, the double-edge swap and the common-neighbour oracle.
 
 Graphs are immutable, so one instance per (variant, q, t) is safe to share
 across the whole run; the big q=121/128 builds are only paid once.
@@ -8,7 +8,9 @@ across the whole run; the big q=121/128 builds are only paid once.
 import pytest
 
 from ramseycert import build_g_plus, build_g_times
-from ramseycert.graphs import Graph, GraphMeta, fleet
+from collections import Counter
+
+from ramseycert.graphs import Graph, GraphMeta, fleet, from_g2t, to_g2t
 
 # the 94 desk-scale cases: plus with q <= 128, then times with q <= 121
 ALL_CASES = list(fleet())
@@ -35,6 +37,40 @@ def from_edges(n, edges, t=0, meta=None):
     if meta is None:
         meta = GraphMeta(variant="other", t=t)
     return Graph(rows=tuple(rows), labels=tuple((0, i) for i in range(n)), meta=meta)
+
+
+def swapped(g, rng, closed=False, tries=200):
+    """g as a file (a g2t round trip, so metadata and labels are kept) after
+    a degree-preserving double-edge swap {a,b},{c,d} -> {a,d},{c,b}, drawn by
+    rng with a, b, c, d distinct, {a,b} and {c,d} edges and {a,d} and {c,b}
+    not.  When ``closed``, the swap's images under the powers of a kept
+    field map π (drawn too) are made with it, so π stays an automorphism.
+    None when none of ``tries`` draws is such a swap."""
+    edges = [(u, v) for u in range(g.n) for v in g.neighbors(u) if u != v]
+    maps = g._symmetry[0]
+    if not edges or (closed and not maps):
+        return None
+
+    def has(e):
+        return g.rows[min(e)] >> max(e) & 1
+
+    for _ in range(tries):
+        (a, b), (c, d) = rng.choice(edges), rng.choice(edges)
+        swaps = [(a, b, c, d)]
+        perm = rng.choice(maps) if closed else None
+        while perm is not None and (image := tuple(int(perm[x]) for x in swaps[-1])) != swaps[0]:
+            swaps.append(image)
+        gone = {frozenset(e) for a, b, c, d in swaps for e in ((a, b), (c, d))}
+        made = {frozenset(e) for a, b, c, d in swaps for e in ((a, d), (c, b))}
+        if (len({a, b, c, d}) < 4 or not all(map(has, gone)) or any(map(has, made))
+                or Counter(x for e in gone for x in e) != Counter(x for e in made for x in e)):
+            continue
+        rows = list(g.rows)
+        for u, v in gone | made:
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+        return from_g2t(to_g2t(Graph(rows=tuple(rows), labels=g.labels, meta=g.meta)))
+    return None
 
 
 def common_neighbors(g, u, v):

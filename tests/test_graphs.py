@@ -27,7 +27,7 @@ from ramseycert.graphs import (
 )
 from ramseycert.random_model import sample_gnp
 from ramseycert.spectral import verify_spectrum
-from conftest import ALL_CASES, cached_graph, common_neighbors, from_edges
+from conftest import ALL_CASES, cached_graph, common_neighbors, from_edges, swapped
 
 SMALL_CASES = [c for c in ALL_CASES if c[1] <= 64]
 
@@ -422,6 +422,15 @@ def test_to_g2t_equals_the_bitset_writer_on_rows(rows):
     assert to_g2t(g) == bitset_to_g2t(g)
 
 
+@pytest.mark.parametrize("rows", [(0b100, 0), (1 << 20, 0), (-1, 0), (0, -(1 << 70))])
+def test_rows_past_n_or_negative_are_refused(rows):
+    """Bit 2 or bit 20 of a row of two vertices, or a negative row, would
+    read as no edge or overflow in the arrays; the graph is refused."""
+    with pytest.raises(ValueError, match="negative or has a bit at or past n"):
+        Graph(rows=rows, labels=((0, 0), (0, 1)), meta=OTHER)
+    assert Graph(rows=(0b11, 0b01), labels=((0, 0), (0, 1)), meta=OTHER).n == 2
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_to_g2t_equals_the_bitset_writer(data):
@@ -705,30 +714,32 @@ def test_automorphism_check_equals_bitset_oracle(variant, q, t):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_automorphism_check_equals_bitset_oracle_on_tampered_files(seed):
-    """One-pair toggles leave the graph irregular; every field map and every
-    forgery gets the bitset check's verdict on the neighbour arrays."""
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_automorphism_check_equals_bitset_oracle_on_tampered_files(seed, closed):
+    """One to three double-edge swaps keep the file regular, and a swap
+    closed under a kept map keeps that map; every field map and every
+    forgery gets the bitset check's verdict on the (n, d) table."""
     rng = random.Random(seed)
     g = cached_graph(*rng.choice([("plus", 9, 3), ("plus", 16, 8), ("times", 7, 3),
                                   ("times", 13, 4), ("plus", 8, 2)]))
-    rows = list(g.rows)
-    for _ in range(rng.randint(1, 3)):
-        u, v = rng.randrange(g.n), rng.randrange(g.n)
-        rows[u] ^= 1 << v
-        rows[v] ^= (1 << u) * (u != v)
-    h = from_g2t(to_g2t(dataclasses.replace(g, rows=tuple(rows))))
+    h = swapped(g, rng, closed)
+    for _ in range(rng.randint(0, 2)):
+        h = swapped(h, rng, closed) or h
+    assert graphs._regular_view(h) is not None
+    assert h._symmetry[1] is not None or not closed
     for perm in graphs._field_maps(h) + _forged_maps(h):
         assert graphs._is_automorphism(h, perm) == _is_automorphism_bitset(h, perm)
 
 
 def test_automorphism_check_keeps_the_degrees_of_one_way_rows():
     """Rows 0: {} and 1: {0, 1}, not symmetric: swapping 0 and 1 lines the
-    concatenated images up with the concatenated rows, so only the degree
-    check refuses it."""
-    g = Graph(rows=(0, 0b11), labels=((0, 0), (0, 1)), meta=GraphMeta(variant="other"))
-    swap = np.array([1, 0])
-    assert not graphs._is_automorphism(g, swap) and not _is_automorphism_bitset(g, swap)
+    concatenated images up with the concatenated rows, but the graph is not
+    regular, so it keeps no map.  Rows 0: {1} and 1: {1} are regular and
+    one-way: the swap's image of row 0 is {0}, not row 1."""
+    for rows in ((0, 0b11), (0b10, 0b10)):
+        g = Graph(rows=rows, labels=((0, 0), (0, 1)), meta=GraphMeta(variant="other"))
+        swap = np.array([1, 0])
+        assert not graphs._is_automorphism(g, swap) and not _is_automorphism_bitset(g, swap)
 
 
 def _arrays_from_rows(g: Graph) -> tuple[list[int], list[int]]:
@@ -765,26 +776,39 @@ def test_symmetry_is_read_off_the_arrays():
     assert from_edges(0, [])._symmetric
 
 
+def _circulant(rng: random.Random) -> Graph:
+    """A regular graph on at most 40 vertices: u ~ u + s for s in a drawn
+    connection set closed under s -> -s (s = 0 a loop), vertices shuffled."""
+    n, p = rng.randint(1, 40), rng.random() ** 2
+    conn = {s for s in range(n) if rng.random() < p}
+    name = rng.sample(range(n), n)
+    return from_edges(n, [(name[u], name[(u + s) % n]) for u in range(n)
+                          for s in conn | {-s % n for s in conn}])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 7, 64, 1 << 18]))
 def test_m2_rows_are_the_rows_of_m_squared(seed, walks):
     """Rows of M^2 at drawn vertices, in their order, for any block size, on
-    irregular looped graphs and on constructions."""
+    regular graphs: shuffled circulants, looped or not, and constructions,
+    as built or after a double-edge swap."""
     rng = random.Random(seed)
     if rng.random() < 0.5:
-        n, p = rng.randint(1, 40), rng.random()
-        g = from_edges(n, [(u, v) for u in range(n) for v in range(u, n) if rng.random() < p])
+        g = _circulant(rng)
     else:
         g = cached_graph(*rng.choice([c for c in ALL_CASES if c[1] <= 16]))
-    reps = np.array(rng.sample(range(g.n), rng.randint(1, g.n)), dtype=np.int64)
+        g = rng.random() < 0.5 and swapped(g, rng) or g
+    n, d = graphs._regular_view(g).shape
+    reps = np.array(rng.sample(range(n), rng.randint(1, n)), dtype=np.int64)
     m = g.adjacency_matrix(dtype=np.int64)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graphs, "_WALKS", walks)
         blocks = list(graphs._m2_rows(g, reps))
     assert np.array_equal(np.concatenate([vs for vs, _ in blocks]), reps)
     assert np.array_equal(np.concatenate([rows for _, rows in blocks]), (m @ m)[reps])
-    # a block holds at most ``walks`` 2-walks, or one vertex
-    assert all(len(vs) == 1 or (m @ m)[vs].sum() <= walks for vs, _ in blocks)
+    # a block holds at most ``walks`` 2-walks (d^2 a row) and ``walks``
+    # entries of M^2 (n a row), or one vertex
+    assert all(len(vs) == 1 or len(vs) * max(d * d, n) <= walks for vs, _ in blocks)
 
 
 def test_automorphism_orbits_need_a_construction():

@@ -3,6 +3,7 @@ route behind them as a numeric oracle."""
 
 import cmath
 import dataclasses
+import itertools
 import os
 import random
 import subprocess
@@ -43,7 +44,7 @@ from ramseycert.spectral import (
     solve_multiplicities,
     verify_spectrum,
 )
-from conftest import ALL_CASES, cached_graph, common_neighbors, from_edges
+from conftest import ALL_CASES, cached_graph, common_neighbors, from_edges, swapped
 
 ODD_SMALL = [c for c in ALL_CASES if c[1] % 2 == 1 and c[1] <= 49]
 # the fleet cases with n = q(q-1)/t <= 1000, and those with n <= 200
@@ -479,13 +480,14 @@ def _q_moments_gemm(g: Graph, q: int, t: int) -> tuple[int, ...] | None:
 
 def _oracle_graphs(variant: str, q: int, t: int) -> list[Graph]:
     """The case as built, and through a g2t round trip with, when n <= 300,
-    a permuted copy and three one-edge toggles (seeded by the case)."""
+    a permuted copy and three double-edge swaps, two of them closed under a
+    kept map, where the case has such swaps (all seeded by the case)."""
     g = cached_graph(variant, q, t)
     out = [g]
     if g.n <= 300:
         rng = random.Random(f"{variant}/{q}/{t}")
         out.append(_permuted(g, rng.randrange(2**32)))
-        out += [_toggled(g, rng.randrange(g.n), rng.randrange(g.n)) for _ in range(3)]
+        out += [h for closed in (False, True, True) if (h := swapped(g, rng, closed))]
     return [g] + [from_g2t(to_g2t(h)) for h in out]
 
 
@@ -495,8 +497,8 @@ def _oracle_graphs(variant: str, q: int, t: int) -> list[Graph]:
 def test_orbit_rows_equal_the_gemm_oracles(variant, q, t):
     """The audit's histogram and the M^2 = Q check, read at one row per orbit,
     equal the GEMM passes they replaced: on every fleet case and plus(2,2),
-    as built and as parsed, and on a permuted copy and three one-edge
-    toggles of each with n <= 300."""
+    as built and as parsed, and on a permuted copy and three double-edge
+    swaps of each with n <= 300."""
     for g in _oracle_graphs(variant, q, t):
         assert codegree_histogram(g) == graphs._codegree_histogram_gemm(g)
         assert _q_moments(g, q, t) == _q_moments_gemm(g, q, t)
@@ -510,13 +512,14 @@ def _forged_symmetry(g: Graph, perm: np.ndarray) -> Graph:
 
 
 @pytest.mark.parametrize("variant,q,t", [("plus", 9, 3), ("times", 7, 3), ("times", 13, 4)])
-def test_a_map_breaking_the_labels_is_not_used(variant, q, t):
+def test_a_map_breaking_the_labels_is_not_used(variant, q, t, monkeypatch):
     """A kept map that does not keep the same-coset and same-x relations (a
     cyclic shift of the vertices, or a field map after a swap of two
-    vertices with different x) is left out of the M^2 = Q check.  On a file
-    with one edge toggled away from vertex 0, row 0 of M^2 is still Q's, so
-    a check that used the shift's one orbit would pass; it fails instead,
-    and the report is the dense route's."""
+    vertices with different x) is left out of the M^2 = Q check.  A
+    double-edge swap away from vertex 0 and its neighbours keeps the file
+    (q-1)-regular and symmetric, and row 0 of M^2 is still Q's, so a check
+    that used the shift's one orbit would pass; the label check makes it
+    fail, and the report is the dense route's."""
     g = cached_graph(variant, q, t)
     w, _ = graphs._layout(variant, q)
     assert all(spectral._keeps_labels(perm, w) for perm in graphs._field_maps(g))
@@ -525,19 +528,26 @@ def test_a_map_breaking_the_labels_is_not_used(variant, q, t):
     swap[[0, 1]] = [1, 0]
     forged = [shift, graphs._field_maps(g)[0][swap]]
     assert not any(spectral._keeps_labels(perm, w) for perm in forged)
-    # (M^2)_{0x} = |N(0) ∩ N(x)| moves only if the toggled pair meets N(0) or 0
+    # (M^2)_{0x} = |N(0) ∩ N(x)| moves only if an edited pair meets N(0)
     near = set(g.neighbors(0)) | {0}
     far = [x for x in range(g.n) if x not in near]
-    toggled = _toggled(g, far[0], far[1])
-    before, after = (h.adjacency_matrix(dtype=np.int64) for h in (g, toggled))
+    a, b, c, d = next((a, b, c, d) for a, b, c, d in itertools.permutations(far, 4)
+                      if g.rows[a] >> b & g.rows[c] >> d & ~(g.rows[a] >> d | g.rows[c] >> b) & 1)
+    swapped_file = g
+    for u, v in ((a, b), (c, d), (a, d), (c, b)):
+        swapped_file = _toggled(swapped_file, u, v)
+    assert graphs._regular_view(swapped_file).shape[1] == q - 1 and swapped_file._symmetric
+    before, after = (h.adjacency_matrix(dtype=np.int64) for h in (g, swapped_file))
     assert np.array_equal((after @ after)[0], (before @ before)[0])
-    want = _spectrum_outcome(_dense_report, toggled)
+    want = _spectrum_outcome(_dense_report, swapped_file)
     for perm in forged:
-        h = _forged_symmetry(toggled, perm)
+        h = _forged_symmetry(swapped_file, perm)
         assert _q_moments(h, q, t) is None
         assert _spectrum_outcome(verify_spectrum, h) == want
         honest = _forged_symmetry(g, perm)  # the construction still certifies
         assert verify_spectrum(honest) == verify_spectrum(g)
+    monkeypatch.setattr(spectral, "_keeps_labels", lambda perm, w: True)
+    assert _q_moments(_forged_symmetry(swapped_file, shift), q, t) is not None
 
 
 def test_every_representative_row_is_checked(monkeypatch):
@@ -567,6 +577,56 @@ def test_an_asymmetric_matrix_reads_no_row(monkeypatch):
     h = Graph(rows=tuple(rows), labels=g.labels, meta=g.meta)
     monkeypatch.setattr(spectral, "_m2_rows", _no_dense_route)
     assert _q_moments(h, 9, 3) is None
+    assert _spectrum_outcome(verify_spectrum, h) == _spectrum_outcome(_dense_report, h)
+
+
+def test_an_irregular_file_keeps_no_map_and_reads_no_row(monkeypatch):
+    """Toggling the pair {0, π(0)} of plus(8,2), π a translation (an
+    involution), leaves every row of π's image in place but the file
+    irregular: it keeps no map, and the M^2 = Q check reads no row."""
+    g = cached_graph("plus", 8, 2)
+    index = np.arange(g.n)
+    pi = next(perm for perm in graphs._field_maps(g) if np.array_equal(perm[perm], index))
+    h = from_g2t(to_g2t(_toggled(g, 0, int(pi[0]))))
+    m = h.adjacency_matrix()
+    assert np.array_equal(m[np.ix_(pi, pi)], m) and graphs._regular_view(h) is None
+    assert h._symmetry == ([], None)
+    monkeypatch.setattr(spectral, "_m2_rows", _no_dense_route)
+    assert _q_moments(h, 8, 2) is None
+
+
+def test_a_one_regular_file_reads_bounded_blocks(monkeypatch):
+    """A perfect matching under plus(64,2) metadata (n = 2,016) that keeps a
+    translation π: the orbits {u, π(u)} are paired at random, u with v and
+    π(u) with π(v).  The audit reads its 1,008 orbit rows of M^2 at most
+    ``_WALKS`` entries a block, where a bound on the 2-walks alone (one a
+    row) would put them in one 16 MB block; the spectrum reads no row, as
+    the file is not 63-regular.  Both equal the GEMM and dense oracles."""
+    g = cached_graph("plus", 64, 2)
+    index = np.arange(g.n)
+    pi = next(perm for perm in graphs._field_maps(g) if np.array_equal(perm[perm], index))
+    orbits = np.flatnonzero(index < pi)
+    random.Random(0).shuffle(orbits)
+    u, v = orbits.reshape(-1, 2).T
+    pairs = np.concatenate([np.stack([u, v]), np.stack([pi[u], pi[v]])], axis=1)
+    rows = [0] * g.n
+    for x, y in pairs.T.tolist():
+        rows[x], rows[y] = 1 << y, 1 << x
+    h = from_g2t(to_g2t(Graph(rows=tuple(rows), labels=g.labels, meta=g.meta)))
+    assert len(set(graphs._automorphism_orbits(h).tolist())) == g.n // 2
+    blocks = []
+    m2_rows = graphs._m2_rows
+
+    def spy(g, reps):
+        for vs, rows in m2_rows(g, reps):
+            blocks.append(len(vs))
+            yield vs, rows
+
+    monkeypatch.setattr(graphs, "_m2_rows", spy)
+    assert codegree_histogram(h) == graphs._codegree_histogram_gemm(h)
+    assert blocks and max(blocks) * h.n <= graphs._WALKS
+    monkeypatch.setattr(spectral, "_m2_rows", _no_dense_route)
+    assert _q_moments(h, 64, 2) is None
     assert _spectrum_outcome(verify_spectrum, h) == _spectrum_outcome(_dense_report, h)
 
 
