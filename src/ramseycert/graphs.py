@@ -27,15 +27,15 @@ which packs the bitset rows from them (``_rows_from_arrays``, the one place
 rows are packed) and keeps them; a graph made from rows alone reads its
 arrays off the rows.  Both constructions are symmetric under field maps:
 scalings and the Frobenius, and in characteristic 2 translations
-(``_field_maps``).  A file that is not regular keeps no map; on a regular
-one, each map derived from its metadata is kept only if it is a bijection
-that sends every row onto its image's row, checked in O(nd) on the (n, d)
-table (``_is_automorphism``), once per graph (``Graph._symmetry``).  The
-orbits prune the root of the exact alpha search, and the audit reads one
-row of M^2 per orbit, as a bincount of the row's 2-walk ends (``_m2_rows``,
-``codegree_histogram``): times(121,2), n = 7,260, has 66 orbits and audits
-in 0.03 s where the float32 GEMM took 3 s; plus(256,128) has 35 orbits on
-510 vertices.  A graph with no kept map keeps the blocked float32 GEMM.
+(``_field_maps``).  A map is kept only if it keeps the labels' relations
+(``_keeps_labels``) and sends every row onto its image's row, checked in
+O(nd) on the regular (n, d) table (``_is_automorphism``), once per graph
+(``Graph._symmetry``).  The orbits prune the root of the exact alpha search
+and bound the one check per graph of M^2 = Q = qI + tJ - S_c - t S_x
+(``Graph._m2_is_q``), which reads one row of M^2 per orbit as a bincount of
+its 2-walk ends (``_m2_rows``): times(121,2), n = 7,260, has 66 orbits and
+is checked in 0.03 s.  The audit then reads its codegree histogram off Q
+(``codegree_histogram``); a graph that fails the check takes the GEMM.
 
 Graphs serialize to a line-oriented ``g2t`` text format (see ``to_g2t``) that
 round-trips byte-identically when the header values and labels are unsigned
@@ -95,11 +95,12 @@ class Graph:
     and contribute 1 to the degree; a negative row, or a bit at or past n, is
     a ValueError.
 
-    Three things are cached on the instance, outside the fields, so
+    Four things are cached on the instance, outside the fields, so
     equality, hashing and ``dataclasses.replace`` ignore them: the neighbour
     arrays (``_adjacency``) the rows were packed from (``_from_arrays``), or
-    else read off them, whether M is symmetric (``_symmetric``) and the
-    verified field maps with their orbits (``_symmetry``).
+    else read off them, whether M is symmetric (``_symmetric``), the
+    verified field maps with their orbits (``_symmetry``) and whether
+    M^2 = Q (``_m2_is_q``).
     """
 
     rows: tuple[int, ...]
@@ -155,11 +156,45 @@ class Graph:
 
     @cached_property
     def _symmetry(self) -> tuple[list[np.ndarray], np.ndarray | None]:
-        """The candidate field maps that ``_is_automorphism`` keeps, and the
-        orbit labels of the group they generate (``_orbit_labels``), or None
-        when none is kept."""
-        kept = [perm for perm in _field_maps(self) if _is_automorphism(self, perm)]
+        """The field maps that keep the labels' relations (``_keeps_labels``)
+        and the rows (``_is_automorphism``), and the orbit labels of the group
+        they generate (``_orbit_labels``), or None when none is kept."""
+        w, _ = _layout(self.meta.variant, self.meta.q)
+        kept = [perm for perm in _field_maps(self)
+                if _keeps_labels(perm, w) and _is_automorphism(self, perm)]
         return kept, _orbit_labels(self.n, kept) if kept else None
+
+    @cached_property
+    def _m2_is_q(self) -> bool:
+        """Is M^2 = Q = qI + tJ - S_c - t S_x, S_c marking the pairs in one
+        coset and S_x those with one x, vertex i being (c, x) = divmod(i, w)?
+        False for metadata that is not a construction, and, before a row is
+        read, unless M is symmetric and (q-1)-regular, as (M^2)_uu = deg(u)
+        and Q_uu = q - 1.  M^2 is read at one vertex per orbit of the kept
+        maps (``_m2_rows``): a kept map keeps M^2 and Q alike."""
+        meta, n = self.meta, self.n
+        try:
+            _check_construction(meta, n)
+        except ValueError:
+            return False
+        q, t, w = meta.q, meta.t, _layout(meta.variant, meta.q)[0]
+        view = _regular_view(self)
+        if (meta.variant not in ("plus", "times") or view is None or view.shape[1] != q - 1
+                or not self._symmetric):
+            return False
+        label = self._symmetry[1]
+        reps = np.arange(n) if label is None else np.flatnonzero(label == np.arange(n))
+        for vs, diff in _m2_rows(self, reps):
+            r = np.arange(len(vs))
+            c, x = np.divmod(vs, w)
+            by_cx = diff.reshape(len(vs), n // w, w)
+            diff -= t                    # tJ
+            by_cx[r, :, x] += t          # -t S_x
+            by_cx[r, c, :] += 1          # -S_c
+            diff[r, vs] -= q             # qI
+            if diff.any():
+                return False
+        return True
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -432,8 +467,8 @@ def _walk_matrix(g: Graph) -> np.ndarray:
 
 def _m2_rows(g: Graph, reps: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Rows of M^2 at the vertices ``reps`` of a d-regular G, a block at a
-    time: (vs, rows), rows[k] being row vs[k] of M^2 in int64, the bincount
-    of vs[k]'s 2-walk ends read off the (n, d) table (``_regular_view``).  A
+    time, for ``Graph._m2_is_q``: (vs, rows), rows[k] being row vs[k] of M^2
+    in int64, the bincount of vs[k]'s 2-walk ends on the (n, d) table.  A
     block holds at most ``_WALKS`` 2-walks and ``_WALKS`` entries of M^2, or
     one vertex; on a construction n <= d^2, so only the walks bind."""
     view = _regular_view(g)
@@ -449,29 +484,20 @@ def codegree_histogram(g: Graph) -> dict[int, int]:
     """Histogram of |N(u) ∩ N(v)| over unordered pairs u < v (inclusive counts),
     each codegree being the exact (M^2)_{uv}.
 
-    A symmetric M with verified field maps (``_automorphism_orbits``) reads
-    one row of M^2 per orbit (``_m2_rows``): an automorphism π gives
-    (M^2)_{π(u)π(v)} = (M^2)_{uv}, so row π(u) has row u's histogram, and
-    the pairs are counted by ½ Σ_u |orbit(u)| · hist(row u without u) over
-    one u per orbit, a few 2-walk blocks beside the neighbour arrays.  Every
-    other graph takes ``_codegree_histogram_gemm``, as each of the GEMM and
-    all n rows wins on some graph (float32 GEMM vs rows on a 2-core box:
+    Once M^2 = Q is checked (``Graph._m2_is_q``), the histogram is Q's: t-1
+    on the n(w-1)/2 pairs in the same coset, 0 on the n(C-1)/2 pairs with
+    the same x (C = n / w cosets) and t on the rest.  Every other graph
+    takes ``_codegree_histogram_gemm``, as each of the GEMM and all n rows
+    of M^2 wins on some graph (float32 GEMM vs rows on a 2-core box:
     G(2000, 0.5) 54 ms vs 12.3 s, G(1000, 0.5) 9.7 ms vs 1.51 s, the n =
     2,096 recipe sample 259 ms vs 50 ms, shuffled plus(128,2) 2.68 s vs
     0.74 s) and no benchmark workload audits such a graph."""
-    label = _automorphism_orbits(g)
-    if label is None or not g._symmetric:
+    if not g._m2_is_q:
         return _codegree_histogram_gemm(g)
-    n = g.n
-    size = np.bincount(label)  # orbit sizes, at each orbit's least vertex
-    twice = np.zeros(n + 1, dtype=np.int64)  # a codegree is at most n
-    for vs, rows in _m2_rows(g, np.flatnonzero(size)):
-        k = np.arange(len(vs))
-        rows += k[:, None] * (n + 1)  # row k's codegree c counts in bin k (n + 1) + c
-        hist = np.bincount(rows.ravel(), minlength=len(vs) * (n + 1))
-        hist[rows[k, vs]] -= 1  # u = v
-        twice += size[vs] @ hist.reshape(len(vs), n + 1)
-    return {c: int(x) // 2 for c, x in enumerate(twice) if x}
+    n, t, w = g.n, g.meta.t, _layout(g.meta.variant, g.meta.q)[0]
+    same_c, same_x = n * (w - 1) // 2, n * (n // w - 1) // 2
+    hist = {0: same_x, t - 1: same_c, t: n * (n - 1) // 2 - same_c - same_x}
+    return {c: k for c, k in hist.items() if k}
 
 
 def _codegree_histogram_gemm(g: Graph) -> dict[int, int]:
@@ -609,6 +635,15 @@ def _is_automorphism(g: Graph, perm: np.ndarray) -> bool:
                for s in range(0, n, step))
 
 
+def _keeps_labels(perm: np.ndarray, w: int) -> bool:
+    """Does the bijection ``perm`` of the vertices c * w + x send every coset
+    to one coset and every x to one x?  Its image's coset is then a function
+    of c alone and its x of x alone, both bijective as perm is, so perm keeps
+    the same-coset and same-x relations both ways.  O(n)."""
+    c, x = np.divmod(perm.reshape(-1, w), w)
+    return bool((c == c[:, :1]).all() and (x == x[:1]).all())
+
+
 def _orbit_labels(n: int, maps: list[np.ndarray]) -> np.ndarray:
     """``label[i]``, the least vertex of i's orbit under the group the maps
     (bijections of range(n)) generate.  The orbits are the components of
@@ -625,13 +660,6 @@ def _orbit_labels(n: int, maps: list[np.ndarray]) -> np.ndarray:
         if np.array_equal(new, label):
             return label
         label = new
-
-
-def _automorphism_orbits(g: Graph) -> np.ndarray | None:
-    """Orbit labels under the group that the verified field maps generate,
-    ``label[i]`` being the least vertex of i's orbit, or None when no map is
-    kept; derived once per graph (``Graph._symmetry``)."""
-    return g._symmetry[1]
 
 
 # -- g2t serialization ----------------------------------------------------------

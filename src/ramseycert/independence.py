@@ -21,7 +21,7 @@ which is Theta(n^2) whatever the edge count.
 At the root alone the search also uses symmetry, as orbit pruning does in
 McKay & Piperno ("Practical graph isomorphism, II", 2014): once the child of
 a root branch on v is formed, the root's candidates drop v's whole orbit
-under the field maps that ``graphs._automorphism_orbits`` has checked against
+under the field maps that ``graphs.Graph._symmetry`` has checked against
 the rows, and a later root vertex that has left them is skipped uncounted.
 The dropped set is a union of orbits and an automorphism keeps the loops, so
 the candidates stay closed under the group; an independent set among them
@@ -54,8 +54,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .fields import is_prime, make_field
-from .graphs import (_BLOCK, Graph, _automorphism_orbits, _bits, _check_memory, _layout,
-                     _pack_rows, _unpack_rows, build_g_plus)
+from .graphs import (_BLOCK, Graph, _bits, _check_memory, _layout, _pack_rows, _unpack_rows,
+                     build_g_plus)
 
 SEMANTICS = ("ignore-loops", "exclude-looped")
 
@@ -135,10 +135,10 @@ def _class_rows(g: Graph, semantics: str,
 
 def _orbit_rows(g: Graph, order: list[int]) -> list[int]:
     """Row k: the allowed vertices of new vertex k's orbit under the verified
-    field maps (``graphs._automorphism_orbits``), in the numbering of
-    ``order``, or 0 when the graph has no kept map.  An automorphism keeps
-    the loops, so an orbit is allowed or barred as a whole."""
-    label = _automorphism_orbits(g)
+    field maps (``Graph._symmetry``), in the numbering of ``order``, or 0
+    when the graph has no kept map.  An automorphism keeps the loops, so an
+    orbit is allowed or barred as a whole."""
+    label = g._symmetry[1]
     if label is None:
         return [0] * len(order)
     label = label.tolist()

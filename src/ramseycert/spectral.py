@@ -4,16 +4,15 @@ The eigenvalues of both constructions lie in {q-1, +sqrt(q), -sqrt(q), +1,
 -1, 0}, so the six multiplicities are pinned by the power-sum moments
 tr(M^j) for j = 0..5.  On every construction the codegree matrix is
 M^2 = Q = qI + tJ - S_c - t S_x, S_c marking the pairs in the same coset and
-S_x the pairs with the same field coordinate.  With M checked symmetric and
-(q-1)-regular, that is checked exactly on one row of M^2 per orbit of the
-verified field maps that keep the labels (a file that is not regular keeps
-no map), each a bincount of 2-walk ends read off the (n, q-1) neighbour
-table, and then the annihilator and the moments follow with no
-matrix product at all (``verify_spectrum``, ``_q_moments``): times(121,2)
-certifies in 0.03 s, and plus(256,2), whose float32 M alone would take
-4.3 GB, in under a second.  A graph whose M^2 is not Q (a tampered or a
-vertex-permuted file) takes the dense route, M^3 in float32 and the
-annihilator as a float64 product (``_dense_route``).
+S_x the pairs with the same field coordinate.  That is checked exactly once
+per graph, on one row of M^2 per orbit of the verified field maps
+(``graphs.Graph._m2_is_q``, which the audit reads too), and then the
+annihilator and the moments follow with no matrix product at all
+(``verify_spectrum``, ``_q_moments``): times(121,2) certifies in 0.03 s,
+and plus(256,2), whose float32 M alone would take 4.3 GB, in under a
+second.  A graph whose M^2 is not Q (a tampered or a vertex-permuted file)
+takes the dense route, M^3 in float32 and the annihilator as a float64
+product (``_dense_route``).
 Each route asserts its own exactness bounds.  Either way the odd moments are
 solved in closed form for (mult of q-1, (m_+ - m_-)*sqrt(q), m_1 - m_-1) and
 the even ones for the paired sums, all over Fractions; sqrt(q) is no float.
@@ -36,7 +35,7 @@ import numpy as np
 
 from .fields import Field
 from .graphs import (_BLOCK, _FLOAT32_EXACT, Graph, _check_construction, _check_memory, _layout,
-                     _m2_rows, _orbit_labels, _regular_view)
+                     _regular_view)
 
 
 class SpectralSolveError(Exception):
@@ -178,32 +177,13 @@ def _dense_route(g: Graph, q: int) -> tuple[tuple[int, ...], float]:
     return (n, *(int(x) for x in traces)), worst
 
 
-def _keeps_labels(perm: np.ndarray, w: int) -> bool:
-    """Does the bijection ``perm`` of the vertices c * w + x send every coset
-    to one coset and every x to one x?  Its image's coset is then a function
-    of c alone and its x of x alone, both bijective as perm is, so perm keeps
-    the same-coset and same-x relations both ways.  O(n)."""
-    c, x = np.divmod(perm.reshape(-1, w), w)
-    return bool((c == c[:, :1]).all() and (x == x[:1]).all())
-
-
-def _q_moments(g: Graph, q: int, t: int) -> tuple[int, ...] | None:
-    """tr(M^j), j = 0..5, once M is symmetric and M^2 = Q = qI + tJ - S_c - t S_x
-    holds entry by entry; None as soon as either fails.
-
-    Vertex i is (c, x) = divmod(i, w), w from ``graphs._layout``, which
-    divides n on a construction's metadata.  As (M^2)_uu = deg(u) and
-    Q_uu = q - 1, no row is read unless M is (q-1)-regular and symmetric
-    (``Graph._symmetric``).  Then the rows of M^2 are read only at one
-    vertex per orbit of the verified field maps that also keep the labels'
-    relations (``_keeps_labels``), as 2-walk bincounts (``graphs._m2_rows``),
-    and Q is subtracted from them in place; with no such map every vertex is
-    its own orbit.  That suffices: such a map π gives
-    (M^2)_{π(u)π(v)} = (M^2)_{uv} and Q_{π(u)π(v)} = Q_{uv}, so row π(u) of
-    M^2 equals Q's once row u does.
+def _q_moments(g: Graph) -> tuple[int, ...] | None:
+    """tr(M^j), j = 0..5, once M^2 = Q = qI + tJ - S_c - t S_x is checked
+    (``Graph._m2_is_q``); None when it fails.
 
     The moments are exact ints from four counts of M's ones: E all of them,
-    D the diagonal, P_c the same-c pairs and P_x the same-x pairs; C = n / w.
+    D the diagonal, P_c the same-c pairs and P_x the same-x pairs; vertex i
+    is (c, x) = divmod(i, w), w from ``graphs._layout``, and C = n / w.
     tr M^2 = E; tr M^3 = sum of M o Q = qD + tE - P_c - t P_x; tr M^4 = sum
     of Q o Q, whose row has q - 1 on the diagonal, t - 1 at its w - 1 coset
     mates, 0 at its C - 1 other vertices with the same x and t elsewhere;
@@ -211,28 +191,12 @@ def _q_moments(g: Graph, q: int, t: int) -> tuple[int, ...] | None:
     = J give Q^2 = q^2 I + (2qt + t^2 n - 2tw - 2t^2 C + 2t) J
     + (w - 2q) S_c + (t^2 C - 2qt) S_x.
     """
-    view = _regular_view(g)
-    if view is None or view.shape[1] != q - 1 or not g._symmetric:
+    if not g._m2_is_q:
         return None
-    n = g.n
+    n, q, t = g.n, g.meta.q, g.meta.t
     w, _ = _layout(g.meta.variant, q)
     C = n // w
-    kept, label = g._symmetry
-    maps = [perm for perm in kept if _keeps_labels(perm, w)]
-    if len(maps) < len(kept):
-        label = _orbit_labels(n, maps)
-    reps = np.arange(n) if label is None else np.flatnonzero(label == np.arange(n))
-    for vs, diff in _m2_rows(g, reps):
-        r = np.arange(len(vs))
-        c, x = np.divmod(vs, w)
-        by_cx = diff.reshape(len(vs), C, w)
-        diff -= t                    # tJ
-        by_cx[r, :, x] += t          # -t S_x
-        by_cx[r, c, :] += 1          # -S_c
-        diff[r, vs] -= q             # qI
-        if diff.any():
-            return None
-    owner, nbr = np.arange(n)[:, None], view
+    owner, nbr = np.arange(n)[:, None], _regular_view(g)
     E, D = nbr.size, int(np.count_nonzero(nbr == owner))
     Pc = int(np.count_nonzero(nbr // w == owner // w))
     Px = int(np.count_nonzero(nbr % w == owner % w))
@@ -295,18 +259,16 @@ def verify_spectrum(g: Graph) -> SpectrumReport:
     compares against the closed forms.  Metadata that is not a construction
     on n vertices raises ValueError first.
 
-    The annihilator holds once every row block of M^2 equals Q = qI + tJ -
-    S_c - t S_x (``_q_moments``), by the Kronecker argument: S_c = I (x) J,
+    The annihilator holds once M^2 = Q = qI + tJ - S_c - t S_x
+    (``Graph._m2_is_q``), by the Kronecker argument: S_c = I (x) J,
     S_x = J (x) I and J commute, so Q's eigenvalues are d^2 (the all-ones
     vector), q, 1 and 0, and for q >= 3 d^2 is none of the others, so it
     belongs to the all-ones vector alone.  M commutes with M^2 = Q, so it
     maps the all-ones vector to a multiple of it, and M >= 0 makes that
     M 1 = d 1.  Every other eigenvalue of the symmetric M squares to q, 1 or
     0, so M's eigenvalues lie in {d, +-sqrt(q), +-1, 0}, the roots of the
-    annihilator.  The moments then come from four counts of M's ones.  The
-    check reads M^2 only at one vertex per orbit of the kept field maps
-    that keep the labels' relations, which suffices as such a map keeps M^2
-    and Q alike.  A graph whose M^2 is not Q takes ``_dense_route``.
+    annihilator.  The moments then come from four counts of M's ones
+    (``_q_moments``).  A graph whose M^2 is not Q takes ``_dense_route``.
     """
     if g.meta.variant not in ("plus", "times"):
         raise ValueError("spectrum certification applies to the plus/times constructions")
@@ -314,7 +276,7 @@ def verify_spectrum(g: Graph) -> SpectrumReport:
     q, t, n = g.meta.q, g.meta.t, g.n
     # q < 3 only in plus(2,2), n = 1: its solve raises SpectralSolveError on
     # either route, as the pivot has the factor q - 2
-    moments = _q_moments(g, q, t)
+    moments = _q_moments(g)
     verified = moments is not None
     if not verified:
         moments, residual = _dense_route(g, q)

@@ -642,7 +642,7 @@ def test_every_field_map_is_kept_and_every_orbit_is_closed(variant, q, t):
     g = cached_graph(variant, q, t)
     maps = graphs._field_maps(g)
     assert maps and all(graphs._is_automorphism(g, perm) for perm in maps)
-    label = graphs._automorphism_orbits(g)
+    label = g._symmetry[1]
     for perm in maps:
         assert np.array_equal(label[perm], label)
     # each label is the least vertex of its orbit
@@ -653,7 +653,7 @@ def test_every_field_map_is_kept_and_every_orbit_is_closed(variant, q, t):
     ("plus", 25, 5, 10), ("plus", 128, 64, 19), ("plus", 256, 128, 35),
     ("plus", 512, 256, 59), ("times", 121, 2, 66)])
 def test_orbit_counts(variant, q, t, orbits):
-    assert len(set(graphs._automorphism_orbits(cached_graph(variant, q, t)).tolist())) == orbits
+    assert len(set(cached_graph(variant, q, t)._symmetry[1].tolist())) == orbits
 
 
 def test_automorphism_check_rejects_forgeries():
@@ -812,10 +812,10 @@ def test_m2_rows_are_the_rows_of_m_squared(seed, walks):
 
 
 def test_automorphism_orbits_need_a_construction():
-    assert graphs._automorphism_orbits(from_edges(4, [(0, 1), (2, 3)])) is None
+    assert from_edges(4, [(0, 1), (2, 3)])._symmetry == ([], None)
     g = cached_graph("plus", 9, 3)
     for meta in (dataclasses.replace(g.meta, t=9),  # n is not q(q-1)/t
                  dataclasses.replace(g.meta, p=2, a=3, q=8),
                  dataclasses.replace(g.meta, variant="random")):
         forged = dataclasses.replace(g, meta=meta)
-        assert graphs._field_maps(forged) == [] and graphs._automorphism_orbits(forged) is None
+        assert graphs._field_maps(forged) == [] and forged._symmetry == ([], None)

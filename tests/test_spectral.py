@@ -501,33 +501,59 @@ def test_orbit_rows_equal_the_gemm_oracles(variant, q, t):
     swaps of each with n <= 300."""
     for g in _oracle_graphs(variant, q, t):
         assert codegree_histogram(g) == graphs._codegree_histogram_gemm(g)
-        assert _q_moments(g, q, t) == _q_moments_gemm(g, q, t)
+        assert _q_moments(g) == _q_moments_gemm(g, q, t)
 
 
-def _forged_symmetry(g: Graph, perm: np.ndarray) -> Graph:
-    """A fresh copy of g whose kept maps are [perm], trusted unchecked."""
-    h = Graph(rows=g.rows, labels=g.labels, meta=g.meta)
-    h.__dict__["_symmetry"] = [perm], graphs._orbit_labels(g.n, [perm])
-    return h
+@pytest.mark.parametrize("variant,q,t", [("plus", 2, 2)] + FLEET_1000)
+def test_audit_and_spectrum_read_each_representative_row_once(variant, q, t, monkeypatch):
+    """M^2 = Q is checked once per graph: the audit and then the spectrum
+    of a fleet case or plus(2,2), as built and as parsed, read the row of
+    M^2 at each orbit representative exactly once between them, and
+    neither takes the GEMM or the dense route."""
+    read = []
+
+    def spy(g, reps):
+        read.extend(reps.tolist())
+        return m2_rows(g, reps)
+
+    m2_rows = graphs._m2_rows
+    for module in (graphs, spectral):  # wherever a module holds the kernel
+        if hasattr(module, "_m2_rows"):
+            monkeypatch.setattr(module, "_m2_rows", spy)
+    monkeypatch.setattr(graphs, "_codegree_histogram_gemm", _no_dense_route)
+    monkeypatch.setattr(spectral, "_dense_route", _no_dense_route)
+    built = (build_g_plus if variant == "plus" else build_g_times)(q, t)
+    for g in (built, from_g2t(to_g2t(built))):
+        read.clear()
+        assert structural_audit(g).passed
+        if q > 2:
+            assert verify_spectrum(g).passed
+        else:  # the moment solve of plus(2,2) is singular (see below)
+            with pytest.raises(SpectralSolveError):
+                verify_spectrum(g)
+        label = g._symmetry[1]
+        reps = list(range(g.n)) if label is None else sorted(set(label.tolist()))
+        assert sorted(read) == reps
 
 
 @pytest.mark.parametrize("variant,q,t", [("plus", 9, 3), ("times", 7, 3), ("times", 13, 4)])
 def test_a_map_breaking_the_labels_is_not_used(variant, q, t, monkeypatch):
-    """A kept map that does not keep the same-coset and same-x relations (a
+    """A map that does not keep the same-coset and same-x relations (a
     cyclic shift of the vertices, or a field map after a swap of two
-    vertices with different x) is left out of the M^2 = Q check.  A
-    double-edge swap away from vertex 0 and its neighbours keeps the file
-    (q-1)-regular and symmetric, and row 0 of M^2 is still Q's, so a check
-    that used the shift's one orbit would pass; the label check makes it
-    fail, and the report is the dense route's."""
+    vertices with different x) is not kept, even where it passed the row
+    check, so the M^2 = Q check does not read its orbits.  A double-edge
+    swap away from vertex 0 and its neighbours keeps the file (q-1)-regular
+    and symmetric, and row 0 of M^2 is still Q's, so a check that used the
+    shift's one orbit would pass; the label check makes it fail, and the
+    report is the dense route's."""
     g = cached_graph(variant, q, t)
     w, _ = graphs._layout(variant, q)
-    assert all(spectral._keeps_labels(perm, w) for perm in graphs._field_maps(g))
+    assert all(graphs._keeps_labels(perm, w) for perm in graphs._field_maps(g))
     shift = np.roll(np.arange(g.n), 1)
     swap = np.arange(g.n)
     swap[[0, 1]] = [1, 0]
     forged = [shift, graphs._field_maps(g)[0][swap]]
-    assert not any(spectral._keeps_labels(perm, w) for perm in forged)
+    assert not any(graphs._keeps_labels(perm, w) for perm in forged)
     # (M^2)_{0x} = |N(0) ∩ N(x)| moves only if an edited pair meets N(0)
     near = set(g.neighbors(0)) | {0}
     far = [x for x in range(g.n) if x not in near]
@@ -540,33 +566,43 @@ def test_a_map_breaking_the_labels_is_not_used(variant, q, t, monkeypatch):
     before, after = (h.adjacency_matrix(dtype=np.int64) for h in (g, swapped_file))
     assert np.array_equal((after @ after)[0], (before @ before)[0])
     want = _spectrum_outcome(_dense_report, swapped_file)
+    honest_report = verify_spectrum(g)
+    # each forged map is offered as the one field map, and passes the row check
+    monkeypatch.setattr(graphs, "_is_automorphism", lambda g, perm: True)
     for perm in forged:
-        h = _forged_symmetry(swapped_file, perm)
-        assert _q_moments(h, q, t) is None
+        monkeypatch.setattr(graphs, "_field_maps", lambda g, perm=perm: [perm])
+        h = _fresh(swapped_file)
+        assert h._symmetry == ([], None) and _q_moments(h) is None
         assert _spectrum_outcome(verify_spectrum, h) == want
-        honest = _forged_symmetry(g, perm)  # the construction still certifies
-        assert verify_spectrum(honest) == verify_spectrum(g)
-    monkeypatch.setattr(spectral, "_keeps_labels", lambda perm, w: True)
-    assert _q_moments(_forged_symmetry(swapped_file, shift), q, t) is not None
+        assert verify_spectrum(_fresh(g)) == honest_report  # the construction still certifies
+    monkeypatch.setattr(graphs, "_field_maps", lambda g: [shift])
+    monkeypatch.setattr(graphs, "_keeps_labels", lambda perm, w: True)
+    assert _fresh(swapped_file)._m2_is_q
+
+
+def _fresh(g: Graph) -> Graph:
+    """A copy of g with nothing cached."""
+    return Graph(rows=g.rows, labels=g.labels, meta=g.meta)
 
 
 def test_every_representative_row_is_checked(monkeypatch):
-    """The rows read are exactly one vertex per orbit of the label-keeping
-    kept maps, or every vertex when none is kept."""
+    """The rows read are exactly one vertex per orbit of the kept maps, or
+    every vertex when none is kept."""
     read = []
 
     def spy(g, reps):
         read.append(reps.tolist())
-        return graphs._m2_rows(g, reps)
+        return m2_rows(g, reps)
 
-    monkeypatch.setattr(spectral, "_m2_rows", spy)
+    m2_rows = graphs._m2_rows
+    monkeypatch.setattr(graphs, "_m2_rows", spy)
     for g in (build_g_plus(9, 3), build_g_times(13, 4)):
-        label = graphs._automorphism_orbits(g)
-        assert _q_moments(g, g.meta.q, g.meta.t) is not None
+        label = g._symmetry[1]
+        assert _q_moments(g) is not None
         assert read.pop() == sorted(set(label.tolist()))
     g = build_g_plus(9, 3)
     g.__dict__["_symmetry"] = [], None
-    assert _q_moments(g, 9, 3) is not None and read.pop() == list(range(g.n))
+    assert _q_moments(g) is not None and read.pop() == list(range(g.n))
 
 
 def test_an_asymmetric_matrix_reads_no_row(monkeypatch):
@@ -575,8 +611,8 @@ def test_an_asymmetric_matrix_reads_no_row(monkeypatch):
     rows = list(g.rows)
     rows[0] ^= 1 << 5  # one direction only
     h = Graph(rows=tuple(rows), labels=g.labels, meta=g.meta)
-    monkeypatch.setattr(spectral, "_m2_rows", _no_dense_route)
-    assert _q_moments(h, 9, 3) is None
+    monkeypatch.setattr(graphs, "_m2_rows", _no_dense_route)
+    assert _q_moments(h) is None
     assert _spectrum_outcome(verify_spectrum, h) == _spectrum_outcome(_dense_report, h)
 
 
@@ -591,17 +627,18 @@ def test_an_irregular_file_keeps_no_map_and_reads_no_row(monkeypatch):
     m = h.adjacency_matrix()
     assert np.array_equal(m[np.ix_(pi, pi)], m) and graphs._regular_view(h) is None
     assert h._symmetry == ([], None)
-    monkeypatch.setattr(spectral, "_m2_rows", _no_dense_route)
-    assert _q_moments(h, 8, 2) is None
+    monkeypatch.setattr(graphs, "_m2_rows", _no_dense_route)
+    assert _q_moments(h) is None
 
 
 def test_a_one_regular_file_reads_bounded_blocks(monkeypatch):
     """A perfect matching under plus(64,2) metadata (n = 2,016) that keeps a
     translation π: the orbits {u, π(u)} are paired at random, u with v and
-    π(u) with π(v).  The audit reads its 1,008 orbit rows of M^2 at most
+    π(u) with π(v).  Its 1,008 orbit rows of M^2 are read at most
     ``_WALKS`` entries a block, where a bound on the 2-walks alone (one a
-    row) would put them in one 16 MB block; the spectrum reads no row, as
-    the file is not 63-regular.  Both equal the GEMM and dense oracles."""
+    row) would put them in one 16 MB block.  The M^2 = Q check reads no
+    row, as the file is not 63-regular, so the audit takes the GEMM and the
+    spectrum the dense route, each equal to its oracle."""
     g = cached_graph("plus", 64, 2)
     index = np.arange(g.n)
     pi = next(perm for perm in graphs._field_maps(g) if np.array_equal(perm[perm], index))
@@ -613,20 +650,13 @@ def test_a_one_regular_file_reads_bounded_blocks(monkeypatch):
     for x, y in pairs.T.tolist():
         rows[x], rows[y] = 1 << y, 1 << x
     h = from_g2t(to_g2t(Graph(rows=tuple(rows), labels=g.labels, meta=g.meta)))
-    assert len(set(graphs._automorphism_orbits(h).tolist())) == g.n // 2
-    blocks = []
-    m2_rows = graphs._m2_rows
-
-    def spy(g, reps):
-        for vs, rows in m2_rows(g, reps):
-            blocks.append(len(vs))
-            yield vs, rows
-
-    monkeypatch.setattr(graphs, "_m2_rows", spy)
-    assert codegree_histogram(h) == graphs._codegree_histogram_gemm(h)
-    assert blocks and max(blocks) * h.n <= graphs._WALKS
-    monkeypatch.setattr(spectral, "_m2_rows", _no_dense_route)
-    assert _q_moments(h, 64, 2) is None
+    label = h._symmetry[1]
+    assert len(set(label.tolist())) == g.n // 2
+    blocks = [len(vs) for vs, _ in graphs._m2_rows(h, np.flatnonzero(label == index))]
+    assert sum(blocks) == g.n // 2 and max(blocks) * h.n <= graphs._WALKS
+    monkeypatch.setattr(graphs, "_m2_rows", _no_dense_route)
+    assert not h._m2_is_q and _q_moments(h) is None
+    assert codegree_histogram(h) == {0: h.n * (h.n - 1) // 2}  # no two share a neighbour
     assert _spectrum_outcome(verify_spectrum, h) == _spectrum_outcome(_dense_report, h)
 
 
@@ -685,7 +715,7 @@ def test_q_route_equals_dense_oracle_on_the_fleet(variant, q, t, monkeypatch):
 @pytest.mark.parametrize("variant,q,t", FLEET_200)
 def test_four_count_moments_equal_dense_walk_moments(variant, q, t):
     g = cached_graph(variant, q, t)
-    assert _q_moments(g, q, t) == _dense_route(g, q)[0]
+    assert _q_moments(g) == _dense_route(g, q)[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -707,7 +737,7 @@ def test_spectrum_matches_dense_oracle_on_drawn_fleet_graphs(case, change, seed)
 def test_permuted_construction_takes_the_dense_route(variant, q, t):
     # the shuffled file keeps the construction's labels, so it reads back
     g = from_g2t(to_g2t(_permuted(cached_graph(variant, q, t), seed=1)))
-    assert _q_moments(g, q, t) is None
+    assert _q_moments(g) is None
     rep = verify_spectrum(g)
     assert rep == _dense_report(g)
     assert rep.annihilator_verified and rep.passed
@@ -716,7 +746,7 @@ def test_permuted_construction_takes_the_dense_route(variant, q, t):
 @pytest.mark.parametrize("u,v", [(0, 9), (0, 0), (5, 17)])
 def test_one_edge_toggle_takes_the_dense_route(u, v):
     g = _toggled(cached_graph("plus", 9, 3), u, v)
-    assert _q_moments(g, 9, 3) is None
+    assert _q_moments(g) is None
     got = _spectrum_outcome(verify_spectrum, g)
     assert got == _spectrum_outcome(_dense_report, g)
     assert isinstance(got, str) or not got.annihilator_verified
@@ -727,7 +757,7 @@ def test_plus_2_2_solve_is_singular_on_either_route(tmp_path, capsys):
     # solve singular, so no q >= 3 guard is needed in front of the M^2 = Q route
     g = build_g_plus(2, 2)
     unlooped = _toggled(g, 0, 0)
-    assert _q_moments(g, 2, 2) is not None and _q_moments(unlooped, 2, 2) is None
+    assert _q_moments(g) is not None and _q_moments(unlooped) is None
     for verify, graph in ((verify_spectrum, g), (_dense_report, g), (verify_spectrum, unlooped)):
         assert _spectrum_outcome(verify, graph) == "SpectralSolveError: singular moment system"
     path = tmp_path / "plus_2_2.g2t"
