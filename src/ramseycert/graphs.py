@@ -20,21 +20,20 @@ common neighbors of u, v is (M^2)_{uv} for the 0/1 adjacency matrix M.  The
 audit records the full codegree histogram; the load-bearing property is that
 the maximum codegree is at most t, i.e. the graph contains no K_{2,t+1}.
 
-Every graph made here starts from its neighbour arrays (``Graph._adjacency``:
-row offsets and the ascending neighbours, an (n, d) view when regular): the
-builder, the parser and the sampler each hand theirs to ``_from_arrays``,
-which packs the bitset rows from them (``_rows_from_arrays``, the one place
-rows are packed) and keeps them; a graph made from rows alone reads its
-arrays off the rows.  Both constructions are symmetric under field maps:
-scalings and the Frobenius, and in characteristic 2 translations
-(``_field_maps``).  A map is kept only if it keeps the labels' relations
-(``_keeps_labels``) and sends every row onto its image's row, checked in
-O(nd) on the regular (n, d) table (``_is_automorphism``), once per graph
-(``Graph._symmetry``).  The orbits prune the root of the exact alpha search
-and bound the one check per graph of M^2 = Q = qI + tJ - S_c - t S_x
-(``Graph._m2_is_q``), which reads one row of M^2 per orbit as a bincount of
-its 2-walk ends (``_m2_rows``): times(121,2), n = 7,260, has 66 orbits and
-is checked in 0.03 s.  The audit then reads its codegree histogram off Q
+A graph is its neighbour arrays (``Graph``: row offsets and the ascending
+neighbours, an (n, d) view when regular), which the builder, the parser and
+the sampler each construct directly and every kernel here reads.  The bitset
+rows of the exact alpha search are packed from them only when a reader asks
+(``Graph.rows``, ``_rows_from_arrays``).  Both constructions are symmetric
+under field maps: scalings and the Frobenius, and in characteristic 2
+translations (``_field_maps``).  A map is kept only if it keeps the labels'
+relations (``_keeps_labels``) and sends every row onto its image's row,
+checked in O(nd) on the regular (n, d) table (``_is_automorphism``), once
+per graph (``Graph._symmetry``).  The orbits prune the root of the exact
+alpha search and bound the one check per graph of M^2 = Q = qI + tJ - S_c -
+t S_x (``Graph._m2_is_q``), which reads one row of M^2 per orbit as a
+bincount of its 2-walk ends (``_m2_rows``): times(121,2), n = 7,260, has 66
+orbits and is checked in 0.03 s.  The audit then reads its codegree histogram off Q
 (``codegree_histogram``); a graph that fails the check takes the GEMM.
 
 Graphs serialize to a line-oriented ``g2t`` text format (see ``to_g2t``) that
@@ -88,62 +87,83 @@ class GraphMeta:
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected graph as one int bitset per row (bit j of rows[i] = {i,j} edge).
+    """Undirected graph as its neighbour arrays, kept read-only: row i's
+    neighbours, strictly ascending and a loop once (it adds 1 to the
+    degree), are ``nbr[start[i]:start[i+1]]``, int32 in [0, n), and
+    ``start`` is n+1 non-decreasing int64 offsets from 0 to len(nbr).  Other
+    arrays, or len(labels) != n, are a ValueError.  ``labels[i]`` is the
+    (coset id, field element) pair behind vertex i for the algebraic
+    variants; synthetic graphs carry (0, i).
 
-    ``labels[i]`` is the (coset id, field element) pair behind vertex i for the
-    algebraic variants; synthetic graphs carry (0, i).  Loops are diagonal bits
-    and contribute 1 to the degree; a negative row, or a bit at or past n, is
-    a ValueError.
-
-    Four things are cached on the instance, outside the fields, so
-    equality, hashing and ``dataclasses.replace`` ignore them: the neighbour
-    arrays (``_adjacency``) the rows were packed from (``_from_arrays``), or
-    else read off them, whether M is symmetric (``_symmetric``), the
-    verified field maps with their orbits (``_symmetry``) and whether
-    M^2 = Q (``_m2_is_q``).
+    Equality and hashing compare the arrays' contents, the labels and the
+    metadata, not what is cached on the instance on first read: the bitset
+    rows (``rows``), whether M is symmetric (``_symmetric``), the verified
+    field maps with their orbits (``_symmetry``) and whether M^2 = Q
+    (``_m2_is_q``).
     """
 
-    rows: tuple[int, ...]
+    start: np.ndarray
+    nbr: np.ndarray
     labels: tuple[tuple[int, int], ...]
     meta: GraphMeta
 
     def __post_init__(self) -> None:
-        if self.rows and (min(self.rows) < 0 or max(self.rows).bit_length() > self.n):
-            raise ValueError(f"a row of {self.n} vertices is negative or has a bit at or past n")
+        start, nbr = np.asarray(self.start, dtype=np.int64), np.asarray(self.nbr, dtype=np.int32)
+        start.flags.writeable = nbr.flags.writeable = False
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "nbr", nbr)
+        n, m = start.size - 1, nbr.size
+        if (start.ndim != 1 or nbr.ndim != 1 or n < 0 or start[0] != 0 or start[-1] != m
+                or (start[1:] < start[:-1]).any()):
+            raise ValueError("start is not n+1 non-decreasing offsets from 0 to len(nbr)")
+        if m and not 0 <= nbr.min() <= nbr.max() < n:
+            raise ValueError(f"a neighbour lies outside [0, {n})")
+        step = nbr[1:] > nbr[:-1]
+        cut = start[1:-1]
+        step[cut[(cut > 0) & (cut < m)] - 1] = True  # a row's first entry follows another row
+        if not step.all():
+            raise ValueError("a row of nbr is not strictly ascending")
+        if len(self.labels) != n:
+            raise ValueError(f"{len(self.labels)} labels for {n} vertices")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (self.meta == other.meta and self.labels == other.labels
+                and np.array_equal(self.start, other.start) and np.array_equal(self.nbr, other.nbr))
+
+    def __hash__(self) -> int:
+        return hash((self.start.tobytes(), self.nbr.tobytes(), self.labels, self.meta))
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return len(self.start) - 1
 
     def degree(self, i: int) -> int:
-        return self.rows[i].bit_count()
+        return int(self.start[i + 1] - self.start[i])
 
     def loop_count(self) -> int:
-        return sum(r >> i & 1 for i, r in enumerate(self.rows))
+        owner, nbr = _entries(self)
+        return int(np.count_nonzero(nbr == owner))
 
     def edge_count(self) -> int:
         """Unordered edge count; a loop counts as one edge."""
-        twice = sum(r.bit_count() for r in self.rows) + self.loop_count()
-        return twice // 2
+        return (len(self.nbr) + self.loop_count()) // 2
 
     def neighbors(self, i: int) -> list[int]:
-        return _bits(self.rows[i])
+        return self.nbr[self.start[i]:self.start[i + 1]].tolist()
 
     def adjacency_matrix(self, dtype=np.float64) -> np.ndarray:
-        return _unpack_rows(self.rows, self.n).astype(dtype)
+        m = np.zeros((self.n, self.n), dtype=dtype)
+        m[_entries(self)] = 1
+        return m
 
     @cached_property
-    def _adjacency(self) -> tuple[np.ndarray, np.ndarray]:
-        """(start, nbr): row i's neighbours, ascending and a loop once, are
-        nbr[start[i]:start[i+1]] (int32).  Kept by ``_from_arrays``;
-        otherwise read off the rows, ``_BLOCK`` at a time."""
-        n = self.n
-        nbr = [np.zeros(0, dtype=np.int32)]
-        for s in range(0, n, _BLOCK):
-            nbr.append(np.nonzero(_unpack_rows(self.rows[s:s + _BLOCK], n))[1].astype(np.int32))
-        start = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum([r.bit_count() for r in self.rows], out=start[1:])
-        return _read_only(start), _read_only(np.concatenate(nbr))
+    def rows(self) -> tuple[int, ...]:
+        """One int bitset per row, bit j of rows[i] the {i, j} entry, packed
+        on first read (``_rows_from_arrays``) for the search code in
+        ``independence``, which reads them."""
+        return tuple(_rows_from_arrays(self.start, self.nbr))
 
     @cached_property
     def _symmetric(self) -> bool:
@@ -197,29 +217,11 @@ class Graph:
         return True
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-def _from_arrays(start: np.ndarray, nbr: np.ndarray, labels: tuple, meta: GraphMeta,
-                 symmetric: bool = False) -> Graph:
-    """The graph of the neighbour arrays (see ``Graph._adjacency``), its
-    rows packed from them and the arrays kept, and ``_symmetric`` too when
-    the caller built them from both directions of every edge."""
-    g = Graph(rows=tuple(_rows_from_arrays(start, nbr)), labels=labels, meta=meta)
-    g.__dict__["_adjacency"] = _read_only(start), _read_only(nbr)
-    if symmetric:
-        g.__dict__["_symmetric"] = True
-    return g
-
-
 def _regular_view(g: Graph) -> np.ndarray | None:
     """The neighbour arrays as an (n, d) view when G is d-regular, else None."""
-    start, nbr = g._adjacency
     n = g.n
-    if n and np.array_equal(start, np.arange(n + 1) * (d := int(start[1]))):
-        return nbr.reshape(n, d)
+    if n and np.array_equal(g.start, np.arange(n + 1) * (d := int(g.start[1]))):
+        return g.nbr.reshape(n, d)
     return None
 
 
@@ -231,17 +233,15 @@ def _entries(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     view = _regular_view(g)
     if view is not None:
         return np.arange(g.n)[:, None], view
-    start, nbr = g._adjacency
-    return np.repeat(np.arange(g.n), np.diff(start)), nbr
+    return np.repeat(np.arange(g.n), np.diff(g.start)), g.nbr
 
 
 def _gather(g: Graph, vs: np.ndarray) -> np.ndarray:
     """The neighbour lists of the vertices vs, concatenated in their order."""
-    start, nbr = g._adjacency
-    lo = start[vs]
-    size = start[vs + 1] - lo
+    lo = g.start[vs]
+    size = g.start[vs + 1] - lo
     # entry k of row j reads nbr[lo[j] + k - (the entries before row j)]
-    return nbr[np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())]
+    return g.nbr[np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())]
 
 
 def _bits(x: int) -> list[int]:
@@ -296,8 +296,9 @@ def _rows_from_arrays(start: np.ndarray, nbr: np.ndarray) -> list[int]:
     """Bitset rows of the neighbour arrays, 512 rows at a time: each entry's
     bit is added into its byte of the block's little-endian row bytes, only
     as wide as the block's last set column.  A row's neighbours are
-    distinct, so the adds are ORs, and ``np.add.at`` has numpy's indexed
-    fast path (``np.bitwise_or.at`` took 2x as long)."""
+    distinct (``Graph`` refuses a row that is not strictly ascending), so
+    the adds are ORs, and ``np.add.at`` has numpy's indexed fast path
+    (``np.bitwise_or.at`` took 2x as long)."""
     rows: list[int] = []
     for b in range(0, len(start) - 1, _BLOCK):
         e = min(b + _BLOCK, len(start) - 1)
@@ -325,12 +326,13 @@ def _coset_graph(variant: str, p: int, a: int, t: int) -> Graph:
     times has u = x + y, so y = u - x and x + y = 0 never arises.
 
     Each coset's neighbour array fills its rows of one (n, q-1) int32 table,
-    sorted by row at the end: the neighbour arrays ``_from_arrays`` packs.
+    sorted by row at the end: the graph's neighbour arrays.
 
     Before the field is built, the peak is estimated and checked against
     physical memory: a few int32/int64 (width, q-1) tables, the neighbour
-    table, the n^2/8 bytes of bitset rows and one 512-row block of their
-    bytes with its index arrays."""
+    table, and the n^2/8 bytes of bitset rows and one 512-row block of their
+    bytes with its index arrays that ``alpha``, ``qrset`` and ``conjecture``
+    pack later (``Graph.rows``)."""
     q = p**a
     width, first = _layout(variant, q)
     n = (q if variant == "plus" else q - 1) // t * width
@@ -355,8 +357,8 @@ def _coset_graph(variant: str, p: int, a: int, t: int) -> Graph:
         nbr[c * width:(c + 1) * width] = b * width + (y - first)
     nbr.sort(axis=1)
     labels = tuple((c, v) for c in range(H.num_cosets) for v in range(first, q))
-    return _from_arrays(np.arange(n + 1, dtype=np.int64) * (q - 1), nbr.ravel(), labels,
-                        GraphMeta(variant=variant, p=p, a=a, q=q, t=t))
+    return Graph(np.arange(n + 1, dtype=np.int64) * (q - 1), nbr.ravel(), labels,
+                 GraphMeta(variant=variant, p=p, a=a, q=q, t=t))
 
 
 def build_g_plus(q: int, t: int) -> Graph:
@@ -455,11 +457,11 @@ class StructuralReport:
 def _walk_matrix(g: Graph) -> np.ndarray:
     """M in float32, once M^2 = M @ M is known exact: a partial sum in row i
     is at most the measured maximum degree d, and d < 2^24.  Refused
-    (ValueError) past that bound, or when M would not fit in physical memory
-    beside its 0/1 bytes (5 n^2 bytes in all)."""
+    (ValueError) past that bound, or when 5 n^2 bytes, M and n^2 bytes to
+    spare, would not fit in physical memory."""
     n = g.n
     _check_memory(5 * n * n, f"the dense adjacency matrix at n = {n}")
-    d = int(np.diff(g._adjacency[0]).max(initial=0))
+    d = int(np.diff(g.start).max(initial=0))
     if d >= _FLOAT32_EXACT:
         raise ValueError(f"maximum degree {d} is too large for exact float32 walks")
     return g.adjacency_matrix(dtype=np.float32)
@@ -527,10 +529,9 @@ def structural_audit(g: Graph) -> StructuralReport:
     is not a single bin (see class docstring); the flags record the truth.
     """
     n = g.n
-    owner, nbr = _entries(g)
-    degs = Counter(np.diff(g._adjacency[0]).tolist())
+    degs = Counter(np.diff(g.start).tolist())
     is_regular = len(degs) == 1
-    loops = int(np.count_nonzero(nbr == owner))
+    loops = g.loop_count()
     hist = codegree_histogram(g)
     max_common = max(hist) if hist else 0
 
@@ -734,7 +735,7 @@ def to_g2t(g: Graph) -> str:
     lines = [f"g2t v1 variant={m.variant} p={m.p} a={m.a} q={m.q} t={m.t} n={g.n}"]
     lines += [f"v {i} {cid} {x}" for i, (cid, x) in enumerate(g.labels)]
     parts = ["\n".join(lines) + "\n"]
-    start, nbr = g._adjacency
+    start, nbr = g.start, g.nbr
     for b in range(0, g.n, _BLOCK):
         e = min(b + _BLOCK, g.n)
         u = np.repeat(np.arange(b, e), np.diff(start[b:e + 1]))
@@ -935,9 +936,8 @@ def from_g2t(text: str) -> Graph:
 
     The lines after the header are classified and cut into tokens as byte
     arrays, a few MB at a time, and every check is an array predicate.  The
-    sorted edge keys behind the rows are handed over as the neighbour
-    arrays; they hold both directions of every edge line, so M is symmetric
-    by construction.
+    sorted edge keys, both directions of every edge line, are the graph's
+    neighbour arrays (``_edge_arrays``).
     """
     meta, n, (u, v, i, cid, x) = _g2t_fields(text)
     bad = np.flatnonzero((u > v) | (v >= n))
@@ -955,7 +955,7 @@ def from_g2t(text: str) -> Graph:
     labels[i] = np.stack([cid, x], axis=1)
     _check_g2t(meta, labels)
     start, nbr = _edge_arrays(n, u, v)
-    return _from_arrays(start, nbr, tuple(map(tuple, labels.tolist())), meta, symmetric=True)
+    return Graph(start, nbr, tuple(map(tuple, labels.tolist())), meta)
 
 
 def write_g2t(g: Graph, path: str) -> None:

@@ -20,7 +20,7 @@ from math import comb, exp, lgamma, log, sqrt
 
 import numpy as np
 
-from .graphs import Graph, GraphMeta, _check_memory, _edge_arrays, _entries, _from_arrays, _gather
+from .graphs import Graph, GraphMeta, _check_memory, _edge_arrays, _gather
 from .independence import greedy_alpha, max_independent_set_exact
 
 E8 = math.exp(8.0)
@@ -85,8 +85,7 @@ def sample_gnp(n: int, p: float, seed: int, stream: int = 0) -> Graph:
     stream), so any integer seed is its own key and sample index i of a
     Monte-Carlo run is the same graph no matter how the samples are
     scheduled.  Row i draws its pairs (i, j), j > i; the hits of every row
-    become the neighbour arrays (``graphs._edge_arrays``) that the graph is
-    packed from.
+    become the graph's neighbour arrays (``graphs._edge_arrays``).
     """
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
@@ -97,8 +96,8 @@ def sample_gnp(n: int, p: float, seed: int, stream: int = 0) -> Graph:
     hits = [np.flatnonzero(rng.random(n - 1 - i) < p) for i in range(n - 1)]  # j - i - 1
     u = np.repeat(np.arange(n - 1), [len(h) for h in hits])
     v = np.concatenate([np.zeros(0, dtype=np.int64), *hits]) + u + 1
-    return _from_arrays(*_edge_arrays(n, u, v), tuple((0, i) for i in range(n)),
-                        GraphMeta(variant="random"), symmetric=True)
+    return Graph(*_edge_arrays(n, u, v), tuple((0, i) for i in range(n)),
+                 GraphMeta(variant="random"))
 
 
 def expected_k2t_log(n: int, p: float, t: int) -> tuple[float, float | None]:
@@ -128,9 +127,8 @@ def _codegree_counts(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     keys with u < v are counted: a sparse pair count, where the rows of M^2
     would be n^2 entries.  Refused (ValueError) when the walks' arrays, about
     40 bytes a walk, would not fit in physical memory."""
-    owner, nbr = _entries(g)
-    u, w = np.broadcast_to(owner, nbr.shape).ravel(), nbr.ravel()  # w is one of u's neighbours
-    size = np.diff(g._adjacency[0])
+    size = np.diff(g.start)
+    u, w = np.repeat(np.arange(g.n), size), g.nbr  # w is one of u's neighbours
     _check_memory(40 * int(size[w].sum()), f"the 2-walks of a graph on {g.n} vertices")
     v = _gather(g, w)
     u = np.repeat(u, size[w])

@@ -143,12 +143,12 @@ def _dense_route(g: Graph, q: int) -> tuple[tuple[int, ...], float]:
     the 2-walks out of i; n d^4 < 2^53, as a partial sum of tr(M^j), j <= 5,
     is at most n d^(j-1); and n (d^2 + q)(d^2 + (q-1)(d+1) + 1) < 2^53, as
     the factors' entries are at most d^2 + q and d^2 + (q-1)(d+1) + 1.  So a
-    zero residual is an exact zero.  Refused too when M's 0/1 bytes, M, M^2,
-    M^3 and the float64 factor (21 n^2 bytes) exceed physical memory.
+    zero residual is an exact zero.  Refused too when 21 n^2 bytes (M, M^2,
+    M^3, the float64 factor and n^2 to spare) exceed physical memory.
     """
     n = g.n
     _check_memory(21 * n * n, f"dense walk matrices at n = {n}")
-    d = int(np.diff(g._adjacency[0]).max(initial=0))
+    d = int(np.diff(g.start).max(initial=0))
     if d * d >= _FLOAT32_EXACT:
         raise ValueError(f"maximum degree {d} is too large for exact float32 walks")
     if n * d**4 >= 1 << 53:

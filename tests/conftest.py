@@ -1,16 +1,18 @@
 """Shared fixtures: a session-wide graph cache, the desk-scale case lists, the
-edge-list graph builder, the double-edge swap and the common-neighbour oracle.
+edge-list and bitset-row graph builders, the double-edge swap and the
+common-neighbour oracle.
 
 Graphs are immutable, so one instance per (variant, q, t) is safe to share
 across the whole run; the big q=121/128 builds are only paid once.
 """
 
+import numpy as np
 import pytest
 
 from ramseycert import build_g_plus, build_g_times
 from collections import Counter
 
-from ramseycert.graphs import Graph, GraphMeta, fleet, from_g2t, to_g2t
+from ramseycert.graphs import Graph, GraphMeta, _bits, _edge_arrays, fleet, from_g2t, to_g2t
 
 # the 94 desk-scale cases: plus with q <= 128, then times with q <= 121
 ALL_CASES = list(fleet())
@@ -28,15 +30,22 @@ def cached_graph(variant, q, t):
 
 def from_edges(n, edges, t=0, meta=None):
     """Assemble a Graph from an edge list; (i, i) pairs become loops."""
-    rows = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of range for n = {n}")
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
     if meta is None:
         meta = GraphMeta(variant="other", t=t)
-    return Graph(rows=tuple(rows), labels=tuple((0, i) for i in range(n)), meta=meta)
+    u, v = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    start, nbr = _edge_arrays(n, np.minimum(u, v), np.maximum(u, v))
+    return Graph(start, nbr, tuple((0, i) for i in range(n)), meta)
+
+
+def from_rows(rows, labels, meta):
+    """The graph of bitset rows, bit j of rows[i] its {i, j} entry, made
+    from the rows' neighbour arrays."""
+    nbr = [_bits(r) for r in rows]
+    return Graph(np.cumsum([0, *map(len, nbr)]), [v for row in nbr for v in row],
+                 tuple(labels), meta)
 
 
 def swapped(g, rng, closed=False, tries=200):
@@ -69,7 +78,7 @@ def swapped(g, rng, closed=False, tries=200):
         for u, v in gone | made:
             rows[u] ^= 1 << v
             rows[v] ^= 1 << u
-        return from_g2t(to_g2t(Graph(rows=tuple(rows), labels=g.labels, meta=g.meta)))
+        return from_g2t(to_g2t(from_rows(tuple(rows), g.labels, g.meta)))
     return None
 
 

@@ -1,5 +1,6 @@
 """Construction audits against frozen histograms and the g2t format round trip."""
 
+import contextlib
 import dataclasses
 import math
 import random
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ramseycert import graphs
+from ramseycert import cli, graphs
 from ramseycert.fields import factorize, make_field, subgroup
 from ramseycert.graphs import (
     Graph,
@@ -25,9 +26,9 @@ from ramseycert.graphs import (
     structural_audit,
     to_g2t,
 )
-from ramseycert.random_model import sample_gnp
-from ramseycert.spectral import verify_spectrum
-from conftest import ALL_CASES, cached_graph, common_neighbors, from_edges, swapped
+from ramseycert.random_model import k2t_witness_count, sample_gnp
+from ramseycert.spectral import SpectralSolveError, verify_spectrum
+from conftest import ALL_CASES, cached_graph, common_neighbors, from_edges, from_rows, swapped
 
 SMALL_CASES = [c for c in ALL_CASES if c[1] <= 64]
 
@@ -127,8 +128,8 @@ def loop_build(variant: str, q: int, t: int) -> Graph:
             v = index[(cb, y)]
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-    return Graph(rows=tuple(rows), labels=tuple(index),
-                 meta=GraphMeta(variant=variant, p=p, a=a, q=q, t=t))
+    return from_rows(tuple(rows), tuple(index),
+                     GraphMeta(variant=variant, p=p, a=a, q=q, t=t))
 
 
 @pytest.mark.parametrize("variant,q,t", [c for c in ALL_CASES if c[1] * (c[1] - 1) // c[2] <= 1000]
@@ -174,7 +175,7 @@ def test_walk_matrix_refuses_beyond_physical_memory(monkeypatch):
     # a file whose M^2 is not Q takes the dense route, 21 n^2 bytes
     rows = list(g.rows)
     rows[0] ^= 1
-    toggled = Graph(rows=tuple(rows), labels=g.labels, meta=g.meta)
+    toggled = from_rows(tuple(rows), g.labels, g.meta)
     monkeypatch.setattr(graphs, "_physical_memory", lambda: 21 * 24 * 24 - 1)
     with pytest.raises(ValueError, match="physical memory"):
         verify_spectrum(toggled)
@@ -215,8 +216,8 @@ def test_codegree_histogram_spans_row_blocks():
     # full block and a part), 2016 (four) and 1025 with loops (the last block
     # has one row)
     noise = sample_gnp(1025, 0.1, 5)
-    looped = Graph(rows=tuple(r | (i % 3 == 0) << i for i, r in enumerate(noise.rows)),
-                   labels=noise.labels, meta=noise.meta)
+    looped = from_rows(tuple(r | (i % 3 == 0) << i for i, r in enumerate(noise.rows)),
+                       noise.labels, noise.meta)
     for g in (build_g_times(37, 2), build_g_plus(64, 2), looped):
         m = g.adjacency_matrix(dtype=np.int64)
         m2 = np.stack([m[g.neighbors(u)].sum(axis=0) for u in range(g.n)])  # int64 M @ M
@@ -364,30 +365,30 @@ def loop_from_g2t(text: str) -> Graph:
         for i, label in enumerate(labels):
             if label != (i // width, i % width + first):
                 raise ValueError(f"vertex {i} has label {label}")
-    return Graph(rows=tuple(rows), labels=tuple(labels), meta=meta)
+    return from_rows(tuple(rows), tuple(labels), meta)
 
 
 OTHER = GraphMeta(variant="other")
 EDGE_CASE_GRAPHS = {
-    "empty": Graph(rows=(), labels=(), meta=OTHER),
-    "one-vertex": Graph(rows=(0,), labels=((0, 0),), meta=OTHER),
-    "one-loop": Graph(rows=(1,), labels=((0, 0),), meta=OTHER),
+    "empty": from_rows((), (), OTHER),
+    "one-vertex": from_rows((0,), ((0, 0),), OTHER),
+    "one-loop": from_rows((1,), ((0, 0),), OTHER),
     "isolated": from_edges(700, [(3, 600), (699, 699)]),
     "loops": from_edges(6, [(0, 0), (2, 2), (2, 5), (5, 5)]),
     "plus-4-4": build_g_plus(4, 4),  # n = 3, labels (0, 1), (0, 2), (0, 3)
-    "big-labels": Graph(rows=(0b110, 0b001, 0b001),
-                        labels=((10**17, 999_999_999_999_999_999), (5, 0), (3, 10**18 - 1)),
-                        meta=GraphMeta(variant="other", p=7, a=2, q=49, t=0)),
+    "big-labels": from_rows((0b110, 0b001, 0b001),
+                            ((10**17, 999_999_999_999_999_999), (5, 0), (3, 10**18 - 1)),
+                            GraphMeta(variant="other", p=7, a=2, q=49, t=0)),
 }
 # what from_g2t refuses or reads back as another graph
 UNREADABLE_GRAPHS = {
-    "negative-label": Graph(rows=(0,), labels=((0, -1),), meta=OTHER),
-    "19-digit-label": Graph(rows=(0,), labels=((10**18, 0),), meta=OTHER),
-    "negative-header": Graph(rows=(), labels=(), meta=GraphMeta("other", t=-1)),
-    "19-digit-header": Graph(rows=(), labels=(), meta=GraphMeta("other", p=10**18)),
-    "space-in-variant": Graph(rows=(), labels=(), meta=GraphMeta("x foo=1")),
-    "control-in-variant": Graph(rows=(), labels=(), meta=GraphMeta("x\x0b")),
-    "non-ascii-variant": Graph(rows=(), labels=(), meta=GraphMeta("\xe9")),
+    "negative-label": from_rows((0,), ((0, -1),), OTHER),
+    "19-digit-label": from_rows((0,), ((10**18, 0),), OTHER),
+    "negative-header": from_rows((), (), GraphMeta("other", t=-1)),
+    "19-digit-header": from_rows((), (), GraphMeta("other", p=10**18)),
+    "space-in-variant": from_rows((), (), GraphMeta("x foo=1")),
+    "control-in-variant": from_rows((), (), GraphMeta("x\x0b")),
+    "non-ascii-variant": from_rows((), (), GraphMeta("\xe9")),
 }
 
 
@@ -418,17 +419,77 @@ def bitset_to_g2t(g: Graph) -> str:
 def test_to_g2t_equals_the_bitset_writer_on_rows(rows):
     """Graphs given by rows alone: n = 0, n = 1 with and without its loop,
     and one-way rows (0 -> 2 and 1 -> 0, beside 1's loop)."""
-    g = Graph(rows=rows, labels=tuple((0, i) for i in range(len(rows))), meta=OTHER)
+    g = from_rows(rows, tuple((0, i) for i in range(len(rows))), OTHER)
     assert to_g2t(g) == bitset_to_g2t(g)
 
 
-@pytest.mark.parametrize("rows", [(0b100, 0), (1 << 20, 0), (-1, 0), (0, -(1 << 70))])
+@pytest.mark.parametrize("rows", [([2], []), ([20], []), ([-1], []), ([], [-(1 << 31)])])
 def test_rows_past_n_or_negative_are_refused(rows):
-    """Bit 2 or bit 20 of a row of two vertices, or a negative row, would
-    read as no edge or overflow in the arrays; the graph is refused."""
-    with pytest.raises(ValueError, match="negative or has a bit at or past n"):
-        Graph(rows=rows, labels=((0, 0), (0, 1)), meta=OTHER)
-    assert Graph(rows=(0b11, 0b01), labels=((0, 0), (0, 1)), meta=OTHER).n == 2
+    """Neighbour 2 or 20 in a row of two vertices, or a negative neighbour,
+    would be a bit at or past n, or no bit, in the rows; the graph is
+    refused."""
+    with pytest.raises(ValueError, match=r"a neighbour lies outside \[0, 2\)"):
+        Graph(np.cumsum([0, *map(len, rows)]), rows[0] + rows[1], ((0, 0), (0, 1)), OTHER)
+    assert Graph([0, 2, 3], [0, 1, 0], ((0, 0), (0, 1)), OTHER).n == 2
+
+
+TWO, THREE = ((0, 0), (0, 1)), ((0, 0), (0, 1), (0, 2))
+
+
+@pytest.mark.parametrize("start,nbr,labels,match", [
+    ([], [], (), "offsets"),                      # no offset at all
+    ([1, 2, 3], [1, 0], TWO, "offsets"),          # not from 0
+    ([0, 1, 1], [1, 0], TWO, "offsets"),          # not to len(nbr)
+    ([0, 2, 1, 3], [1, 2, 0], THREE, "offsets"),  # decreasing
+    ([0, 2, 3], [1, 0, 0], TWO, "ascending"),     # row 0 descends
+    ([0, 2, 3], [1, 1, 0], TWO, "ascending"),     # row 0 repeats 1
+    ([0, 1, 2], [1, 0], ((0, 0),), "labels"),     # one label for two vertices
+    ([0, 1, 2], [1, 0], THREE, "labels"),         # three labels for two
+])
+def test_malformed_arrays_are_refused(start, nbr, labels, match):
+    """Malformed offsets, a row that is not strictly ascending (the rows'
+    packing adds each entry's bit) and a label count other than n are
+    refused.  A graph of two vertices with one label would be written as a
+    g2t file that reads back as no graph."""
+    with pytest.raises(ValueError, match=match):
+        Graph(start, nbr, labels, OTHER)
+    assert Graph([0, 1, 1, 2], [2, 0], ((0, 0), (0, 1), (0, 2)), OTHER).neighbors(2) == [0]
+
+
+def test_only_the_search_packs_rows(monkeypatch, tmp_path):
+    """Building, writing, parsing, auditing and checking the spectrum, of
+    constructions and of a tampered file, the K_{2,t} count of a G(n,p)
+    draw and the CLI commands that do those read the neighbour arrays
+    alone: no bitset row is packed."""
+    tampered = to_g2t(swapped(build_g_plus(9, 3), random.Random(3)))  # swapped() reads rows
+
+    def refuse(*args):
+        raise AssertionError("bitset rows packed")
+
+    monkeypatch.setattr(graphs, "_rows_from_arrays", refuse)
+    for g in (build_g_plus(9, 3), build_g_times(7, 3), from_g2t(tampered)):
+        g = from_g2t(to_g2t(g))
+        assert structural_audit(g).n == g.n
+        with contextlib.suppress(SpectralSolveError):  # the tampered file's moments
+            verify_spectrum(g)
+    assert k2t_witness_count(sample_gnp(60, 0.3, 1), 2) > 0
+    path = str(tmp_path / "t73.g2t")
+    for argv in (["build", "--variant", "times", "--q", "7", "--t", "3", "--out", path],
+                 ["audit", path], ["spectrum", path], ["import", path],
+                 ["export", path, "--out", str(tmp_path / "copy.g2t")]):
+        assert cli.main(argv + ["--json"]) == 0, argv
+
+
+def test_equality_and_hashing_compare_content():
+    """Graphs are equal, and hash equal, when their arrays, labels and
+    metadata are; the cached rows do not take part."""
+    g = cached_graph("plus", 9, 3)
+    parsed = from_g2t(to_g2t(g))
+    assert parsed is not g and parsed == g and hash(parsed) == hash(g)
+    assert parsed.rows == g.rows
+    assert swapped(g, random.Random(3)) != g
+    assert dataclasses.replace(g, meta=GraphMeta("other")) != g
+    assert g != g.rows and len({g, parsed, from_g2t(to_g2t(g))}) == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -466,7 +527,7 @@ def test_from_g2t_decodes_every_digit_position():
     n = 400
     labels = tuple((10 ** (i % 18 + 1) - 1, 10 ** (17 - i % 18) * 9) for i in range(n))
     rows = from_edges(n, [(0, 399), (255, 256), (299, 300), (398, 398)]).rows
-    g = Graph(rows=rows, labels=labels, meta=GraphMeta(variant="other", q=999, t=300))
+    g = from_rows(rows, labels, GraphMeta(variant="other", q=999, t=300))
     text = to_g2t(g)
     assert from_g2t(text) == loop_from_g2t(text) == g
 
@@ -487,7 +548,7 @@ def test_to_g2t_equals_the_loop_writer_on_random_graphs(data):
         header = data.draw(st.tuples(*[number if wild == "header" else valid] * 4))
         variant = "other" if wild != "variant" else data.draw(
             st.text(max_size=4).filter(lambda v: v not in ("plus", "times")))
-        g = Graph(rows=g.rows, labels=tuple(labels), meta=GraphMeta(variant, *header))
+        g = from_rows(g.rows, tuple(labels), GraphMeta(variant, *header))
     text = loop_to_g2t(g)
     if _parse(from_g2t, text) == g:
         assert to_g2t(g) == text
@@ -519,7 +580,7 @@ def test_to_g2t_round_trips_or_refuses_perturbed_constructions(data):
         rows[k] ^= 1 << j
         if j != k:
             rows[j] ^= 1 << k
-    g = Graph(rows=tuple(rows), labels=tuple(labels), meta=meta)
+    g = from_rows(tuple(rows), tuple(labels), meta)
     text = loop_to_g2t(g)
     if _parse(from_g2t, text) == g:
         assert to_g2t(g) == text
@@ -737,7 +798,7 @@ def test_automorphism_check_keeps_the_degrees_of_one_way_rows():
     regular, so it keeps no map.  Rows 0: {1} and 1: {1} are regular and
     one-way: the swap's image of row 0 is {0}, not row 1."""
     for rows in ((0, 0b11), (0b10, 0b10)):
-        g = Graph(rows=rows, labels=((0, 0), (0, 1)), meta=GraphMeta(variant="other"))
+        g = from_rows(rows, ((0, 0), (0, 1)), GraphMeta(variant="other"))
         swap = np.array([1, 0])
         assert not graphs._is_automorphism(g, swap) and not _is_automorphism_bitset(g, swap)
 
@@ -751,11 +812,12 @@ def _arrays_from_rows(g: Graph) -> tuple[list[int], list[int]]:
 @pytest.mark.parametrize("variant,q,t", [c for c in ALL_CASES if c[1] * (c[1] - 1) // c[2] <= 1000])
 def test_handed_over_arrays_are_the_rows(variant, q, t):
     """The builder's, the parser's and the sampler's neighbour arrays, and
-    those derived from the rows, are the rows' bits."""
+    those of a graph made from rows, are the bits of the rows packed from
+    them."""
     g = cached_graph(variant, q, t)
-    for h in (g, from_g2t(to_g2t(g)), Graph(rows=g.rows, labels=g.labels, meta=g.meta),
+    for h in (g, from_g2t(to_g2t(g)), from_rows(g.rows, g.labels, g.meta),
               sample_gnp(min(g.n, 300), t / q, q, t), sample_gnp(t, 1.0, q)):
-        start, nbr = h._adjacency
+        start, nbr = h.start, h.nbr
         assert (start.tolist(), nbr.tolist()) == _arrays_from_rows(h)
         assert nbr.dtype == np.int32 and not start.flags.writeable and not nbr.flags.writeable
 
@@ -763,7 +825,7 @@ def test_handed_over_arrays_are_the_rows(variant, q, t):
 def test_parsed_arrays_hold_a_loop_and_a_repeated_edge_once():
     h = from_g2t("g2t v1 variant=other p=0 a=0 q=0 t=0 n=3\nv 0 0 0\nv 1 0 1\nv 2 0 2\n"
                  "e 0 0\ne 0 2\ne 0 2\ne 1 2\n")
-    start, nbr = h._adjacency
+    start, nbr = h.start, h.nbr
     assert (start.tolist(), nbr.tolist()) == _arrays_from_rows(h) == ([0, 2, 3, 5], [0, 2, 2, 0, 1])
 
 
@@ -772,7 +834,7 @@ def test_symmetry_is_read_off_the_arrays():
     assert g._symmetric
     rows = list(g.rows)
     rows[0] ^= 1 << 5  # one direction only
-    assert not Graph(rows=tuple(rows), labels=g.labels, meta=g.meta)._symmetric
+    assert not from_rows(tuple(rows), g.labels, g.meta)._symmetric
     assert from_edges(0, [])._symmetric
 
 

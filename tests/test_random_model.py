@@ -219,7 +219,7 @@ def _sample_gnp_loop(n, p, seed, stream=0):
 def test_sampler_equals_the_bit_loop(n, p, seed, stream):
     g = sample_gnp(n, p, seed, stream)
     assert list(g.rows) == _sample_gnp_loop(n, p, seed, stream)
-    start, nbr = g._adjacency
+    start, nbr = g.start, g.nbr
     assert nbr.tolist() == [v for r in g.rows for v in _bits(r)]
     assert start.tolist() == [0, *np.cumsum([r.bit_count() for r in g.rows]).tolist()]
 

@@ -44,7 +44,7 @@ from ramseycert.spectral import (
     solve_multiplicities,
     verify_spectrum,
 )
-from conftest import ALL_CASES, cached_graph, common_neighbors, from_edges, swapped
+from conftest import ALL_CASES, cached_graph, common_neighbors, from_edges, from_rows, swapped
 
 ODD_SMALL = [c for c in ALL_CASES if c[1] % 2 == 1 and c[1] <= 49]
 # the fleet cases with n = q(q-1)/t <= 1000, and those with n <= 200
@@ -153,7 +153,7 @@ def test_spectrum_moments_use_the_measured_degree(monkeypatch):
     g = build_g_plus(32, 2)
     noise = sample_gnp(g.n, 0.8, 3)
     rows = tuple(a | b for a, b in zip(g.rows, noise.rows))
-    g = from_g2t(to_g2t(Graph(rows=rows, labels=g.labels, meta=g.meta)))
+    g = from_g2t(to_g2t(from_rows(rows, g.labels, g.meta)))
     seen = []
 
     def spy(moments, q, n):
@@ -180,7 +180,7 @@ def test_spectrum_moments_use_the_measured_degree(monkeypatch):
 def test_spectrum_rejects_metadata_that_is_not_a_construction(meta):
     g = cached_graph("plus", 9, 3)
     with pytest.raises(ValueError, match="metadata"):
-        verify_spectrum(Graph(rows=g.rows, labels=g.labels, meta=meta))
+        verify_spectrum(from_rows(g.rows, g.labels, meta))
 
 
 def test_exactness_bounds_refuse(monkeypatch):
@@ -394,7 +394,7 @@ def test_annihilator_detects_tampering():
     v = (r & -r).bit_length() - 1
     rows[0] &= ~(1 << v)
     rows[v] &= ~(1 << 0)
-    bad = Graph(rows=tuple(rows), labels=g.labels, meta=g.meta)
+    bad = from_rows(tuple(rows), g.labels, g.meta)
     assert _dense_route(bad, 9)[1] > 0
 
 
@@ -431,7 +431,7 @@ def _permuted(g: Graph, seed: int) -> Graph:
     random.Random(seed).shuffle(perm)  # new vertex k is old vertex perm[k]
     where = {old: new for new, old in enumerate(perm)}
     rows = tuple(sum(1 << where[u] for u in g.neighbors(old)) for old in perm)
-    return Graph(rows=rows, labels=g.labels, meta=g.meta)
+    return from_rows(rows, g.labels, g.meta)
 
 
 def _toggled(g: Graph, u: int, v: int) -> Graph:
@@ -440,7 +440,7 @@ def _toggled(g: Graph, u: int, v: int) -> Graph:
     rows[u] ^= 1 << v
     if u != v:
         rows[v] ^= 1 << u
-    return Graph(rows=tuple(rows), labels=g.labels, meta=g.meta)
+    return from_rows(tuple(rows), g.labels, g.meta)
 
 
 def _q_moments_gemm(g: Graph, q: int, t: int) -> tuple[int, ...] | None:
@@ -582,7 +582,7 @@ def test_a_map_breaking_the_labels_is_not_used(variant, q, t, monkeypatch):
 
 def _fresh(g: Graph) -> Graph:
     """A copy of g with nothing cached."""
-    return Graph(rows=g.rows, labels=g.labels, meta=g.meta)
+    return from_rows(g.rows, g.labels, g.meta)
 
 
 def test_every_representative_row_is_checked(monkeypatch):
@@ -610,7 +610,7 @@ def test_an_asymmetric_matrix_reads_no_row(monkeypatch):
     g = cached_graph("plus", 9, 3)
     rows = list(g.rows)
     rows[0] ^= 1 << 5  # one direction only
-    h = Graph(rows=tuple(rows), labels=g.labels, meta=g.meta)
+    h = from_rows(tuple(rows), g.labels, g.meta)
     monkeypatch.setattr(graphs, "_m2_rows", _no_dense_route)
     assert _q_moments(h) is None
     assert _spectrum_outcome(verify_spectrum, h) == _spectrum_outcome(_dense_report, h)
@@ -649,7 +649,7 @@ def test_a_one_regular_file_reads_bounded_blocks(monkeypatch):
     rows = [0] * g.n
     for x, y in pairs.T.tolist():
         rows[x], rows[y] = 1 << y, 1 << x
-    h = from_g2t(to_g2t(Graph(rows=tuple(rows), labels=g.labels, meta=g.meta)))
+    h = from_g2t(to_g2t(from_rows(tuple(rows), g.labels, g.meta)))
     label = h._symmetry[1]
     assert len(set(label.tolist())) == g.n // 2
     blocks = [len(vs) for vs, _ in graphs._m2_rows(h, np.flatnonzero(label == index))]
