@@ -34,7 +34,7 @@ alpha search and bound the one check per graph of M^2 = Q = qI + tJ - S_c -
 t S_x (``Graph._m2_is_q``), which reads one row of M^2 per orbit as a
 bincount of its 2-walk ends (``_m2_rows``): times(121,2), n = 7,260, has 66
 orbits and is checked in 0.03 s.  The audit then reads its codegree histogram off Q
-(``codegree_histogram``); a graph that fails the check takes the GEMM.
+(``codegree_histogram``); any other graph, a 2-walk pair count or the GEMM.
 
 Graphs serialize to a line-oriented ``g2t`` text format (see ``to_g2t``) that
 round-trips byte-identically when the header values and labels are unsigned
@@ -242,6 +242,18 @@ def _gather(g: Graph, vs: np.ndarray) -> np.ndarray:
     size = g.start[vs + 1] - lo
     # entry k of row j reads nbr[lo[j] + k - (the entries before row j)]
     return g.nbr[np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())]
+
+
+def _codegree_counts(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(key, count) over every 2-walk u - w - v: ascending keys u * n + v of the
+    pairs u < v and their codegrees; ValueError if 40 B a walk exceed physical memory."""
+    size = np.diff(g.start)
+    u, w = np.repeat(np.arange(g.n), size), g.nbr  # w is one of u's neighbours
+    _check_memory(40 * int(size[w].sum()), f"the 2-walks of a graph on {g.n} vertices")
+    v = _gather(g, w)
+    u = np.repeat(u, size[w])
+    keep = u < v
+    return np.unique(u[keep] * np.int64(g.n) + v[keep], return_counts=True)
 
 
 def _bits(x: int) -> list[int]:
@@ -483,22 +495,27 @@ def _m2_rows(g: Graph, reps: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarra
 
 
 def codegree_histogram(g: Graph) -> dict[int, int]:
-    """Histogram of |N(u) ∩ N(v)| over unordered pairs u < v (inclusive counts),
-    each codegree being the exact (M^2)_{uv}.
+    """Histogram of |N(u) ∩ N(v)| over unordered pairs u < v (inclusive
+    counts), each the exact (M^2)_{uv}: the one codegree counter.
 
-    Once M^2 = Q is checked (``Graph._m2_is_q``), the histogram is Q's: t-1
-    on the n(w-1)/2 pairs in the same coset, 0 on the n(C-1)/2 pairs with
-    the same x (C = n / w cosets) and t on the rest.  Every other graph
-    takes ``_codegree_histogram_gemm``, as each of the GEMM and all n rows
-    of M^2 wins on some graph (float32 GEMM vs rows on a 2-core box:
-    G(2000, 0.5) 54 ms vs 12.3 s, G(1000, 0.5) 9.7 ms vs 1.51 s, the n =
-    2,096 recipe sample 259 ms vs 50 ms, shuffled plus(128,2) 2.68 s vs
-    0.74 s) and no benchmark workload audits such a graph."""
-    if not g._m2_is_q:
+    Once M^2 = Q is checked (``Graph._m2_is_q``), it is Q's: t-1 on the
+    n(w-1)/2 pairs in one coset, 0 on the n(C-1)/2 pairs with one x (C = n / w
+    cosets), t on the rest.  Any other graph with at most n^2/2 2-walks takes
+    the pair count (``_codegree_counts``), the rest the float32 GEMM.  Pair
+    count vs GEMM, min of 5-9 runs on a 2-core box, on G(n, p) with n^2/2
+    2-walks: n = 1,000 8.1 vs 10.8 ms, 2,000 30 vs 40, 4,000 142 vs 264; with
+    n^2: 15 vs 6.8, 66 vs 36, 370 vs 242; G(500, 0.3) 216 vs 2.0 ms; the n =
+    2,096 recipe sample 0.7 vs 55 ms."""
+    n = g.n
+    if g._m2_is_q:
+        t, w = g.meta.t, _layout(g.meta.variant, g.meta.q)[0]
+        same_c, same_x = n * (w - 1) // 2, n * (n // w - 1) // 2
+        hist = {0: same_x, t - 1: same_c, t: n * (n - 1) // 2 - same_c - same_x}
+    elif 2 * int(np.diff(g.start)[g.nbr].sum()) > n * n:  # more 2-walks than n^2/2
         return _codegree_histogram_gemm(g)
-    n, t, w = g.n, g.meta.t, _layout(g.meta.variant, g.meta.q)[0]
-    same_c, same_x = n * (w - 1) // 2, n * (n // w - 1) // 2
-    hist = {0: same_x, t - 1: same_c, t: n * (n - 1) // 2 - same_c - same_x}
+    else:
+        counts = _codegree_counts(g)[1]
+        hist = {**dict(enumerate(np.bincount(counts).tolist())), 0: n * (n - 1) // 2 - len(counts)}
     return {c: k for c, k in hist.items() if k}
 
 

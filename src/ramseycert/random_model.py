@@ -14,16 +14,15 @@ edge counts) are engineering choices and the reports say so.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
-from math import comb, exp, lgamma, log, sqrt
+from math import comb, exp, isclose, lgamma, log, sqrt
 
 import numpy as np
 
-from .graphs import Graph, GraphMeta, _check_memory, _edge_arrays, _gather
+from .graphs import Graph, GraphMeta, _edge_arrays, codegree_histogram
 from .independence import greedy_alpha, max_independent_set_exact
 
-E8 = math.exp(8.0)
+E8 = exp(8.0)
 C3_DEFAULT = 1.0 / (400.0 * E8)  # asymptotic constant; degenerates at desk scale
 
 _DENSE_SAMPLE_LIMIT = 20000
@@ -116,32 +115,15 @@ def expected_k2t_log(n: int, p: float, t: int) -> tuple[float, float | None]:
         value = (2 * log(n) + lgamma(n + 1) - lgamma(t + 1) - lgamma(n - t + 1)
                  + 2 * t * log(p))
     recipe_p = sqrt(t / (E8 * n))
-    chain = 2 * log(n) - 7 * t if math.isclose(p, recipe_p, rel_tol=1e-12) else None
+    chain = 2 * log(n) - 7 * t if isclose(p, recipe_p, rel_tol=1e-12) else None
     return value, chain
 
 
-def _codegree_counts(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """(key, count): the pairs u < v with a common neighbour as ascending keys
-    u * n + v, and their codegrees.  Every 2-walk u - w - v is read off the
-    neighbour arrays, w's neighbours v for each neighbour w of u, and the
-    keys with u < v are counted: a sparse pair count, where the rows of M^2
-    would be n^2 entries.  Refused (ValueError) when the walks' arrays, about
-    40 bytes a walk, would not fit in physical memory."""
-    size = np.diff(g.start)
-    u, w = np.repeat(np.arange(g.n), size), g.nbr  # w is one of u's neighbours
-    _check_memory(40 * int(size[w].sum()), f"the 2-walks of a graph on {g.n} vertices")
-    v = _gather(g, w)
-    u = np.repeat(u, size[w])
-    keep = u < v
-    return np.unique(u[keep] * np.int64(g.n) + v[keep], return_counts=True)
-
-
 def k2t_witness_count(g: Graph, t: int) -> int:
-    """Total count of K_{2,t} copies: sum over pairs of C(codegree, t)."""
+    """The number of K_{2,t} copies, Σ_c hist[c]·C(c, t) over ``codegree_histogram``."""
     if t < 2:
         raise ValueError("t must be >= 2")
-    _, counts = _codegree_counts(g)
-    return sum(comb(int(c), t) for c in counts[counts >= t])
+    return sum(k * comb(c, t) for c, k in codegree_histogram(g).items())
 
 
 def frieze_alpha_estimate(n: int, p: float) -> tuple[float, float]:

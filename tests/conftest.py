@@ -1,6 +1,6 @@
 """Shared fixtures: a session-wide graph cache, the desk-scale case lists, the
 edge-list and bitset-row graph builders, the double-edge swap and the
-common-neighbour oracle.
+common-neighbour and codegree oracles.
 
 Graphs are immutable, so one instance per (variant, q, t) is safe to share
 across the whole run; the big q=121/128 builds are only paid once.
@@ -86,6 +86,27 @@ def common_neighbors(g, u, v):
     """Vertices adjacent to both u and v (inclusive: loops let u or v qualify)."""
     both = g.rows[u] & g.rows[v]
     return [w for w in range(both.bit_length()) if both >> w & 1]
+
+
+def codegree_dict(g):
+    """{(u, v): codegree} over the pairs u < v with a common neighbour, by
+    the accumulation the 2-walk pair count replaced: each w adds one to
+    every pair u < v of its neighbours."""
+    counts = {}
+    for w in range(g.n):
+        nbrs = g.neighbors(w)
+        for i, u in enumerate(nbrs):
+            for v in nbrs[i + 1:]:
+                counts[u, v] = counts.get((u, v), 0) + 1
+    return counts
+
+
+def codegree_dict_histogram(g):
+    """The codegree histogram over all n(n-1)/2 pairs read off ``codegree_dict``."""
+    pairs = codegree_dict(g)
+    hist = Counter(pairs.values())
+    hist[0] = g.n * (g.n - 1) // 2 - len(pairs)
+    return {c: k for c, k in hist.items() if k}
 
 
 @pytest.fixture(scope="session")

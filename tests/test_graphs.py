@@ -26,9 +26,10 @@ from ramseycert.graphs import (
     structural_audit,
     to_g2t,
 )
-from ramseycert.random_model import k2t_witness_count, sample_gnp
+from ramseycert.random_model import k2t_witness_count, lemma_parameters, sample_gnp
 from ramseycert.spectral import SpectralSolveError, verify_spectrum
-from conftest import ALL_CASES, cached_graph, common_neighbors, from_edges, from_rows, swapped
+from conftest import (ALL_CASES, cached_graph, codegree_dict_histogram, common_neighbors,
+                      from_edges, from_rows, swapped)
 
 SMALL_CASES = [c for c in ALL_CASES if c[1] <= 64]
 
@@ -165,13 +166,17 @@ def test_walk_matrix_refuses_beyond_physical_memory(monkeypatch):
     g = build_g_plus(9, 3)
     monkeypatch.setattr(graphs, "_physical_memory", lambda: 1000)
     assert structural_audit(g).passed and verify_spectrum(g).passed
-    # a graph with no kept map holds M as bytes and as float32 (24^2 * 5 bytes)
-    free = from_edges(24, [(u, (u * 5 + 1) % 24) for u in range(24)])
-    monkeypatch.setattr(graphs, "_physical_memory", lambda: 24 * 24 * 5)
-    assert structural_audit(free).n == 24
-    monkeypatch.setattr(graphs, "_physical_memory", lambda: 24 * 24 * 5 - 1)
-    with pytest.raises(ValueError, match="physical memory"):
-        structural_audit(free)
+    # a graph with no kept map: a 2-regular one counts its 96 2-walks' pairs
+    # (40 bytes a walk); a 6-regular one, 864 walks past n^2/2, holds M as
+    # bytes and as float32 (24^2 * 5 bytes)
+    sparse = from_edges(24, [(u, (u * 5 + 1) % 24) for u in range(24)])
+    dense = from_edges(24, [(u, (u + k) % 24) for u in range(24) for k in (1, 2, 5)])
+    for free, need in ((sparse, 40 * 96), (dense, 24 * 24 * 5)):
+        monkeypatch.setattr(graphs, "_physical_memory", lambda: need)
+        assert structural_audit(free).n == 24
+        monkeypatch.setattr(graphs, "_physical_memory", lambda: need - 1)
+        with pytest.raises(ValueError, match="physical memory"):
+            structural_audit(free)
     # a file whose M^2 is not Q takes the dense route, 21 n^2 bytes
     rows = list(g.rows)
     rows[0] ^= 1
@@ -204,11 +209,14 @@ def test_common_neighbors_is_m2_entry():
 
 
 def test_codegree_histogram_gemm_path_matches_python_path():
-    # the GEMM histogram against a python pair scan over common_neighbors
+    # the histogram, here Q's closed form, and the GEMM against a python
+    # pair scan over common_neighbors
     g = cached_graph("times", 13, 2)
-    slow = Counter(len(common_neighbors(g, u, v))
-                   for u in range(g.n) for v in range(u + 1, g.n))
-    assert codegree_histogram(g) == dict(slow)
+    slow = dict(Counter(len(common_neighbors(g, u, v))
+                        for u in range(g.n) for v in range(u + 1, g.n)))
+    assert g._m2_is_q
+    assert codegree_histogram(g) == slow
+    assert graphs._codegree_histogram_gemm(g) == slow
 
 
 def test_codegree_histogram_spans_row_blocks():
@@ -221,7 +229,86 @@ def test_codegree_histogram_spans_row_blocks():
     for g in (build_g_times(37, 2), build_g_plus(64, 2), looped):
         m = g.adjacency_matrix(dtype=np.int64)
         m2 = np.stack([m[g.neighbors(u)].sum(axis=0) for u in range(g.n)])  # int64 M @ M
-        assert codegree_histogram(g) == dict(Counter(m2[np.triu_indices(g.n, 1)].tolist()))
+        want = dict(Counter(m2[np.triu_indices(g.n, 1)].tolist()))
+        assert codegree_histogram(g) == graphs._codegree_histogram_gemm(g) == want
+
+
+def _counters_called(audit, g):
+    """``audit(g)`` and the counters it called: none for Q's closed form,
+    else ``_codegree_counts`` or ``_codegree_histogram_gemm``."""
+    called = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_codegree_counts", "_codegree_histogram_gemm"):
+            mp.setattr(graphs, name, lambda h, f=getattr(graphs, name), name=name:
+                       called.append(name) or f(h))
+        return audit(g), called
+
+
+def _walks(g):
+    return int(np.diff(g.start)[g.nbr].sum())
+
+
+def _assert_path_and_oracles(g):
+    """The histogram takes the pair count at most n^2/2 2-walks and the GEMM
+    past them, and equals both the GEMM and the pair-dict oracle."""
+    hist, called = _counters_called(codegree_histogram, g)
+    cut = 2 * _walks(g) <= g.n * g.n
+    assert called == ["_codegree_counts" if cut else "_codegree_histogram_gemm"]
+    assert hist == graphs._codegree_histogram_gemm(g) == codegree_dict_histogram(g)
+    return cut
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 40), st.booleans(), st.integers(0, 2**32 - 1))
+def test_codegree_histogram_switches_at_n2_over_2_walks(n, loops, seed):
+    """A drawn edge order: the graphs on its first k and k + 1 edges lie just
+    below and just above the cut, with loops or without."""
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u if loops else u + 1, n)]
+    rng.shuffle(pairs)
+    deg = [0] * n
+    for k, (u, v) in enumerate(pairs):
+        deg[u] += 1
+        deg[v] += u != v
+        if 2 * sum(d * d for d in deg) > n * n:
+            break
+    below, above = from_edges(n, pairs[:k]), from_edges(n, pairs[:k + 1])
+    assert 2 * _walks(below) <= n * n < 2 * _walks(above)
+    assert _assert_path_and_oracles(below) and not _assert_path_and_oracles(above)
+
+
+def test_codegree_histogram_on_graphs_of_at_most_two_vertices():
+    """Every graph on 0, 1 and 2 vertices, loops included: 11 graphs, both paths."""
+    cuts = set()
+    for n in (0, 1, 2):
+        pairs = [(u, v) for u in range(n) for v in range(u, n)]
+        for mask in range(1 << len(pairs)):
+            g = from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            cuts.add(_assert_path_and_oracles(g))
+    assert cuts == {True, False}
+
+
+def test_recipe_sample_audit_takes_the_pair_count():
+    """The n = 2,096 recipe sample (about 20k 2-walks) is audited without
+    the GEMM, and its witness count reads the same histogram."""
+    r = lemma_parameters(100, 10, 1.0)
+    g = sample_gnp(r.n, r.p, r.seed)
+    want = codegree_dict_histogram(g)
+    audit, called = _counters_called(structural_audit, g)
+    assert called == ["_codegree_counts"]
+    assert audit.common_nbhd_histogram == want
+    assert sum(want.values()) == math.comb(g.n, 2)
+    assert k2t_witness_count(g, 2) == sum(k * math.comb(c, 2) for c, k in want.items())
+
+
+def test_dense_sample_audit_takes_the_gemm():
+    """G(300, 0.3), about 2.4M 2-walks, past n^2/2 = 45,000: the GEMM, equal
+    to the int64 M @ M."""
+    g = sample_gnp(300, 0.3, 0)
+    audit, called = _counters_called(structural_audit, g)
+    assert called == ["_codegree_histogram_gemm"]
+    m = g.adjacency_matrix(dtype=np.int64)
+    assert audit.common_nbhd_histogram == dict(Counter((m @ m)[np.triu_indices(g.n, 1)].tolist()))
 
 
 def test_from_edges_and_loops():

@@ -1,5 +1,9 @@
-"""Random-graph recipe, sampler, witness counting, and Monte-Carlo invariants."""
+"""Random-graph recipe, sampler, witness counting, Monte-Carlo invariants and
+pinned ``random --json`` output."""
 
+import contextlib
+import hashlib
+import io
 import math
 import random
 import warnings
@@ -9,12 +13,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ramseycert import cli
 from ramseycert.random_model import (
     C3_DEFAULT,
     E8,
     DegenerateRecipeError,
     RandomRecipe,
-    _codegree_counts,
     expected_k2t_log,
     frieze_alpha_estimate,
     k2t_witness_count,
@@ -22,8 +26,8 @@ from ramseycert.random_model import (
     monte_carlo_check,
     sample_gnp,
 )
-from ramseycert.graphs import _bits
-from conftest import cached_graph, common_neighbors, from_edges
+from ramseycert.graphs import _bits, _codegree_counts
+from conftest import cached_graph, codegree_dict, common_neighbors, from_edges
 
 
 # -- recipe -----------------------------------------------------------------------
@@ -187,18 +191,6 @@ def test_find_k2t_matches_naive_scan(n, t, seed):
                    for w in got.common)
 
 
-def _codegree_dict(g) -> dict[tuple[int, int], int]:
-    """The common-neighbour accumulation ``_codegree_counts`` replaced: each
-    w adds one to every pair u < v of its neighbours."""
-    counts: dict[tuple[int, int], int] = {}
-    for w in range(g.n):
-        nbrs = g.neighbors(w)
-        for i, u in enumerate(nbrs):
-            for v in nbrs[i + 1:]:
-                counts[u, v] = counts.get((u, v), 0) + 1
-    return counts
-
-
 def _sample_gnp_loop(n, p, seed, stream=0):
     """The bit-by-bit sampler ``sample_gnp`` replaced: the same Philox draws,
     row i's hits j > i set one bit at a time in rows i and j."""
@@ -246,7 +238,7 @@ def test_codegree_counts_equal_the_pair_dict(n, density, seed):
     rng = random.Random(seed)
     g = from_edges(n, [(u, v) for u in range(n) for v in range(u, n) if rng.random() < density])
     for h in (g, sample_gnp(n, density, seed)):
-        assert _counts_as_dict(h) == _codegree_dict(h)
+        assert _counts_as_dict(h) == codegree_dict(h)
 
 
 def _counts_as_dict(g) -> dict[tuple[int, int], int]:
@@ -256,8 +248,14 @@ def _counts_as_dict(g) -> dict[tuple[int, int], int]:
 
 @pytest.mark.parametrize("variant,q,t", [("plus", 9, 3), ("times", 13, 4), ("plus", 16, 2)])
 def test_codegree_counts_equal_the_pair_dict_on_constructions(variant, q, t):
+    """The pair count, and the witness count that these graphs read off
+    Q's closed form (``Graph._m2_is_q``), against the pair dict."""
     g = cached_graph(variant, q, t)
-    assert _counts_as_dict(g) == _codegree_dict(g)
+    pairs = codegree_dict(g)
+    assert _counts_as_dict(g) == pairs
+    assert g._m2_is_q
+    for s in (2, t, t + 1):
+        assert k2t_witness_count(g, s) == sum(math.comb(c, s) for c in pairs.values())
 
 
 @settings(max_examples=30, deadline=None)
@@ -376,3 +374,28 @@ def test_pairs_with_two_common_neighbors_match_binomial_tail():
         counts[i] = cnt
     se = counts.std(ddof=1) / math.sqrt(samples)
     assert abs(counts.mean() - analytic) <= 3 * se
+
+
+# -- pinned CLI output --------------------------------------------------------------
+
+# `random --json` runs pinned by the exit code and the SHA-256 of stdout and
+# stderr: the README recipe at n = 2,096 (greedy alpha) and the CLI schema
+# test's recipe (exact alpha).  Regenerate only at a commit whose outputs are
+# the intended ones.
+RANDOM_PINS = {
+    "random --m 100 --t 10 --c3 1 --samples 4 --threads 1": (
+        0, "ecc42c1a64ecb2f2a16e9174f4a4a4515b165592a0b2929d00182dfe7ca38607",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "random --m 20 --t 3 --c3 1.0 --samples 4 --threads 1": (
+        0, "c590bb513d8fa902bfd1c0d95ee9deb7e9ca5f59a4a84b772463dea022e380b2",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+@pytest.mark.parametrize("line", list(RANDOM_PINS))
+def test_random_json_matches_pinned_digest(line):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(line.split() + ["--json"])
+    assert (code, hashlib.sha256(out.getvalue().encode()).hexdigest(),
+            hashlib.sha256(err.getvalue().encode()).hexdigest()) == RANDOM_PINS[line]

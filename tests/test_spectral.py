@@ -677,9 +677,10 @@ def test_audit_and_spectrum_peak_stays_small():
 @pytest.mark.long
 def test_plus_256_2_audits_and_certifies_under_600_mb():
     """plus(256,2), n = 32,640, where float32 M alone would take 4.3 GB: the
-    audit and the spectrum in a fresh interpreter, under 600 MB peak RSS."""
+    audit and the spectrum in a fresh interpreter, under 600 MB peak RSS.
+    The child reads its own VmHWM: its ru_maxrss would carry the pytest
+    process's high-water mark across the fork."""
     script = """if True:
-        import resource
         from ramseycert.graphs import build_g_plus, structural_audit
         from ramseycert.spectral import verify_spectrum
         g = build_g_plus(256, 2)
@@ -691,7 +692,8 @@ def test_plus_256_2_audits_and_certifies_under_600_mb():
             2: n * (n - 1) // 2 - w * C * (C - 1) // 2 - C * w * (w - 1) // 2}
         assert rep.multiplicities == {"q-1": 1, "+sqrt(q)": 16129, "-sqrt(q)": 16129,
                                       "+1": 0, "-1": 127, "0": 254}
-        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+        with open("/proc/self/status") as f:
+            print(next(line.split()[1] for line in f if line.startswith("VmHWM:")))  # kB
     """
     src = str(Path(spectral.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
