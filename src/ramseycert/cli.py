@@ -188,8 +188,10 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_import(args) -> int:
-    with open(args.file, newline="") as fh:  # CRLF or CR line ends are not canonical
-        text = fh.read()
+    # binary, so CRLF or CR line ends stay (they are not canonical), and
+    # latin-1, so a byte that is not ASCII reaches from_g2t's refusal
+    with open(args.file, "rb") as fh:
+        text = fh.read().decode("latin-1")
     g = from_g2t(text)
     roundtrip = to_g2t(g) == text
     _emit({"file": args.file, "variant": g.meta.variant, "q": g.meta.q, "t": g.meta.t,

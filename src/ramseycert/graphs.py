@@ -41,14 +41,16 @@ round-trips byte-identically when the header values and labels are unsigned
 decimals of at most 18 digits, the variant is printable ASCII with no space,
 and a plus/times graph carries its construction's metadata and labels, as for
 every construction and sampler here; ``to_g2t`` refuses the rest up front by
-the checks ``from_g2t`` makes (``_check_g2t``).  Both directions are
-whole-array numpy kernels over the neighbour arrays.  The writer reads 512
-rows' entries at a time; those with v >= u are the block's edges in (u, v)
-order, and their ``e u v`` lines are written digit by digit into one byte
-array.  The parser classifies the bytes after the header a few MB at a time,
+the checks ``from_g2t`` makes (``_check_g2t``).  Both directions are numpy
+kernels over the neighbour arrays whose working memory is bounded per step.
+The writer reads at most ``_ENTRIES`` entries at a time; those with v >= u
+are the block's edges in (u, v) order, and their ``e u v`` lines are written
+digit by digit into one byte array, a piece of the text that ``write_g2t``
+writes as soon as it is formed.  The parser reads the bytes after the header
+in pieces of about ``_PIECE`` bytes cut at a line end: it classifies them,
 cuts tokens and lines where the byte class changes, decodes each number by
-digit position, makes every check an array predicate and sorts the edges by
-row into the neighbour arrays.
+digit position straight into record columns sized once, makes every check
+an array predicate and sorts the edges by row into the neighbour arrays.
 """
 
 from __future__ import annotations
@@ -65,9 +67,9 @@ from .fields import Subgroup, is_prime_power, make_field, subgroup
 
 # integers are exact in float32 below 2^24
 _FLOAT32_EXACT = 1 << 24
-# rows per block of the blockwise kernels (row packing, the g2t writer, the
-# audit's M^2 when no map is kept, the class rows): a block is at most _BLOCK x n
-# beside the inputs
+# rows per block of the blockwise kernels (row packing, the audit's M^2 when
+# no map is kept, the class rows): a block is at most _BLOCK x n beside the
+# inputs
 _BLOCK = 512
 # 2-walks, and entries of M^2, per block of ``_m2_rows``: their int64 keys
 # take 1 MB, and a block's arrays about 2.6 MB in all
@@ -682,10 +684,18 @@ def _orbit_labels(n: int, maps: list[np.ndarray]) -> np.ndarray:
 
 # -- g2t serialization ----------------------------------------------------------
 
-# body bytes the parser classifies at a time, cut at a line end; one pass over
-# the 56 MB body of plus(256, 2) lifts its round trip's peak RSS from 534 MB
-# to 1.16 GB, since the byte and token arrays grow with the piece
-_CHUNK = 1 << 21
+# body bytes the parser reads at a time, cut at the next line end.  A piece's
+# byte, token and record temporaries take 20-22 bytes a byte, 1.4 MB at 64 KB,
+# so the parse's working memory is its record columns.  On a 2-core VM,
+# from_g2t of times(121,15) traces 2.8 MB and takes 8-10 ms (12.3 MB and
+# 11-14 ms in 2 MB pieces), read_g2t of plus(256,2)'s 56 MB peaks at 232 MB
+# RSS (345 MB), and 32 KB pieces parse the fleet within noise of 64 KB
+_PIECE = 1 << 16
+# entries of the neighbour arrays per block of the g2t writer, or one row:
+# to_g2t of times(121,15) traces 1.5 MB (4.7 MB in 512-row blocks), and
+# write_g2t of plus(256,2) peaks at 75 MB RSS, build included (176 MB);
+# 8,192-entry blocks write the 75 fleet cases about 4 % slower
+_ENTRIES = 1 << 14
 _MAX_DIGITS = 18  # a g2t number has at most 18 digits, so it fits an int64
 _POW10 = 10 ** np.arange(_MAX_DIGITS + 1, dtype=np.int64)  # 1, 10, ..., 10^18
 _G2T_LIMIT = 10 ** _MAX_DIGITS  # every g2t number is below it
@@ -742,24 +752,32 @@ def to_g2t(g: Graph) -> str:
     A graph ``from_g2t`` could not read back is refused with a ValueError
     before anything is written (see ``_check_g2t``).
 
-    The n ``v`` lines are formatted by ``str``.  The edges are read off the
-    neighbour arrays 512 rows at a time: the entries with v >= u are already
-    in (u, v) order, and the block's lines are written digit by digit into
-    one byte array.
+    The text is the join of ``_g2t_pieces``, which ``write_g2t`` writes one
+    at a time.
     """
+    return "".join(_g2t_pieces(g))
+
+
+def _g2t_pieces(g: Graph) -> Iterator[str]:
+    """``to_g2t``'s text in pieces: the header and the n ``v`` lines, formatted
+    by ``str``, then the ``e`` lines of one block of rows at a time.  A block
+    holds at most ``_ENTRIES`` entries of the neighbour arrays, or one row;
+    its entries with v >= u are already in (u, v) order, and their lines are
+    written digit by digit into one byte array."""
     m = g.meta
     _check_g2t(m, g.labels)
     lines = [f"g2t v1 variant={m.variant} p={m.p} a={m.a} q={m.q} t={m.t} n={g.n}"]
     lines += [f"v {i} {cid} {x}" for i, (cid, x) in enumerate(g.labels)]
-    parts = ["\n".join(lines) + "\n"]
+    yield "\n".join(lines) + "\n"
     start, nbr = g.start, g.nbr
-    for b in range(0, g.n, _BLOCK):
-        e = min(b + _BLOCK, g.n)
+    b = 0
+    while b < g.n:
+        e = max(b + 1, int(np.searchsorted(start, start[b] + _ENTRIES, side="right")) - 1)
         u = np.repeat(np.arange(b, e), np.diff(start[b:e + 1]))
         v = nbr[start[b]:start[e]]
         upper = v >= u
-        parts.append(_edge_lines(u[upper], v[upper]))
-    return "".join(parts)
+        yield _edge_lines(u[upper], v[upper])
+        b = e
 
 
 _G2T_HEADER_KEYS = ("variant", "p", "a", "q", "t", "n")
@@ -838,11 +856,13 @@ def _check_construction(meta: GraphMeta, n: int) -> None:
         raise ValueError(f"{meta.variant} metadata: t = {t} is not a subgroup order for q = {q}")
 
 
-def _g2t_records(a: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(u, v, i, c, x) of the ``e u v`` and ``v i c x`` records in whole g2t
-    body lines ``a`` (bytes after the header, LF line ends, the last LF
-    optional; at least one byte).  Checks the bytes, the record shapes and the number widths;
-    ranges are the caller's.
+def _g2t_records(a: np.ndarray, columns: list[np.ndarray], ne: int, nv: int) -> tuple[int, int]:
+    """Decode the ``e u v`` and ``v i c x`` records in whole g2t body lines
+    ``a`` (bytes after the header, LF line ends, the last LF optional; at
+    least one byte) into the record columns (u, v, i, c, x), the ``e``
+    records from row ne and the ``v`` records from row nv on; return the
+    rows filled then.  Checks the bytes, the record shapes and the number
+    widths, each refusing the first defect in ``a``; ranges are the caller's.
 
     Tokens are the runs of non-space bytes; a record is a line with tokens,
     and its first token is its tag.  A number is decoded by digit position,
@@ -878,27 +898,29 @@ def _g2t_records(a: np.ndarray) -> tuple[np.ndarray, ...]:
         raise malformed(letters[np.isin(letters, starts[tag], invert=True)][0])
     width = ends - starts
     if width.max(initial=0) > _MAX_DIGITS:
-        raise malformed(starts[np.argmax(width)])
+        raise malformed(starts[np.argmax(width > _MAX_DIGITS)])
     e, v = tag[is_e], tag[~is_e]
-    return tuple(_decimals(a, ends[f] - 1, width[f])
-                 for f in (e + 1, e + 2, v + 1, v + 2, v + 3))
+    for col, at, f in zip(columns, (ne, ne, nv, nv, nv), (e + 1, e + 2, v + 1, v + 2, v + 3)):
+        _decimals(a, ends[f] - 1, width[f], col[at:at + len(f)])
+    return ne + len(e), nv + len(v)
 
 
-def _decimals(a: np.ndarray, last: np.ndarray, width: np.ndarray) -> np.ndarray:
-    """The unsigned decimals of ``width`` digits ending at ``last`` in ``a``."""
-    value = np.zeros(len(last), dtype=np.int64)
+def _decimals(a: np.ndarray, last: np.ndarray, width: np.ndarray, out: np.ndarray) -> None:
+    """Write into ``out`` the unsigned decimals of ``width`` digits ending at
+    ``last`` in ``a``."""
+    out.fill(0)
     for k in range(int(width.max(initial=0))):
         # int64 before the product: NumPy 1.x would keep uint8 * 10^k in uint8
         digit = a[last - k].astype(np.int64) - ord("0")
         digit[width <= k] = 0  # before the number
-        value += digit * _POW10[k]
-    return value
+        out += digit * _POW10[k]
 
 
 def _edge_arrays(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Neighbour arrays (start, nbr) of the edges (u, v), u <= v < n: both
     directions sorted into one key row * n + column, each key kept once (a
-    loop gives it twice, a repeated line more)."""
+    loop gives it twice, a repeated line more), then reduced to its column
+    in place."""
     m = len(u)
     key = np.empty(2 * m, dtype=np.int64)
     np.multiply(u, n, out=key[:m])
@@ -909,15 +931,20 @@ def _edge_arrays(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.n
     first = np.ones(len(key), dtype=np.bool_)
     np.not_equal(key[1:], key[:-1], out=first[1:])
     key = key[first]
-    return np.searchsorted(key, np.arange(n + 1) * n), (key % max(n, 1)).astype(np.int32)
+    start = np.searchsorted(key, np.arange(n + 1) * n)
+    return start, np.remainder(key, max(n, 1), out=key).astype(np.int32)
 
 
-def _g2t_fields(text: str) -> tuple[GraphMeta, int, list[np.ndarray]]:
-    """The header of a g2t text and its record columns u, v, i, c, x, once
-    the bytes, the record shapes and the number widths are checked."""
-    if not text.isascii():
+def _g2t_fields(data: bytes) -> tuple[GraphMeta, int, list[np.ndarray]]:
+    """The header of a g2t file's bytes and its record columns u, v, i, c, x,
+    once the bytes, the record shapes and the number widths are checked a
+    piece at a time, in file order.  A piece is about ``_PIECE`` bytes of
+    whole lines, so its byte and token arrays stay small whatever the file's
+    size.  Every record has one tag byte and every other ``e`` or ``v`` is
+    refused, so the columns are sized once by counting those bytes, and each
+    piece decodes straight into its rows of them."""
+    if not data.isascii():
         raise ValueError("a g2t file is ASCII text")
-    data = text.encode("ascii")
     if b"\r" in data:  # universal newlines
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     if not data.startswith(b"g2t v1 "):
@@ -925,38 +952,21 @@ def _g2t_fields(text: str) -> tuple[GraphMeta, int, list[np.ndarray]]:
     body = data.find(b"\n") + 1 or len(data)  # the first byte after the header
     max_n = data.count(b"\n", body) + (body < len(data) and not data.endswith(b"\n"))
     meta, n = _g2t_header(data[:body].rstrip(b"\n").decode(), max_n)
+    ne, nv = data.count(b"e", body), data.count(b"v", body)
+    columns = [np.empty(k, dtype=np.int64) for k in (ne, ne, nv, nv, nv)]
     buf = np.frombuffer(data, dtype=np.uint8)
-    records = []
+    ne = nv = 0
     while body < len(data):
-        cut = data.find(b"\n", body + _CHUNK) + 1 or len(data)
-        records.append(_g2t_records(buf[body:cut]))
+        cut = data.find(b"\n", body + _PIECE) + 1 or len(data)
+        ne, nv = _g2t_records(buf[body:cut], columns, ne, nv)
         body = cut
-    columns = [np.concatenate(col) for col in zip(*records)]
-    return meta, n, columns or [np.zeros(0, dtype=np.int64)] * 5
+    return meta, n, columns
 
 
-def from_g2t(text: str) -> Graph:
-    """Parse ``to_g2t`` output; every malformed input raises ValueError.
-
-    The grammar: ASCII text with no control character but tab, CR and LF; a
-    line ends at LF, CRLF or a lone CR; tokens are separated by spaces or
-    tabs.  The first line is the header, ``g2t v1 `` and key=value tokens.
-    Every later line is blank or a record, ``e u v`` or ``v i c x``, whose
-    numbers (and the header's p, a, q, t, n) are unsigned decimals of at
-    most 18 digits.
-
-    The header must carry all of variant, p, a, q, t, n, and n may not pass
-    the number of lines after it; for ``plus``/``times`` they must describe a
-    valid construction (q = p^a, t a subgroup order, n = q(q-1)/t), and each
-    vertex label must be the one the construction gives that index.  Each
-    vertex needs exactly one ``v`` line, and every edge needs u <= v < n.
-
-    The lines after the header are classified and cut into tokens as byte
-    arrays, a few MB at a time, and every check is an array predicate.  The
-    sorted edge keys, both directions of every edge line, are the graph's
-    neighbour arrays (``_edge_arrays``).
-    """
-    meta, n, (u, v, i, cid, x) = _g2t_fields(text)
+def _g2t_graph(meta: GraphMeta, n: int, columns: list[np.ndarray]) -> Graph:
+    """The graph of a g2t file's header and record columns, once the edge
+    ranges, the vertex lines and the labels are checked."""
+    u, v, i, cid, x = columns
     bad = np.flatnonzero((u > v) | (v >= n))
     if len(bad):
         raise ValueError(f"edge ({u[bad[0]]}, {v[bad[0]]}) malformed")
@@ -975,11 +985,44 @@ def from_g2t(text: str) -> Graph:
     return Graph(start, nbr, tuple(map(tuple, labels.tolist())), meta)
 
 
+def from_g2t(text: str) -> Graph:
+    """Parse ``to_g2t`` output; every malformed input raises ValueError.
+
+    The grammar: ASCII text with no control character but tab, CR and LF; a
+    line ends at LF, CRLF or a lone CR; tokens are separated by spaces or
+    tabs.  The first line is the header, ``g2t v1 `` and key=value tokens.
+    Every later line is blank or a record, ``e u v`` or ``v i c x``, whose
+    numbers (and the header's p, a, q, t, n) are unsigned decimals of at
+    most 18 digits.
+
+    The header must carry all of variant, p, a, q, t, n, and n may not pass
+    the number of lines after it; for ``plus``/``times`` they must describe a
+    valid construction (q = p^a, t a subgroup order, n = q(q-1)/t), and each
+    vertex label must be the one the construction gives that index.  Each
+    vertex needs exactly one ``v`` line, and every edge needs u <= v < n.
+
+    The lines after the header are classified, cut into tokens and decoded
+    as byte arrays, one piece of about ``_PIECE`` bytes at a time, into
+    record columns sized once (``_g2t_fields``); the checks on bytes, record
+    shapes and digit counts refuse the first defect of the first bad piece,
+    and those on ranges, vertex lines and labels run after the last piece.
+    The sorted edge keys, both directions of every edge line, are the
+    graph's neighbour arrays (``_edge_arrays``).
+    """
+    if not text.isascii():
+        raise ValueError("a g2t file is ASCII text")
+    return _g2t_graph(*_g2t_fields(text.encode("ascii")))
+
+
 def write_g2t(g: Graph, path: str) -> None:
+    """Write ``to_g2t(g)`` to ``path`` a piece at a time."""
     with open(path, "w", newline="\n") as fh:
-        fh.write(to_g2t(g))
+        fh.writelines(_g2t_pieces(g))
 
 
 def read_g2t(path: str) -> Graph:
-    with open(path, "r") as fh:
-        return from_g2t(fh.read())
+    """``from_g2t`` of a file read in binary, so its text is held once, as
+    bytes, and freed before the neighbour arrays are sorted."""
+    with open(path, "rb") as fh:
+        fields = _g2t_fields(fh.read())
+    return _g2t_graph(*fields)

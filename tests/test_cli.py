@@ -216,6 +216,18 @@ def test_malformed_g2t_exits_2(mangle, sub, plus93_file, tmp_path, capsys):
     assert run_cli([sub, str(bad)], capsys)[0] == 2
 
 
+@pytest.mark.parametrize("sub", ["audit", "spectrum", "alpha", "export", "import"])
+def test_undecodable_g2t_exits_2(sub, plus93_file, tmp_path, capsys):
+    """A byte that is not ASCII, nor UTF-8, is refused as such: every command
+    reads the file in binary."""
+    bad = tmp_path / "bad.g2t"
+    with open(plus93_file, "rb") as fh:
+        bad.write_bytes(fh.read().replace(b"e 0 ", b"e \xff ", 1))
+    argv = [sub, str(bad)] + (["--out", str(tmp_path / "copy.g2t")] if sub == "export" else [])
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: a g2t file is ASCII text\n"
+
+
 def test_spectrum_of_foreign_edges_exits_1_without_traceback(plus93_file, tmp_path):
     # valid header and labels, but one edge short of plus(9,3): the moment
     # solve fails, which is a failed check, not a crash

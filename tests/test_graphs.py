@@ -5,6 +5,7 @@ import dataclasses
 import math
 import random
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -23,8 +24,10 @@ from ramseycert.graphs import (
     build_g_times,
     codegree_histogram,
     from_g2t,
+    read_g2t,
     structural_audit,
     to_g2t,
+    write_g2t,
 )
 from ramseycert.random_model import k2t_witness_count, lemma_parameters, sample_gnp
 from ramseycert.spectral import SpectralSolveError, verify_spectrum
@@ -350,7 +353,7 @@ def test_g2t_round_trip_synthetic(data):
     assert from_g2t(to_g2t(g)) == g
 
 
-@pytest.mark.parametrize("mangle", [
+G2T_MANGLES = [
     lambda s: "g3t" + s[3:],                        # bad magic
     lambda s: s.replace(" n=24", " n=23", 1),       # header count mismatch
     lambda s: s + "e 0 99\n",                       # edge out of range
@@ -359,7 +362,10 @@ def test_g2t_round_trip_synthetic(data):
     lambda s: s.replace("e 0 ", "e +0 ", 1),        # signed number
     lambda s: s.replace("e 0 ", "e \u0660 ", 1),    # non-ASCII digit
     lambda s: s.replace("\ne ", "\fe ", 1),         # form feed as a line break
-])
+]
+
+
+@pytest.mark.parametrize("mangle", G2T_MANGLES)
 def test_g2t_rejects_malformed(mangle):
     text = to_g2t(cached_graph("plus", 9, 3))
     with pytest.raises(ValueError):
@@ -582,7 +588,7 @@ def test_equality_and_hashing_compare_content():
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_to_g2t_equals_the_bitset_writer(data):
-    """Looped graphs up to two 512-row blocks, from their rows and parsed."""
+    """Looped graphs on up to 600 vertices, from their rows and parsed."""
     n = data.draw(st.integers(1, 40) | st.integers(1, 600))
     vertex = st.integers(0, n - 1)
     edges = data.draw(st.lists(st.tuples(vertex, vertex), max_size=60))
@@ -619,12 +625,92 @@ def test_from_g2t_decodes_every_digit_position():
     assert from_g2t(text) == loop_from_g2t(text) == g
 
 
+PLUS_9_3_G2T = to_g2t(cached_graph("plus", 9, 3))  # 967 bytes, its last line "e 21 23"
+# each malformed file above, then defects, line ends and lines that pieces of
+# a few bytes split or cut
+G2T_PIECE_TEXTS = [mangle(PLUS_9_3_G2T) for mangle in G2T_MANGLES] + [
+    PLUS_9_3_G2T,
+    PLUS_9_3_G2T.replace("\n", "\r\n"),                      # CRLF line ends
+    PLUS_9_3_G2T.replace("\n", "\r"),                        # lone CR line ends
+    PLUS_9_3_G2T[:-1],                                        # an unterminated last line
+    PLUS_9_3_G2T[:-2] + "e" + PLUS_9_3_G2T[-2:],              # a tag byte in the last number
+    PLUS_9_3_G2T[:-1] + "0" * 18 + "\n",                      # a 20-digit last number
+    PLUS_9_3_G2T + "v 5 0 6\n",                               # an extra v line
+    PLUS_9_3_G2T + "e 3 24\n",                                # an edge past n
+    PLUS_9_3_G2T + "\t \n" + "e" + " " * 40 + "0" * 17 + "3\t" + "0" * 17 + "7 \n",  # a long line
+]
+# the fleet cases with q <= 16: up to 960 lines, one piece each at 1 byte
+PIECE_FLEET = [c for c in ALL_CASES if c[1] <= 16]
+
+
+def _outcome(parse, arg):
+    """The graph ``parse`` reads, or the message of the ValueError it raises."""
+    try:
+        return parse(arg)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("piece", [1, 7, 64])
+def test_g2t_parse_does_not_depend_on_the_piece_size(piece, monkeypatch, tmp_path):
+    """With pieces of 1, 7 or 64 bytes, from_g2t reads the graph, or refuses
+    with the message, that the default piece, the whole file here, gives;
+    read_g2t of the same bytes agrees with both."""
+    expected = [_outcome(from_g2t, text) for text in G2T_PIECE_TEXTS]
+    monkeypatch.setattr(graphs, "_PIECE", piece)
+    assert [_outcome(from_g2t, text) for text in G2T_PIECE_TEXTS] == expected
+    path = tmp_path / "piece.g2t"
+    for text, want in zip(G2T_PIECE_TEXTS, expected):
+        path.write_bytes(text.encode())
+        assert _outcome(read_g2t, str(path)) == want
+    assert sum(isinstance(want, Graph) for want in expected) == 5
+
+
+@pytest.mark.parametrize("piece", [1, 7, 64])
+def test_fleet_g2t_round_trips_in_any_piece_size(piece, monkeypatch):
+    monkeypatch.setattr(graphs, "_PIECE", piece)
+    for case in PIECE_FLEET:
+        g = cached_graph(*case)
+        text = to_g2t(g)
+        assert from_g2t(text) == loop_from_g2t(text) == g
+
+
+@pytest.mark.parametrize("entries", [1, 7, 64])
+def test_g2t_write_does_not_depend_on_the_block_size(entries, monkeypatch, tmp_path):
+    """Blocks of 1, 7 or 64 entries, a row longer than a block being a block
+    of its own, write the loop writer's text, by to_g2t and by write_g2t."""
+    monkeypatch.setattr(graphs, "_ENTRIES", entries)
+    path = tmp_path / "block.g2t"
+    for g in [*EDGE_CASE_GRAPHS.values(), *(cached_graph(*c) for c in PIECE_FLEET)]:
+        text = loop_to_g2t(g)
+        assert to_g2t(g) == text
+        write_g2t(g, str(path))
+        assert path.read_bytes() == text.encode()
+
+
+def test_g2t_kernels_trace_bounded_memory():
+    """times(121,15), 0.58 MB of text: from_g2t traces under 6 MB and to_g2t
+    under 2.5 MB.  Parsing 2 MB pieces and writing 512-row blocks traced
+    12.3 MB and 4.7 MB."""
+    g = cached_graph("times", 121, 15)
+    text = to_g2t(g)
+    peaks = []
+    for run in (lambda: from_g2t(text), lambda: to_g2t(g)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 6 * 2**20 and peaks[1] < 2.5 * 2**20, peaks
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_to_g2t_equals_the_loop_writer_on_random_graphs(data):
     """to_g2t writes the loop writer's text when from_g2t reads that text
     back as the same graph, and refuses the graph otherwise."""
-    n = data.draw(st.integers(1, 40) | st.integers(1, 600))  # up to two 512-row blocks
+    n = data.draw(st.integers(1, 40) | st.integers(1, 600))
     vertex = st.integers(0, n - 1)
     g = from_edges(n, data.draw(st.lists(st.tuples(vertex, vertex), max_size=60)))
     if n <= 40:  # the labels, the header values or the variant drawn from any value
